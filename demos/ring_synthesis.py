@@ -14,7 +14,7 @@ from asmp import (
     bscc_mean_payoff,
     constant_strategy,
     decide_limavg1,
-    memoryless_chain,
+    product_chain,
     recurrent_classes,
     uniform_strategy,
     validate_strategy,
@@ -84,7 +84,7 @@ for label, sigma in [
 # "Below 1" can be made exact: fix the coin strategy, take the Markov
 # chain it induces, and solve the stationary distribution of its single
 # recurrent class in rational arithmetic.
-mc = memoryless_chain(g, rewards, uniform_strategy(g))
+mc = product_chain(g, rewards, uniform_strategy(g))
 (cls,) = recurrent_classes(mc)
 print()
 print("coin strategy long-run average:", bscc_mean_payoff(mc, cls))

@@ -26,10 +26,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def submasks(mask: int) -> Iterator[int]:
     """Yield every submask of ``mask``, including 0 and ``mask`` itself.
 

@@ -3,19 +3,21 @@
 A finite-memory strategy keeps a memory state, picks actions from the memory
 alone, and updates the memory from (memory, next observation, played action).
 Playing one on a POMDP yields a finite Markov chain over (state, memory)
-pairs; every long-run question is answered on that chain: almost-sure
+pairs; a memoryless strategy is played with the current observation as its
+memory. Every long-run question is answered on that chain. Almost-sure
 mean-payoff 1 holds exactly when every reachable recurrent class pays reward
-1 on each pair it plays, and quantitative thresholds come from exact
-stationary distributions of the recurrent classes.
+1 on each pair it plays, which depends on the chain's supports alone, so the
+chain is built over supports and its exact weights are derived only when a
+quantitative question reads them: thresholds come from exact stationary
+distributions of the recurrent classes.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .model import Distr, ModelError, Pomdp, RewardFn, StrategyError
 
@@ -49,6 +51,9 @@ class FiniteMemoryStrategy:
     @property
     def n_memories(self) -> int:
         return len(self.memories)
+
+    def action_distr(self, m: int) -> Distr:
+        return self.next_action[m]
 
     def update_row(self, m: int, o: int, a: int) -> Distr:
         try:
@@ -131,169 +136,187 @@ def _memory_text(g: Pomdp, label: object) -> str:
     return str(label)
 
 
+class _ObservationMemory:
+    """A memoryless strategy played as one whose memory is the current
+    observation: memory ``o`` plays ``sigma``'s choice at ``o`` and every
+    update moves to the observation just seen."""
+
+    def __init__(self, g: Pomdp, sigma: MemorylessStrategy):
+        self.initial = g.obs(g.initial)
+        self.action_distr = sigma.action_distr
+        self._rows: dict[int, Distr] = {}
+
+    def update_row(self, m: int, o: int, a: int) -> Distr:
+        row = self._rows.get(o)
+        if row is None:
+            row = self._rows[o] = Distr.dirac(o)
+        return row
+
+
 class MarkovChain:
     """Finite Markov chain arising from a strategy played on a POMDP.
 
     Nodes are (state, memory) pairs in discovery order, node 0 the start.
-    ``plays[i]`` maps each action played at node i to its play probability and
-    reward; it is None when the chain was built without rewards.
+    ``product_chain`` records supports only: ``successors(i)`` is the sorted
+    tuple of node i's successors, and ``below_one[i]`` the smallest action
+    node i plays for reward below 1, or None when it pays 1 on every play
+    (``below_one`` is None when the chain was built without rewards). The
+    qualitative questions read only these and the recurrent classes.
+
+    The exact weights are derived on first read: ``rows[i]`` is node i's
+    successor distribution, ``plays[i]`` maps each action played at node i
+    to its play probability and reward (None without rewards), and
     ``edge_actions`` records which actions contribute to each edge, for
     rendering.
     """
 
     def __init__(
         self,
+        g: Pomdp,
+        rewards: RewardFn | None,
+        sigma: FiniteMemoryStrategy | _ObservationMemory,
         labels: list[tuple[int, int]],
-        label_texts: list[str],
-        rows: list[Distr],
-        plays: list[dict[int, tuple[Fraction, Fraction]]] | None,
-        edge_actions: dict[tuple[int, int], frozenset[int]],
-        action_names: list[str],
-        start: int = 0,
+        index: dict[tuple[int, int], int],
+        succ: list[tuple[int, ...]],
+        below_one: list[int | None] | None,
     ):
+        self._g = g
+        self._rewards = rewards
+        self._sigma = sigma
         self.labels = labels
-        self.label_texts = label_texts
-        self.rows = rows
-        self.plays = plays
-        self.edge_actions = edge_actions
-        self.action_names = action_names
-        self.start = start
-        self.index = {lab: i for i, lab in enumerate(labels)}
+        self.index = index
+        self._succ = succ
+        self.below_one = below_one
+        self.start = 0
 
     @property
     def n_nodes(self) -> int:
         return len(self.labels)
 
     def successors(self, i: int) -> tuple[int, ...]:
-        return self.rows[i].support()
+        return self._succ[i]
 
     def reachable(self, start: int | None = None) -> list[int]:
         seen = {self.start if start is None else start}
         queue = deque(seen)
         while queue:
             i = queue.popleft()
-            for j in self.successors(i):
+            for j in self._succ[i]:
                 if j not in seen:
                     seen.add(j)
                     queue.append(j)
         return sorted(seen)
 
+    @cached_property
+    def recurrent(self) -> list[list[int]]:
+        """Bottom strongly connected components, sorted by smallest node id."""
+        bottoms = []
+        for comp in _sccs(self._succ):
+            members = set(comp)
+            if all(t in members for i in comp for t in self._succ[i]):
+                bottoms.append(comp)
+        return sorted(bottoms, key=lambda c: c[0])
+
+    @cached_property
+    def label_texts(self) -> list[str]:
+        g = self._g
+        if isinstance(self._sigma, _ObservationMemory):
+            return [g.state_name(s) for s, _ in self.labels]
+        memories = {m for _, m in self.labels}
+        memory = {m: _memory_text(g, self._sigma.memories[m]) for m in memories}
+        return [f"{g.state_name(s)}·{memory[m]}" for s, m in self.labels]
+
+    @cached_property
+    def action_names(self) -> list[str]:
+        return [self._g.action_name(a) for a in range(self._g.n_actions)]
+
+    @property
+    def rows(self) -> list[Distr]:
+        return self._weights[0]
+
+    @property
+    def plays(self) -> list[dict[int, tuple[Fraction, Fraction]]] | None:
+        return self._weights[1]
+
+    @property
+    def edge_actions(self) -> dict[tuple[int, int], frozenset[int]]:
+        return self._weights[2]
+
+    @cached_property
+    def _weights(self):
+        """Replay every node's moves with their probabilities."""
+        g, rewards, sigma, index = self._g, self._rewards, self._sigma, self.index
+        rows: list[Distr] = []
+        plays: list[dict[int, tuple[Fraction, Fraction]]] = []
+        edge_actions: dict[tuple[int, int], set[int]] = {}
+        for i, (s, m) in enumerate(self.labels):
+            weights: dict[int, Fraction] = {}
+            played: dict[int, tuple[Fraction, Fraction]] = {}
+            for a, pa in sigma.action_distr(m).items():
+                if rewards is not None:
+                    played[a] = (pa, rewards.get(s, a))
+                for t, pt in g.row(s, a).items():
+                    for m2, pm in sigma.update_row(m, g.obs(t), a).items():
+                        j = index[(t, m2)]
+                        w = pa * pt * pm
+                        weights[j] = weights[j] + w if j in weights else w
+                        edge_actions.setdefault((i, j), set()).add(a)
+            rows.append(Distr(weights))
+            plays.append(played)
+        return (
+            rows,
+            plays if rewards is not None else None,
+            {e: frozenset(acts) for e, acts in sorted(edge_actions.items())},
+        )
+
 
 def product_chain(
-    g: Pomdp, rewards: RewardFn | None, sigma: FiniteMemoryStrategy
+    g: Pomdp,
+    rewards: RewardFn | None,
+    sigma: FiniteMemoryStrategy | MemorylessStrategy,
 ) -> MarkovChain:
-    """Build the reachable chain of ``sigma`` played on ``g``.
+    """Build the reachable chain of ``sigma`` played on ``g``, over supports.
 
-    Raises StrategyError when the strategy plays an action unavailable at the
-    current observation or reaches a missing memory-update row.
+    A memoryless strategy is played with the current observation as its
+    memory. Raises StrategyError when the strategy plays an action
+    unavailable at the current observation or reaches a missing
+    memory-update row, and ModelError when a played pair has no reward.
     """
+    if isinstance(sigma, MemorylessStrategy):
+        sigma = _ObservationMemory(g, sigma)
     start = (g.initial, sigma.initial)
     labels = [start]
     index = {start: 0}
-    rows: list[Distr] = []
-    plays: list[dict[int, tuple[Fraction, Fraction]]] = []
-    edge_actions: dict[tuple[int, int], set[int]] = {}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        s, m = labels[i]
-        # labels grows during the walk, so rows are filled by node id.
-        while len(rows) <= i:
-            rows.append(Distr.dirac(0))
-            plays.append({})
+    succ: list[tuple[int, ...]] = []
+    below_one: list[int | None] = []
+    # labels grows during the walk, so nodes are expanded in discovery order.
+    for s, m in labels:
         o = g.obs(s)
-        weights: dict[int, Fraction] = {}
-        played: dict[int, tuple[Fraction, Fraction]] = {}
-        for a, pa in sigma.next_action[m].items():
-            if a not in g.avail(o):
+        avail = g.avail(o)
+        nxt: set[int] = set()
+        low = None
+        for a in sigma.action_distr(m).support():
+            if a not in avail:
                 raise StrategyError(
                     f"strategy plays {g.action_name(a)!r} at state"
                     f" {g.state_name(s)!r}, unavailable at"
                     f" observation {g.obs_name(o)!r}"
                 )
-            r = rewards.get(s, a) if rewards is not None else Fraction(0)
-            played[a] = (pa, r)
-            for t, pt in g.row(s, a).items():
-                urow = sigma.update_row(m, g.obs(t), a)
-                for m2, pm in urow.items():
+            if rewards is not None and rewards.get(s, a) != 1 and low is None:
+                low = a
+            for t in g.support(s, a):
+                for m2 in sigma.update_row(m, g.obs(t), a).support():
                     node = (t, m2)
                     j = index.get(node)
                     if j is None:
-                        j = len(labels)
-                        index[node] = j
+                        j = index[node] = len(labels)
                         labels.append(node)
-                        queue.append(j)
-                    weights[j] = weights.get(j, Fraction(0)) + pa * pt * pm
-                    edge_actions.setdefault((i, j), set()).add(a)
-        rows[i] = Distr(weights)
-        plays[i] = played
-    texts = [
-        f"{g.state_name(s)}·{_memory_text(g, sigma.memories[m])}" for s, m in labels
-    ]
-    return MarkovChain(
-        labels=labels,
-        label_texts=texts,
-        rows=rows,
-        plays=plays if rewards is not None else None,
-        edge_actions={e: frozenset(acts) for e, acts in sorted(edge_actions.items())},
-        action_names=list(g.actions),
-    )
-
-
-def memoryless_chain(
-    g: Pomdp, rewards: RewardFn | None, sigma: "MemorylessStrategy"
-) -> MarkovChain:
-    """Build the reachable chain of a memoryless strategy played on ``g``.
-
-    Nodes are plain model states; the memory slot of each label carries the
-    observation id. Avoids the quadratic update table that lifting to a
-    finite-memory strategy would cost on models with many observations.
-    """
-    start = (g.initial, g.obs(g.initial))
-    labels = [start]
-    index = {g.initial: 0}
-    rows: list[Distr] = []
-    plays: list[dict[int, tuple[Fraction, Fraction]]] = []
-    edge_actions: dict[tuple[int, int], set[int]] = {}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        s = labels[i][0]
-        while len(rows) <= i:
-            rows.append(Distr.dirac(0))
-            plays.append({})
-        o = g.obs(s)
-        weights: dict[int, Fraction] = {}
-        played: dict[int, tuple[Fraction, Fraction]] = {}
-        for a, pa in sigma.action_distr(o).items():
-            if a not in g.avail(o):
-                raise StrategyError(
-                    f"strategy plays {g.action_name(a)!r} at state"
-                    f" {g.state_name(s)!r}, unavailable at"
-                    f" observation {g.obs_name(o)!r}"
-                )
-            r = rewards.get(s, a) if rewards is not None else Fraction(0)
-            played[a] = (pa, r)
-            for t, pt in g.row(s, a).items():
-                j = index.get(t)
-                if j is None:
-                    j = len(labels)
-                    index[t] = j
-                    labels.append((t, g.obs(t)))
-                    queue.append(j)
-                weights[j] = weights.get(j, Fraction(0)) + pa * pt
-                edge_actions.setdefault((i, j), set()).add(a)
-        rows[i] = Distr(weights)
-        plays[i] = played
-    texts = [g.state_name(s) for s, _ in labels]
-    return MarkovChain(
-        labels=labels,
-        label_texts=texts,
-        rows=rows,
-        plays=plays if rewards is not None else None,
-        edge_actions={e: frozenset(acts) for e, acts in sorted(edge_actions.items())},
-        action_names=[g.action_name(a) for a in range(g.n_actions)],
-    )
+                    nxt.add(j)
+        succ.append(tuple(sorted(nxt)))
+        below_one.append(low)
+    if rewards is None:
+        below_one = None
+    return MarkovChain(g, rewards, sigma, labels, index, succ, below_one)
 
 
 def _sccs(succ: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -346,14 +369,11 @@ def _sccs(succ: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def recurrent_classes(mc: MarkovChain) -> list[list[int]]:
-    """Bottom strongly connected components, sorted by smallest node id."""
-    succ = [mc.successors(i) for i in range(mc.n_nodes)]
-    bottoms = []
-    for comp in _sccs(succ):
-        members = set(comp)
-        if all(t in members for i in comp for t in succ[i]):
-            bottoms.append(comp)
-    return sorted(bottoms, key=lambda c: c[0])
+    """Bottom strongly connected components, sorted by smallest node id.
+
+    Computed once per chain; the returned list is shared, not copied.
+    """
+    return mc.recurrent
 
 
 def limavg1_diagnosis(
@@ -367,16 +387,15 @@ def limavg1_diagnosis(
     played pair of every reachable recurrent class is exactly almost-sure
     mean-payoff 1, so None certifies the property.
     """
-    if mc.plays is None:
+    if mc.below_one is None:
         raise ModelError("chain was built without rewards")
     reachable = set(mc.reachable(start))
     for cls in recurrent_classes(mc):
         if cls[0] not in reachable:
             continue
         for i in cls:
-            for a, (_, r) in sorted(mc.plays[i].items()):
-                if r != 1:
-                    return cls, (i, a)
+            if mc.below_one[i] is not None:
+                return cls, (i, mc.below_one[i])
     return None
 
 
@@ -401,14 +420,13 @@ def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
     return [m[i][n] for i in range(n)]
 
 
-def bscc_mean_payoff(mc: MarkovChain, cls: Sequence[int], exact: bool = True):
+def bscc_mean_payoff(mc: MarkovChain, cls: Sequence[int]) -> Fraction:
     """Expected long-run average reward inside one recurrent class.
 
-    Solves the stationary distribution exactly over Fractions by default; with
-    ``exact=False`` a float solve is used instead (handy on big classes, off
-    the decision paths). ``cls`` must be a recurrent class of the chain.
+    Solves the stationary distribution exactly over Fractions. ``cls`` must
+    be a recurrent class of the chain.
     """
-    if mc.plays is None:
+    if mc.below_one is None:
         raise ModelError("chain was built without rewards")
     members = sorted(cls)
     if members not in recurrent_classes(mc):
@@ -418,28 +436,17 @@ def bscc_mean_payoff(mc: MarkovChain, cls: Sequence[int], exact: bool = True):
     step_reward = []
     for i in members:
         step_reward.append(sum((p * r for p, r in mc.plays[i].values()), Fraction(0)))
-    if exact:
-        a = [[Fraction(0)] * n for _ in range(n)]
-        for i in members:
-            for j, p in mc.rows[i].items():
-                a[local[j]][local[i]] += p
-        for k in range(n):
-            a[k][k] -= 1
-        # Stationary equations are rank n-1; swap one for the normalization.
-        a[n - 1] = [Fraction(1)] * n
-        b = [Fraction(0)] * (n - 1) + [Fraction(1)]
-        pi = _solve_exact(a, b)
-        return sum((pi[k] * step_reward[k] for k in range(n)), Fraction(0))
-    a_np = np.zeros((n, n))
+    a = [[Fraction(0)] * n for _ in range(n)]
     for i in members:
         for j, p in mc.rows[i].items():
-            a_np[local[j], local[i]] += float(p)
-    a_np -= np.eye(n)
-    a_np[n - 1, :] = 1.0
-    b_np = np.zeros(n)
-    b_np[n - 1] = 1.0
-    pi_np = np.linalg.solve(a_np, b_np)
-    return float(pi_np @ np.array([float(r) for r in step_reward]))
+            a[local[j]][local[i]] += p
+    for k in range(n):
+        a[k][k] -= 1
+    # Stationary equations are rank n-1; swap one for the normalization.
+    a[n - 1] = [Fraction(1)] * n
+    b = [Fraction(0)] * (n - 1) + [Fraction(1)]
+    pi = _solve_exact(a, b)
+    return sum((pi[k] * step_reward[k] for k in range(n)), Fraction(0))
 
 
 def almost_sure_limavg_gt(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from .chains import (
@@ -29,6 +28,7 @@ from .fileformat import (
     emit_strategy,
     parse_model,
     parse_pfa,
+    parse_rational,
     parse_rewards,
     parse_strategy,
 )
@@ -68,26 +68,9 @@ def _load_strategy(args, g):
     return parse_strategy(_read(args.strategy), g)
 
 
-def _fraction_arg(text: str) -> Fraction:
-    if "/" in text:
-        num, _, den = text.partition("/")
-        if num.isdigit() and den.isdigit() and int(den) > 0:
-            return Fraction(int(num), int(den))
-    elif text.isdigit():
-        return Fraction(int(text))
-    raise ModelError(f"bad rational {text!r} (write p/q or p)")
-
-
-def _fmt(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def cmd_solve(args) -> int:
     g, rewards = _need_rewards(args)
-    report = decide_limavg1(
-        g, rewards, max_states=args.max_states, trace=args.trace_fixpoints
-    )
+    report = decide_limavg1(g, rewards, max_states=args.max_states)
     sys.stdout.write(report.render(trace=args.trace_fixpoints))
     if report.witness is not None:
         if args.strategy_out:
@@ -182,7 +165,11 @@ def cmd_check_belief_obs(args) -> int:
 
 def cmd_analyze_chain(args) -> int:
     # Reject a malformed threshold before any analysis output.
-    lam = None if args.threshold is None else _fraction_arg(args.threshold)
+    lam = None
+    if args.threshold is not None:
+        lam = parse_rational(args.threshold)
+        if lam is None:
+            raise ModelError(f"bad rational {args.threshold!r} (write p/q or p)")
     g, rewards = _need_rewards(args)
     sigma = _load_strategy(args, g)
     mc = product_chain(g, rewards, sigma)
@@ -194,12 +181,12 @@ def cmd_analyze_chain(args) -> int:
             continue
         mean = bscc_mean_payoff(mc, cls)
         members = ", ".join(mc.label_texts[i] for i in cls)
-        print(f"recurrent class {k + 1}: mean={_fmt(mean)} {{{members}}}")
+        print(f"recurrent class {k + 1}: mean={mean} {{{members}}}")
     if args.dot:
         _write(args.dot, chain_dot(mc, title=g.name))
     if lam is not None:
         verdict = almost_sure_limavg_gt(mc, lam)
-        print(f"almost-sure average > {_fmt(lam)}: {'yes' if verdict else 'no'}")
+        print(f"almost-sure average > {lam}: {'yes' if verdict else 'no'}")
     else:
         verdict = almost_sure_limavg1(mc)
         print(f"almost-sure average 1: {'yes' if verdict else 'no'}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .bits import bits, mask_of
 from .chains import FiniteMemoryStrategy, product_chain, recurrent_classes
-from .model import Distr, Pomdp, RewardFn, StrategyError
+from .model import Distr, ModelError, Pomdp, RewardFn, StrategyError
 
 
 @dataclass(frozen=True, order=True)
@@ -82,7 +82,7 @@ def fingerprints(
         for i in cls:
             s, m = mc.labels[i]
             rec[m] |= 1 << s
-        if any(r != 1 for i in cls for _, r in mc.plays[i].values()):
+        if any(mc.below_one[i] is not None for i in cls):
             bad_nodes.extend(cls)
     backward: list[list[int]] = [[] for _ in range(mc.n_nodes)]
     for i in range(mc.n_nodes):
@@ -197,7 +197,11 @@ def collapse(
     """
     pg = projection_graph(g, sigma, fingerprints(g, rewards, sigma))
     bound = 2 ** (3 * g.n_states + g.n_actions)
-    assert pg.n_vertices <= bound, "projection graph exceeded its memory bound"
+    if pg.n_vertices > bound:
+        raise ModelError(
+            f"projection graph has {pg.n_vertices} vertices, over its memory"
+            f" bound 2^(3n+k) = {bound}"
+        )
     next_action: list[Distr] = []
     update: dict[tuple[int, int, int], Distr] = {}
     for v, cm in enumerate(pg.vertices):

@@ -7,8 +7,6 @@ as dashed clusters so lasso shapes are visible at a glance.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .chains import MarkovChain, recurrent_classes
 from .collapse import ProjectionGraph
 from .model import Pomdp
@@ -16,11 +14,6 @@ from .model import Pomdp
 
 def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _frac(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _node_line(mc: MarkovChain, i: int) -> str:
@@ -54,7 +47,7 @@ def chain_dot(mc: MarkovChain, title: str = "") -> str:
     for i in range(mc.n_nodes):
         for j, p in mc.rows[i].items():
             acts = mc.edge_actions.get((i, j), frozenset())
-            text = _frac(p)
+            text = str(p)
             if acts:
                 text += " (" + ",".join(mc.action_names[a] for a in sorted(acts)) + ")"
             lines.append(f"  n{i} -> n{j} [label={_quote(text)}];")

@@ -3,10 +3,11 @@
 One lexical convention everywhere: UTF-8, ``#`` starts a comment, blank
 lines are skipped, a section opens with a lone ``name:`` line and owns the
 lines until the next section. Probabilities are exact rationals written
-``p/q`` (or a bare integer); floats are rejected. Emitters produce a fixed
-canonical layout (one entry per line, ids in declaration order, no
-comments), so emit-parse-emit is byte-stable, which the reporting relies
-on. Model names are not part of the format; callers name models after
+``p/q`` (or a bare integer); floats are rejected, and emitters write
+``str(Fraction)``, which is lowest-terms ``p/q`` or a bare integer. Emitters
+produce a fixed canonical layout (one entry per line, ids in declaration
+order, no comments), so emit-parse-emit is byte-stable, which the reporting
+relies on. Model names are not part of the format; callers name models after
 their source.
 
 Sections:
@@ -74,14 +75,22 @@ def _split_sections(text: str, known: tuple[str, ...]):
     return sections
 
 
-def _fraction(tok: str, ln: int, col: int) -> Fraction:
-    if "/" in tok:
-        num, _, den = tok.partition("/")
+def parse_rational(text: str) -> Fraction | None:
+    """Read ``p/q`` or ``p`` in decimal digits with ``q > 0``; None if malformed."""
+    if "/" in text:
+        num, _, den = text.partition("/")
         if num.isdigit() and den.isdigit() and int(den) > 0:
             return Fraction(int(num), int(den))
-    elif tok.isdigit():
-        return Fraction(int(tok))
-    raise ParseError(f"bad rational {tok!r} (write p/q or p)", ln, col)
+    elif text.isdigit():
+        return Fraction(int(text))
+    return None
+
+
+def _fraction(tok: str, ln: int, col: int) -> Fraction:
+    x = parse_rational(tok)
+    if x is None:
+        raise ParseError(f"bad rational {tok!r} (write p/q or p)", ln, col)
+    return x
 
 
 def _names(section, what: str) -> list[str]:
@@ -244,18 +253,12 @@ def _parse_reward_section(section, sid, aid) -> RewardFn | None:
 def parse_rewards(text: str, g: Pomdp) -> RewardFn:
     """Parse a standalone reward file against a model's names."""
     sec = _split_sections(text, ("reward",))
-    if "reward" not in sec or not sec["reward"]:
-        raise ParseError("missing or empty section 'reward:'", 0)
     sid = {n: i for i, n in enumerate(g.states)}
     aid = {n: i for i, n in enumerate(g.actions)}
-    rewards = _parse_reward_section(sec["reward"], sid, aid)
-    assert rewards is not None
+    rewards = _parse_reward_section(sec.get("reward", []), sid, aid)
+    if rewards is None:
+        raise ParseError("missing or empty section 'reward:'", 0)
     return rewards
-
-
-def _fmt(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def emit_model(g: Pomdp, rewards: RewardFn | None = None) -> str:
@@ -279,14 +282,14 @@ def emit_model(g: Pomdp, rewards: RewardFn | None = None) -> str:
     out.append("trans:")
     for s, a in sorted(g.rows):
         row = " ".join(
-            f"{g.states[t]}:{_fmt(p)}" for t, p in g.rows[(s, a)].items()
+            f"{g.states[t]}:{p}" for t, p in g.rows[(s, a)].items()
         )
         out.append(f"{g.states[s]} {g.actions[a]} -> {row}")
     if rewards is not None:
         out.append("reward:")
         for (s, a) in sorted(rewards.table):
             out.append(
-                f"{g.states[s]} {g.actions[a]} = {_fmt(rewards.get(s, a))}"
+                f"{g.states[s]} {g.actions[a]} = {rewards.get(s, a)}"
             )
     return "\n".join(out) + "\n"
 
@@ -294,7 +297,7 @@ def emit_model(g: Pomdp, rewards: RewardFn | None = None) -> str:
 def emit_rewards(g: Pomdp, rewards: RewardFn) -> str:
     out = ["reward:"]
     for (s, a) in sorted(rewards.table):
-        out.append(f"{g.states[s]} {g.actions[a]} = {_fmt(rewards.get(s, a))}")
+        out.append(f"{g.states[s]} {g.actions[a]} = {rewards.get(s, a)}")
     return "\n".join(out) + "\n"
 
 
@@ -360,12 +363,12 @@ def emit_strategy(sigma: FiniteMemoryStrategy, g: Pomdp) -> str:
     out.append(names[sigma.initial])
     out.append("next:")
     for m, d in enumerate(sigma.next_action):
-        row = " ".join(f"{g.actions[a]}:{_fmt(p)}" for a, p in d.items())
+        row = " ".join(f"{g.actions[a]}:{p}" for a, p in d.items())
         out.append(f"{names[m]} -> {row}")
     out.append("update:")
     for (m, o, a) in sorted(sigma.update):
         row = " ".join(
-            f"{names[m2]}:{_fmt(p)}" for m2, p in sigma.update[(m, o, a)].items()
+            f"{names[m2]}:{p}" for m2, p in sigma.update[(m, o, a)].items()
         )
         out.append(f"{names[m]} {g.observations[o]} {g.actions[a]} -> {row}")
     return "\n".join(out) + "\n"
@@ -422,6 +425,6 @@ def emit_pfa(p: Pfa) -> str:
     out.append(p.states[p.initial])
     out.append("trans:")
     for q, x in sorted(p.rows):
-        row = " ".join(f"{p.states[t]}:{_fmt(pr)}" for t, pr in p.rows[(q, x)].items())
+        row = " ".join(f"{p.states[t]}:{pr}" for t, pr in p.rows[(q, x)].items())
         out.append(f"{p.states[q]} {p.alphabet[x]} -> {row}")
     return "\n".join(out) + "\n"

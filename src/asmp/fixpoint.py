@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .model import Distr, ModelError, Pomdp
-from .chains import MemorylessStrategy, memoryless_chain, recurrent_classes
+from .chains import MemorylessStrategy, product_chain, recurrent_classes
 from .reduction import BeliefObsPomdp
 
 
@@ -224,7 +224,7 @@ def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
         witness = MemorylessStrategy(
             {o: Distr.uniform(allow_map[o]) for o in z}
         )
-        mc = memoryless_chain(view, None, witness)
+        mc = product_chain(view, None, witness)
         for cls in recurrent_classes(mc):
             if not any(mc.labels[i][0] in targets for i in cls):
                 raise ModelError(

@@ -22,7 +22,6 @@ from .chains import (
     FiniteMemoryStrategy,
     MemorylessStrategy,
     limavg1_diagnosis,
-    memoryless_chain,
     product_chain,
 )
 from .collapse import CollapsedMemory
@@ -54,10 +53,7 @@ def validate_strategy(
     illegal move for strategies that leave the playable region.
     """
     try:
-        if isinstance(sigma, MemorylessStrategy):
-            mc = memoryless_chain(g, rewards, sigma)
-        else:
-            mc = product_chain(g, rewards, sigma)
+        mc = product_chain(g, rewards, sigma)
     except StrategyError as err:
         return False, Diagnosis(kind="play", message=str(err))
     bad = limavg1_diagnosis(mc)
@@ -325,7 +321,6 @@ def decide_limavg1(
     g: Pomdp,
     rewards: RewardFn,
     max_states: int = 250_000,
-    trace: bool = False,
 ) -> SolveReport:
     """Decide whether some finite-memory strategy achieves long-run average
     reward 1 almost surely, and construct one when the answer is YES."""

@@ -1,5 +1,6 @@
 """Product chains, recurrent classes, exact mean payoffs, prefix laws."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,20 +9,25 @@ import pytest
 from asmp import (
     Distr,
     FiniteMemoryStrategy,
+    MarkovChain,
+    MemorylessStrategy,
     StrategyError,
     almost_sure_limavg1,
     almost_sure_limavg_gt,
     alternating_strategy,
     bscc_mean_payoff,
     constant_strategy,
+    fingerprints,
     limavg1_diagnosis,
-    memoryless_chain,
     prefix_probability,
     product_chain,
     recurrent_classes,
     uniform_strategy,
+    validate_strategy,
 )
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp
+
+from helpers import bsccs, oracle_node_wins, random_belief_obs_pomdp, reach_set
 
 
 def class_names(mc, cls):
@@ -93,7 +99,7 @@ class TestProductChain:
     def test_memoryless_chain_agrees_with_the_lifted_build(self):
         g, r = trap_ring_pomdp()
         sigma = uniform_strategy(g)
-        direct = memoryless_chain(g, r, sigma)
+        direct = product_chain(g, r, sigma)
         lifted = product_chain(g, r, sigma.as_finite_memory(g))
         lifted_states = {
             frozenset(t.split("·")[0] for t in class_names(lifted, c))
@@ -107,6 +113,82 @@ class TestProductChain:
         assert almost_sure_limavg1(direct) == almost_sure_limavg1(lifted)
 
 
+def random_tagged_strategy(rng, g, randomized):
+    """Random finite-memory strategy that only makes legal moves.
+
+    Each memory is tagged with the observation it is entered on, plays
+    actions available there, and updates to memories tagged with the
+    observation just seen.
+    """
+    tags = [o for o in range(g.n_observations) for _ in range(rng.randint(1, 2))]
+
+    def pick(options):
+        return Distr.uniform(rng.sample(options, rng.randint(1, len(options)) if randomized else 1))
+
+    next_action = [pick(list(g.avail(o))) for o in tags]
+    update = {}
+    for m, o in enumerate(tags):
+        for a in next_action[m].support():
+            for o2 in range(g.n_observations):
+                update[(m, o2, a)] = pick([m2 for m2, t in enumerate(tags) if t == o2])
+    starts = [m for m, t in enumerate(tags) if t == g.obs(g.initial)]
+    return FiniteMemoryStrategy(
+        [f"m{m}" for m in range(len(tags))], next_action, update, rng.choice(starts)
+    )
+
+
+def weights_read(mc):
+    pytest.fail("a qualitative check derived the exact weights")
+
+
+class TestSupportChain:
+    """The support-only chain against the exact weights it derives on demand."""
+
+    def test_diagnosis_matches_the_oracle_on_seeded_strategies(self, monkeypatch):
+        rng = random.Random(4242)
+        for k in range(120):
+            g, r = random_belief_obs_pomdp(rng)
+            sigma = random_tagged_strategy(rng, g, randomized=k % 2 == 1)
+            mc = product_chain(g, r, sigma)
+            with monkeypatch.context() as patch:
+                patch.setattr(MarkovChain, "_weights", property(weights_read))
+                found = limavg1_diagnosis(mc)
+                ok, _ = validate_strategy(g, r, sigma)
+                fingerprints(g, r, sigma)
+            assert ok == (found is None)
+            for i in range(mc.n_nodes):
+                assert mc.rows[i].support() == mc.successors(i)
+            assert (found is None) == oracle_node_wins(mc, 0)
+            if found is None:
+                continue
+            succ = {i: mc.rows[i].support() for i in range(mc.n_nodes)}
+            reachable = reach_set(succ, 0)
+            bad = [
+                (i, a)
+                for cls in sorted(sorted(c) for c in bsccs(succ) if c & reachable)
+                for i in cls
+                for a, (_, reward) in sorted(mc.plays[i].items())
+                if reward < 1
+            ]
+            cls, pair = found
+            assert pair == bad[0]
+            assert cls == sorted(next(c for c in bsccs(succ) if pair[0] in c))
+
+    def test_memoryless_verdict_matches_the_lifted_strategy(self):
+        rng = random.Random(4343)
+        for _ in range(120):
+            g, r = random_belief_obs_pomdp(rng)
+            ml = MemorylessStrategy(
+                {
+                    o: Distr.uniform(rng.sample(g.avail(o), rng.randint(1, len(g.avail(o)))))
+                    for o in range(g.n_observations)
+                }
+            )
+            direct, _ = validate_strategy(g, r, ml)
+            lifted, _ = validate_strategy(g, r, ml.as_finite_memory(g))
+            assert direct == lifted
+
+
 class TestMeanPayoff:
     def test_exact_mean_matches_power_iteration(self):
         g, r = ring_pomdp()
@@ -116,14 +198,6 @@ class TestMeanPayoff:
                 exact = bscc_mean_payoff(mc, cls)
                 approx = stationary_mean_float(mc, cls)
                 assert abs(float(exact) - approx) < 1e-12
-
-    def test_float_solve_agrees_with_exact(self):
-        g, r = trap_ring_pomdp()
-        mc = memoryless_chain(g, r, uniform_strategy(g))
-        for cls in recurrent_classes(mc):
-            exact = bscc_mean_payoff(mc, cls)
-            loose = bscc_mean_payoff(mc, cls, exact=False)
-            assert abs(float(exact) - float(loose)) < 1e-9
 
     def test_threshold_verdicts_bracket_the_mean(self):
         g, r = unavoidable_zero_pomdp()

@@ -248,6 +248,8 @@ class TestRewards:
         g, _ = ring_pomdp()
         with pytest.raises(ParseError, match="missing or empty section 'reward:'"):
             parse_rewards("# nothing here\n", g)
+        with pytest.raises(ParseError, match="missing or empty section 'reward:'"):
+            parse_rewards("reward:\n", g)
         with pytest.raises(ParseError, match="unknown section"):
             parse_rewards("states:\ns\n", g)
 

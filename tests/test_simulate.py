@@ -15,7 +15,7 @@ from asmp import (
     alternating_strategy,
     bscc_mean_payoff,
     interleaved_word_strategy,
-    memoryless_chain,
+    product_chain,
     recurrent_classes,
     reduce_quantitative,
     simulate,
@@ -105,7 +105,7 @@ class TestAgreementWithExactAnalysis:
     def test_uniform_play_matches_the_stationary_mean(self):
         g, r = trap_ring_pomdp()
         sigma = uniform_strategy(g)
-        mc = memoryless_chain(g, r, sigma)
+        mc = product_chain(g, r, sigma)
         reachable = set(mc.reachable())
         classes = [c for c in recurrent_classes(mc) if c[0] in reachable]
         assert len(classes) == 1
