@@ -56,9 +56,6 @@ from .fixpoint import (
     allow,
     almost_reach,
     almost_safe,
-    apre,
-    obscover,
-    pre,
     restrict_safe,
 )
 from .solver import (
@@ -122,7 +119,6 @@ __all__ = [
     "almost_sure_limavg1",
     "almost_sure_limavg_gt",
     "alternating_strategy",
-    "apre",
     "belief_update",
     "bscc_mean_payoff",
     "chain_dot",
@@ -141,12 +137,10 @@ __all__ = [
     "is_belief_observation",
     "limavg1_diagnosis",
     "memoryless_to_finite_memory",
-    "obscover",
     "parse_model",
     "parse_pfa",
     "parse_rewards",
     "parse_strategy",
-    "pre",
     "prefix_probability",
     "product_chain",
     "projection_dot",

@@ -156,12 +156,13 @@ class _ObservationMemory:
 class MarkovChain:
     """Finite Markov chain arising from a strategy played on a POMDP.
 
-    Nodes are (state, memory) pairs in discovery order, node 0 the start.
-    ``product_chain`` records supports only: ``successors(i)`` is the sorted
-    tuple of node i's successors, and ``below_one[i]`` the smallest action
-    node i plays for reward below 1, or None when it pays 1 on every play
-    (``below_one`` is None when the chain was built without rewards). The
-    qualitative questions read only these and the recurrent classes.
+    Nodes are (state, memory) pairs in discovery order, node 0 the start,
+    and every node is reachable from the start. ``product_chain`` records
+    supports only: ``successors(i)`` is the sorted tuple of node i's
+    successors, and ``below_one[i]`` the smallest action node i plays for
+    reward below 1, or None when it pays 1 on every play (``below_one`` is
+    None when the chain was built without rewards). The qualitative
+    questions read only these and the recurrent classes.
 
     The exact weights are derived on first read: ``rows[i]`` is node i's
     successor distribution, ``plays[i]`` maps each action played at node i
@@ -188,6 +189,8 @@ class MarkovChain:
         self._succ = succ
         self.below_one = below_one
         self.start = 0
+        # Exact mean of each recurrent class, by class index, once solved.
+        self._class_means: dict[int, Fraction] = {}
 
     @property
     def n_nodes(self) -> int:
@@ -196,8 +199,8 @@ class MarkovChain:
     def successors(self, i: int) -> tuple[int, ...]:
         return self._succ[i]
 
-    def reachable(self, start: int | None = None) -> list[int]:
-        seen = {self.start if start is None else start}
+    def reachable(self) -> list[int]:
+        seen = {self.start}
         queue = deque(seen)
         while queue:
             i = queue.popleft()
@@ -376,31 +379,27 @@ def recurrent_classes(mc: MarkovChain) -> list[list[int]]:
     return mc.recurrent
 
 
-def limavg1_diagnosis(
-    mc: MarkovChain, start: int | None = None
-) -> tuple[list[int], tuple[int, int]] | None:
+def limavg1_diagnosis(mc: MarkovChain) -> tuple[list[int], tuple[int, int]] | None:
     """Find a reason the chain's long-run average is not almost surely 1.
 
-    Returns (recurrent class, (node, action)) for the first reachable
-    recurrent class containing a played pair with reward below 1, or None
-    when no such class exists. With rewards capped at 1, paying 1 on every
-    played pair of every reachable recurrent class is exactly almost-sure
-    mean-payoff 1, so None certifies the property.
+    Returns (recurrent class, (node, action)) for the first recurrent class
+    containing a played pair with reward below 1, or None when no such class
+    exists. Every node of the chain is reachable from the start, and so is
+    every recurrent class. With rewards capped at 1, paying 1 on every
+    played pair of every recurrent class is exactly almost-sure mean-payoff
+    1, so None certifies the property.
     """
     if mc.below_one is None:
         raise ModelError("chain was built without rewards")
-    reachable = set(mc.reachable(start))
     for cls in recurrent_classes(mc):
-        if cls[0] not in reachable:
-            continue
         for i in cls:
             if mc.below_one[i] is not None:
                 return cls, (i, mc.below_one[i])
     return None
 
 
-def almost_sure_limavg1(mc: MarkovChain, start: int | None = None) -> bool:
-    return limavg1_diagnosis(mc, start) is None
+def almost_sure_limavg1(mc: MarkovChain) -> bool:
+    return limavg1_diagnosis(mc) is None
 
 
 def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
@@ -423,14 +422,19 @@ def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
 def bscc_mean_payoff(mc: MarkovChain, cls: Sequence[int]) -> Fraction:
     """Expected long-run average reward inside one recurrent class.
 
-    Solves the stationary distribution exactly over Fractions. ``cls`` must
-    be a recurrent class of the chain.
+    Solves the stationary distribution exactly over Fractions, once per
+    class: the mean is kept on the chain for later reads. ``cls`` must be a
+    recurrent class of the chain.
     """
     if mc.below_one is None:
         raise ModelError("chain was built without rewards")
     members = sorted(cls)
-    if members not in recurrent_classes(mc):
-        raise ModelError(f"{members} is not a recurrent class of this chain")
+    try:
+        c = recurrent_classes(mc).index(members)
+    except ValueError:
+        raise ModelError(f"{members} is not a recurrent class of this chain") from None
+    if c in mc._class_means:
+        return mc._class_means[c]
     local = {i: k for k, i in enumerate(members)}
     n = len(members)
     step_reward = []
@@ -446,24 +450,19 @@ def bscc_mean_payoff(mc: MarkovChain, cls: Sequence[int]) -> Fraction:
     a[n - 1] = [Fraction(1)] * n
     b = [Fraction(0)] * (n - 1) + [Fraction(1)]
     pi = _solve_exact(a, b)
-    return sum((pi[k] * step_reward[k] for k in range(n)), Fraction(0))
+    mean = mc._class_means[c] = sum(
+        (pi[k] * step_reward[k] for k in range(n)), Fraction(0)
+    )
+    return mean
 
 
-def almost_sure_limavg_gt(
-    mc: MarkovChain, lam: Fraction, start: int | None = None
-) -> bool:
+def almost_sure_limavg_gt(mc: MarkovChain, lam: Fraction) -> bool:
     """Does the long-run average exceed ``lam`` almost surely from the start?
 
     Inside a recurrent class the average is its stationary mean almost
-    surely, so the question reduces to every reachable class beating ``lam``.
+    surely, so the question reduces to every class beating ``lam``.
     """
-    reachable = set(mc.reachable(start))
-    for cls in recurrent_classes(mc):
-        if cls[0] not in reachable:
-            continue
-        if bscc_mean_payoff(mc, cls) <= lam:
-            return False
-    return True
+    return all(bscc_mean_payoff(mc, cls) > lam for cls in recurrent_classes(mc))
 
 
 def prefix_probability(

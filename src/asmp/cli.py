@@ -174,11 +174,7 @@ def cmd_analyze_chain(args) -> int:
     sigma = _load_strategy(args, g)
     mc = product_chain(g, rewards, sigma)
     print(f"nodes: {mc.n_nodes}")
-    classes = recurrent_classes(mc)
-    reachable = set(mc.reachable())
-    for k, cls in enumerate(classes):
-        if not set(cls) <= reachable:
-            continue
+    for k, cls in enumerate(recurrent_classes(mc)):
         mean = bscc_mean_payoff(mc, cls)
         members = ", ".join(mc.label_texts[i] for i in cls)
         print(f"recurrent class {k + 1}: mean={mean} {{{members}}}")
@@ -194,26 +190,6 @@ def cmd_analyze_chain(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--max-states",
-        type=int,
-        default=250_000,
-        metavar="N",
-        help="cap on constructed states before giving up (exit 3)",
-    )
-    common.add_argument(
-        "--seed", type=int, default=0, metavar="S", help="master random seed"
-    )
-    common.add_argument(
-        "--dot", metavar="PATH", help="write a Graphviz rendering here"
-    )
-    common.add_argument(
-        "--trace-fixpoints",
-        action="store_true",
-        help="include per-iteration fixpoint sizes in the report",
-    )
-
     parser = argparse.ArgumentParser(
         prog="asmp",
         description="Almost-sure mean-payoff analysis for partially"
@@ -223,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "solve",
-        parents=[common],
         help="decide almost-sure long-run average 1 and synthesize a witness",
     )
     p.add_argument("model", help="model file (reward section or --rewards)")
@@ -231,11 +206,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strategy-out", metavar="PATH", help="write the witness strategy here"
     )
+    p.add_argument(
+        "--max-states",
+        type=int,
+        default=250_000,
+        metavar="N",
+        help="cap on constructed states before giving up (exit 3)",
+    )
+    p.add_argument(
+        "--trace-fixpoints",
+        action="store_true",
+        help="include per-iteration fixpoint sizes in the report",
+    )
+    p.add_argument("--dot", metavar="PATH", help="write a Graphviz rendering here")
     p.set_defaults(handler=cmd_solve)
 
     p = sub.add_parser(
         "validate",
-        parents=[common],
         help="check a model file, or a strategy against a model",
     )
     p.add_argument("model")
@@ -248,20 +235,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=cmd_validate)
 
-    p = sub.add_parser(
-        "simulate", parents=[common], help="Monte-Carlo estimate of the average reward"
-    )
+    p = sub.add_parser("simulate", help="Monte-Carlo estimate of the average reward")
     p.add_argument("model")
     p.add_argument("--strategy", metavar="PATH", required=True)
     p.add_argument("--rewards", metavar="PATH")
     p.add_argument("--steps", type=int, default=10_000)
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--burn-in", type=int, default=None)
+    p.add_argument(
+        "--seed", type=int, default=0, metavar="S", help="master random seed"
+    )
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser(
         "collapse",
-        parents=[common],
         help="project a strategy onto belief-supported memories",
     )
     p.add_argument("model")
@@ -270,11 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strategy-out", metavar="PATH", help="write the collapsed strategy here"
     )
+    p.add_argument("--dot", metavar="PATH", help="write a Graphviz rendering here")
     p.set_defaults(handler=cmd_collapse)
 
     p = sub.add_parser(
         "reduce-pfa-quant",
-        parents=[common],
         help="word acceptance above 1/2 as a long-run average above 1/2",
     )
     p.add_argument("automaton")
@@ -283,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "reduce-pfa-value1",
-        parents=[common],
         help="acceptance arbitrarily close to 1 as almost-sure average 1",
     )
     p.add_argument("automaton")
@@ -292,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check-belief-obs",
-        parents=[common],
         help="test whether belief supports stay inside observation classes",
     )
     p.add_argument("model")
@@ -300,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "analyze-chain",
-        parents=[common],
         help="recurrent classes and exact mean payoffs of a played strategy",
     )
     p.add_argument("model")
@@ -311,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="p/q",
         help="check average > p/q instead of average = 1",
     )
+    p.add_argument("--dot", metavar="PATH", help="write a Graphviz rendering here")
     p.set_defaults(handler=cmd_analyze_chain)
 
     return parser

@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 from .bits import bits, mask_of
 from .chains import FiniteMemoryStrategy, product_chain, recurrent_classes
-from .model import Distr, ModelError, Pomdp, RewardFn, StrategyError
+from .model import (
+    Distr,
+    ModelError,
+    Pomdp,
+    RewardFn,
+    StrategyError,
+    belief_obs,
+    belief_successors,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -161,20 +169,14 @@ def projection_graph(
         while len(edges) <= v:
             edges.append([])
         cm = vertices[v]
-        obs_y = g.obs(next(bits(cm.belief)))
+        avail = g.avail(belief_obs(g, cm.belief))
         out: list[tuple[int, int]] = []
         for a in bits(cm.fp.acts):
-            if a not in g.avail(obs_y):
+            if a not in avail:
                 continue
-            post: set[int] = set()
-            for s in bits(cm.belief):
-                post.update(g.support(s, a))
-            grouped: dict[int, int] = {}
-            for t in post:
-                grouped[g.obs(t)] = grouped.get(g.obs(t), 0) | (1 << t)
-            for o in sorted(grouped):
+            for o, y2 in belief_successors(g, cm.belief, a):
                 for fp2 in fp_successors(cm.fp, o, a):
-                    nxt = CollapsedMemory(grouped[o], fp2)
+                    nxt = CollapsedMemory(y2, fp2)
                     w = index.get(nxt)
                     if w is None:
                         w = len(vertices)
@@ -213,7 +215,7 @@ def collapse(
         next_action.append(Distr.uniform(acts))
         grouped: dict[tuple[int, int], set[int]] = {}
         for a, w in pg.edges[v]:
-            o = g.obs(next(bits(pg.vertices[w].belief)))
+            o = belief_obs(g, pg.vertices[w].belief)
             grouped.setdefault((o, a), set()).add(w)
         for (o, a), targets in sorted(grouped.items()):
             update[(v, o, a)] = Distr.uniform(sorted(targets))

@@ -2,8 +2,9 @@
 
 Everything here works on observation sets rather than belief supports; the
 models these run on are belief-observation POMDPs, where the two coincide.
-Inputs are duck-typed (plain POMDPs and reduced ones share the read
-interface), so the same solver drives both.
+The fixpoints are duck-typed (plain POMDPs and reduced ones share the read
+interface), so the same solver drives both; the restriction to the safe
+core takes the reduced model only.
 
 Safety is a greatest fixpoint over the allowed-action predicate, computed
 with a worklist that removes observations level by level; the levels agree
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import Distr, ModelError, Pomdp
+from .model import Distr, ModelError
 from .chains import MemorylessStrategy, product_chain, recurrent_classes
 from .reduction import BeliefObsPomdp
 
@@ -39,40 +40,10 @@ def allow(g, o: int, obs_set: frozenset[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def pre(g, obs_set: frozenset[int]) -> frozenset[int]:
-    """Observations of ``obs_set`` that can stay inside it for one step."""
-    return frozenset(o for o in obs_set if allow(g, o, obs_set))
-
-
-def apre(g, z: frozenset[int], x: frozenset[int]) -> frozenset[int]:
-    """States of the classes of ``z`` with one allowed action that keeps the
-    observation in ``z`` and hits ``x`` with positive probability."""
-    out = []
-    for o in z:
-        acts = allow(g, o, z)
-        for s in g.obs_states(o):
-            if any(
-                any(t in x for t in g.support(s, a)) for a in acts
-            ):
-                out.append(s)
-    return frozenset(out)
-
-
-def obscover(g, states: Iterable[int]) -> frozenset[int]:
-    """Observations whose entire class lies inside ``states``."""
-    inside = frozenset(states)
-    return frozenset(
-        o
-        for o in range(g.n_observations)
-        if all(s in inside for s in g.obs_states(o))
-    )
-
-
 @dataclass(frozen=True)
 class SafetyResult:
     y_star: frozenset[int]
     allow_map: dict[int, tuple[int, ...]]
-    witness: MemorylessStrategy | None
     iterates: list[frozenset[int]]
 
 
@@ -87,7 +58,7 @@ class ReachResult:
 
 def almost_safe(g, safe_states: Iterable[int]) -> SafetyResult:
     """Largest observation set the controller can keep the play inside
-    ``safe_states`` with probability one, plus the uniform witness.
+    ``safe_states`` with probability one, with the actions allowed there.
 
     Worklist formulation: start from the observations fully covered by the
     safe states and repeatedly drop observations with no allowed action
@@ -144,12 +115,7 @@ def almost_safe(g, safe_states: Iterable[int]) -> SafetyResult:
     allow_map = {
         o: tuple(a for a in g.avail(o) if broken[(o, a)] == 0) for o in y_star
     }
-    witness = None
-    if y_star:
-        witness = MemorylessStrategy(
-            {o: Distr.uniform(allow_map[o]) for o in y_star}
-        )
-    return SafetyResult(y_star, allow_map, witness, iterates)
+    return SafetyResult(y_star, allow_map, iterates)
 
 
 class _AbsorbingView:
@@ -234,9 +200,11 @@ def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
     return ReachResult(z, allow_map, witness, z_iterates, x_rounds)
 
 
-def restrict_safe(g, y_star: frozenset[int], allow_map: dict[int, tuple[int, ...]]):
-    """Restrict a model to the observations of ``y_star`` and their allowed
-    actions. States keep their relative order; ids are re-packed.
+def restrict_safe(
+    g: BeliefObsPomdp, y_star: frozenset[int], allow_map: dict[int, tuple[int, ...]]
+) -> BeliefObsPomdp:
+    """Restrict a reduced model to the observations of ``y_star`` and their
+    allowed actions. States keep their relative order; ids are re-packed.
 
     Raises ModelError when the initial observation is not almost-safe, since
     the restriction would not contain the initial state.
@@ -249,41 +217,17 @@ def restrict_safe(g, y_star: frozenset[int], allow_map: dict[int, tuple[int, ...
     kept_obs = sorted(y_star)
     state_map = {s: i for i, s in enumerate(kept_states)}
     obs_map = {o: i for i, o in enumerate(kept_obs)}
-    availability = {obs_map[o]: tuple(allow_map[o]) for o in kept_obs}
-    obs_of = [obs_map[g.obs(s)] for s in kept_states]
-
-    if isinstance(g, BeliefObsPomdp):
-        succ = {}
-        for s in kept_states:
-            for a in allow_map[g.obs(s)]:
-                succ[(state_map[s], a)] = tuple(
-                    state_map[t] for t in g.support(s, a)
-                )
-        return BeliefObsPomdp(
-            base=g.base,
-            rewards=g.base_rewards,
-            state_payloads=[g.state_payloads[s] for s in kept_states],
-            obs_payloads=[g.obs_payloads[o] for o in kept_obs],
-            obs_of=obs_of,
-            succ=succ,
-            availability=availability,
-            memory_actions=g.memory_actions,
-        )
-
-    rows = {}
+    succ = {}
     for s in kept_states:
         for a in allow_map[g.obs(s)]:
-            row = g.row(s, a)
-            rows[(state_map[s], a)] = Distr(
-                {state_map[t]: p for t, p in row.items()}
-            )
-    return Pomdp(
-        states=[g.state_name(s) for s in kept_states],
-        actions=[g.action_name(a) for a in range(g.n_actions)],
-        observations=[g.obs_name(o) for o in kept_obs],
-        obs_of=obs_of,
-        rows=rows,
-        initial=state_map[g.initial],
-        availability=availability,
-        name=getattr(g, "name", ""),
+            succ[(state_map[s], a)] = tuple(state_map[t] for t in g.support(s, a))
+    return BeliefObsPomdp(
+        base=g.base,
+        rewards=g.base_rewards,
+        state_payloads=[g.state_payloads[s] for s in kept_states],
+        obs_payloads=[g.obs_payloads[o] for o in kept_obs],
+        obs_of=[obs_map[g.obs(s)] for s in kept_states],
+        succ=succ,
+        availability={obs_map[o]: tuple(allow_map[o]) for o in kept_obs},
+        memory_actions=g.memory_actions,
     )

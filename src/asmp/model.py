@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
+from .bits import bits, mask_of
+
 
 class ModelError(ValueError):
     """A model, strategy, or reward function is malformed or misused."""
@@ -290,6 +292,41 @@ def initial_belief(g: Pomdp) -> Belief:
     return Belief(frozenset((g.initial,)), g.obs(g.initial))
 
 
+def belief_obs(g: Pomdp, mask: int) -> int:
+    """Observation shared by the states of a non-empty belief mask."""
+    return g.obs(next(bits(mask)))
+
+
+def belief_successors(g: Pomdp, mask: int, a: int) -> list[tuple[int, int]]:
+    """Successor supports of the belief ``mask`` after playing ``a``, split by
+    the next observation, as sorted (observation, mask) pairs.
+
+    Availability is the caller's concern: every state of the belief must
+    have a row for ``a``.
+    """
+    grouped: dict[int, int] = {}
+    for s in bits(mask):
+        for t in g.support(s, a):
+            o = g.obs(t)
+            grouped[o] = grouped.get(o, 0) | (1 << t)
+    return sorted(grouped.items())
+
+
+def successor_beliefs(g: Pomdp, b: Belief, a: int) -> dict[int, frozenset[int]]:
+    """All one-step belief supports after playing ``a``, grouped by observation.
+
+    Playing an action unavailable at the belief's observation is an error.
+    """
+    if a not in g.avail(b.observation):
+        raise ModelError(
+            f"action {g.action_name(a)!r} unavailable at"
+            f" observation {g.obs_name(b.observation)!r}"
+        )
+    return {
+        o: frozenset(bits(m)) for o, m in belief_successors(g, mask_of(b.support), a)
+    }
+
+
 def belief_update(g: Pomdp, b: Belief, a: int, o: int) -> Belief | None:
     """Advance a belief by playing ``a`` and observing ``o``.
 
@@ -297,38 +334,8 @@ def belief_update(g: Pomdp, b: Belief, a: int, o: int) -> Belief | None:
     callers treat as a distinct outcome rather than an error. Playing an
     action unavailable at the belief's observation is an error.
     """
-    if a not in g.avail(b.observation):
-        raise ModelError(
-            f"action {g.action_name(a)!r} unavailable at"
-            f" observation {g.obs_name(b.observation)!r}"
-        )
-    post: set[int] = set()
-    for s in b.support:
-        post.update(g.support(s, a))
-    support = frozenset(t for t in post if g.obs(t) == o)
-    if not support:
-        return None
-    return Belief(support, o)
-
-
-def successor_beliefs(g: Pomdp, b: Belief, a: int) -> dict[int, frozenset[int]]:
-    """All one-step belief supports after playing ``a``, grouped by observation.
-
-    One pass over the union support, so enumerating every observation through
-    `belief_update` is never needed.
-    """
-    if a not in g.avail(b.observation):
-        raise ModelError(
-            f"action {g.action_name(a)!r} unavailable at"
-            f" observation {g.obs_name(b.observation)!r}"
-        )
-    post: set[int] = set()
-    for s in b.support:
-        post.update(g.support(s, a))
-    grouped: dict[int, set[int]] = {}
-    for t in post:
-        grouped.setdefault(g.obs(t), set()).add(t)
-    return {o: frozenset(grouped[o]) for o in sorted(grouped)}
+    support = successor_beliefs(g, b, a).get(o)
+    return None if support is None else Belief(support, o)
 
 
 def is_belief_observation(g: Pomdp) -> tuple[bool, list[str] | None]:

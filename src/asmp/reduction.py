@@ -23,18 +23,21 @@ from typing import Iterator
 
 from .bits import bits, mask_of, submasks, supermasks_within
 from .collapse import CollapsedMemory, MemoryFingerprint
-from .model import CapacityError, Distr, ModelError, Pomdp, RewardFn
+from .model import (
+    CapacityError,
+    Distr,
+    ModelError,
+    Pomdp,
+    RewardFn,
+    belief_obs,
+    belief_successors,
+)
 
 StatePayload = tuple
 ObsPayload = tuple
 
 INIT = ("init",)
 SINK = ("sink",)
-
-
-def is_winning_memory(cm: CollapsedMemory) -> bool:
-    """A memory is winning when its win map covers its whole belief."""
-    return cm.fp.win & cm.belief == cm.belief
 
 
 def enabled_action(cm: CollapsedMemory, a: int, reward1_mask: int) -> bool:
@@ -48,37 +51,6 @@ def enabled_action(cm: CollapsedMemory, a: int, reward1_mask: int) -> bool:
         return False
     critical = cm.belief & cm.fp.win & cm.fp.rec
     return critical & ~reward1_mask == 0
-
-
-def enabled_memory_action(
-    g: Pomdp, cm2: CollapsedMemory, belief2: int, a: int, cm: CollapsedMemory
-) -> bool:
-    """Literal check of the memory-update enabledness conditions.
-
-    ``cm2`` is a candidate next memory for the context (belief2, a, cm):
-    win and recurrence bits must propagate from every flagged state of cm's
-    belief to all its successors inside belief2, and the candidate's belief
-    must be belief2 itself. Exposed for oracle testing; the construction
-    enumerates exactly the passing candidates directly.
-    """
-    if cm2.belief != belief2:
-        return False
-    for src_mask, dst_mask in ((cm.fp.win, cm2.fp.win), (cm.fp.rec, cm2.fp.rec)):
-        for s in bits(cm.belief & src_mask):
-            forced = mask_of(g.support(s, a)) & belief2
-            if forced & ~dst_mask:
-                return False
-    return True
-
-
-class _ReducedRewards:
-    """Reward adapter for the reduced POMDP, payload-driven and table-free."""
-
-    def __init__(self, bg: "BeliefObsPomdp"):
-        self._bg = bg
-
-    def get(self, s: int, a: int) -> Fraction:
-        return self._bg.reward(s, a)
 
 
 class BeliefObsPomdp:
@@ -208,9 +180,6 @@ class BeliefObsPomdp:
             return Fraction(1)
         return Fraction(0)
 
-    def reward_fn(self) -> _ReducedRewards:
-        return _ReducedRewards(self)
-
     def wcs_state_ids(self) -> list[int]:
         """Action-selection states whose own win and recurrence bits are set:
         the reachability target of the top-level decision procedure."""
@@ -329,9 +298,6 @@ def reduce_pomdp(
             obs_payloads.append(payload)
         return got
 
-    def belief_obs(ymask: int) -> int:
-        return g.obs(next(bits(ymask)))
-
     # Candidate next memories per memory-selection observation; keyed by the
     # observation payload since the candidate set depends on nothing else.
     candidate_cache: dict[ObsPayload, list[CollapsedMemory]] = {}
@@ -349,7 +315,7 @@ def reduce_pomdp(
         for s in bits(cm.belief & cm.fp.rec):
             forced_r |= mask_of(g.support(s, a))
         forced_r &= ymask2
-        acts2 = avail_mask[belief_obs(ymask2)]
+        acts2 = avail_mask[belief_obs(g, ymask2)]
         out = []
         for w2 in supermasks_within(forced_w, ymask2):
             for r2 in supermasks_within(forced_r, ymask2):
@@ -368,13 +334,7 @@ def reduce_pomdp(
     def posts(ymask: int, a: int) -> list[tuple[int, int]]:
         got = post_cache.get((ymask, a))
         if got is None:
-            union: dict[int, int] = {}
-            for s in bits(ymask):
-                for t in g.support(s, a):
-                    o = g.obs(t)
-                    union[o] = union.get(o, 0) | (1 << t)
-            got = sorted(union.items())
-            post_cache[(ymask, a)] = got
+            got = post_cache[(ymask, a)] = belief_successors(g, ymask, a)
         return got
 
     # The losing sink: self-loops under every action; availability is filled

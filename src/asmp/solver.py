@@ -26,7 +26,16 @@ from .chains import (
 )
 from .collapse import CollapsedMemory
 from .fixpoint import almost_reach, almost_safe, restrict_safe
-from .model import Distr, ModelError, Pomdp, RewardFn, StrategyError, validate
+from .model import (
+    Distr,
+    ModelError,
+    Pomdp,
+    RewardFn,
+    StrategyError,
+    belief_obs,
+    belief_successors,
+    validate,
+)
 from .reduction import BeliefObsPomdp, reduce_pomdp
 
 INIT_MEMORY = "init"
@@ -177,14 +186,6 @@ def memoryless_to_finite_memory(
             queue.append(cm)
         return got
 
-    def grouped_posts(belief: int, a: int) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for s in (i for i in range(g.n_states) if (belief >> i) & 1):
-            for t in g.support(s, a):
-                o = g.obs(t)
-                out[o] = out.get(o, 0) | (1 << t)
-        return out
-
     def mem_choice(cm: CollapsedMemory, ymask2: int, a: int) -> Distr:
         row = sigma.action_distr(obs_id[("mem", ymask2, a, cm)])
         moved: dict[int, "Fraction"] = {}
@@ -208,8 +209,7 @@ def memoryless_to_finite_memory(
             if act_choice(cm)[a] > 0
         }
         total = sum(posterior.values())
-        grouped = grouped_posts(1 << g.initial, a)
-        for o2, ymask2 in sorted(grouped.items()):
+        for o2, ymask2 in belief_successors(g, 1 << g.initial, a):
             blended: dict[int, "Fraction"] = {}
             for cm, w in posterior.items():
                 for m2, p in mem_choice(cm, ymask2, a).items():
@@ -220,7 +220,7 @@ def memoryless_to_finite_memory(
         cm = queue.popleft()
         m = index[cm]
         for a in next_action[m].support():
-            for o2, ymask2 in sorted(grouped_posts(cm.belief, a).items()):
+            for o2, ymask2 in belief_successors(g, cm.belief, a):
                 update[(m, o2, a)] = mem_choice(cm, ymask2, a)
 
     return FiniteMemoryStrategy(
@@ -309,8 +309,7 @@ def finite_memory_to_memoryless(
         elif payload[0] == "mem":
             _, ymask2, a, c = payload
             if c in rep:
-                o_base = g.obs(next(i for i in range(g.n_states) if (ymask2 >> i) & 1))
-                choice[o_red] = mapped_row(c, o_red, (o_base, a))
+                choice[o_red] = mapped_row(c, o_red, (belief_obs(g, ymask2), a))
         elif payload == ("sink",):
             choice[o_red] = Distr.dirac(abort)
 

@@ -11,7 +11,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from asmp import Distr, MarkovChain, Pfa, Pomdp, RewardFn
+from asmp import CollapsedMemory, Distr, MarkovChain, Pfa, Pomdp, RewardFn
+from asmp.bits import bits, mask_of
 
 
 # ---------------------------------------------------------------- graphs
@@ -162,6 +163,29 @@ def oracle_node_wins(mc: MarkovChain, i: int) -> bool:
             r != 1 for n in cls for _, r in mc.plays[n].values()
         ):
             return False
+    return True
+
+
+# ----------------------------------------------------- reduction oracles
+
+def enabled_memory_action(
+    g: Pomdp, cm2: CollapsedMemory, belief2: int, a: int, cm: CollapsedMemory
+) -> bool:
+    """Literal check of the memory-update enabledness conditions.
+
+    ``cm2`` is a candidate next memory for the context (belief2, a, cm):
+    win and recurrence bits must propagate from every flagged state of cm's
+    belief to all its successors inside belief2, and the candidate's belief
+    must be belief2 itself. The reduction enumerates exactly the passing
+    candidates directly.
+    """
+    if cm2.belief != belief2:
+        return False
+    for src_mask, dst_mask in ((cm.fp.win, cm2.fp.win), (cm.fp.rec, cm2.fp.rec)):
+        for s in bits(cm.belief & src_mask):
+            forced = mask_of(g.support(s, a)) & belief2
+            if forced & ~dst_mask:
+                return False
     return True
 
 

@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from asmp import (
@@ -25,6 +24,7 @@ from asmp import (
     uniform_strategy,
     validate_strategy,
 )
+from asmp import chains
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp
 
 from helpers import bsccs, oracle_node_wins, random_belief_obs_pomdp, reach_set
@@ -36,6 +36,7 @@ def class_names(mc, cls):
 
 def stationary_mean_float(mc, cls):
     """Mean payoff of one recurrent class by numpy power iteration."""
+    np = pytest.importorskip("numpy")
     idx = {n: i for i, n in enumerate(cls)}
     P = np.zeros((len(cls), len(cls)))
     gains = np.zeros(len(cls))
@@ -150,6 +151,7 @@ class TestSupportChain:
             g, r = random_belief_obs_pomdp(rng)
             sigma = random_tagged_strategy(rng, g, randomized=k % 2 == 1)
             mc = product_chain(g, r, sigma)
+            assert mc.reachable() == list(range(mc.n_nodes))
             with monkeypatch.context() as patch:
                 patch.setattr(MarkovChain, "_weights", property(weights_read))
                 found = limavg1_diagnosis(mc)
@@ -198,6 +200,24 @@ class TestMeanPayoff:
                 exact = bscc_mean_payoff(mc, cls)
                 approx = stationary_mean_float(mc, cls)
                 assert abs(float(exact) - approx) < 1e-12
+
+    def test_each_class_is_solved_once(self, monkeypatch):
+        solves = []
+
+        def counting_solve(a, b):
+            solves.append(len(b))
+            return real_solve(a, b)
+
+        real_solve = chains._solve_exact
+        monkeypatch.setattr(chains, "_solve_exact", counting_solve)
+        g, r = ring_pomdp()
+        mc = product_chain(g, r, alternating_strategy(g, 0, 1))
+        # The analyze-chain sequence: print each class mean, then threshold.
+        classes = recurrent_classes(mc)
+        means = [bscc_mean_payoff(mc, cls) for cls in classes]
+        assert almost_sure_limavg_gt(mc, Fraction(1, 2))
+        assert means == [1, 1]
+        assert solves == [len(cls) for cls in classes]
 
     def test_threshold_verdicts_bracket_the_mean(self):
         g, r = unavoidable_zero_pomdp()

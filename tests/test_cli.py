@@ -358,6 +358,18 @@ class TestParserPlumbing:
             main(["frobnicate"])
         assert e.value.code == 2
 
+    def test_options_are_accepted_only_where_they_are_read(self, files, capsys):
+        for argv in (
+            ["validate", files["ring.txt"], "--seed", "3"],
+            ["check-belief-obs", files["ring.txt"], "--dot", "x.dot"],
+            ["collapse", files["ring.txt"], "--strategy", files["sigma4.txt"], "--max-states", "9"],
+            ["simulate", files["ring.txt"], "--strategy", files["sigma4.txt"], "--trace-fixpoints"],
+        ):
+            with pytest.raises(SystemExit) as e:
+                main(argv)
+            assert e.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_every_command_reports_wall_time_on_stderr(self, files, capsys):
         for argv in (
             ["validate", files["ring.txt"]],

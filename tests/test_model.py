@@ -1,5 +1,7 @@
 """Core model types: distributions, validation, beliefs, rewards."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from asmp import (
     validate,
     validate_pfa,
 )
+from asmp.bits import mask_of
 from asmp.gadgets import (
     ring_pomdp,
     ring_pomdp_with_orphan,
@@ -24,6 +27,9 @@ from asmp.gadgets import (
     two_state_pfa,
     unavoidable_zero_pomdp,
 )
+from asmp.model import belief_successors
+
+from helpers import random_pomdp
 
 
 class TestDistr:
@@ -127,6 +133,28 @@ class TestBeliefs:
         assert set(grouped) == {u, g.obs_id("b")}
         assert grouped[u] == frozenset(g.obs_states(u))
         assert grouped[g.obs_id("b")] == frozenset({g.state_id("B")})
+
+        rng = random.Random(12)
+        for _ in range(40):
+            g = random_pomdp(rng)
+            for o in range(g.n_observations):
+                cls = g.obs_states(o)
+                supports = [
+                    c for k in range(1, len(cls) + 1) for c in itertools.combinations(cls, k)
+                ]
+                for support, a in itertools.product(supports, g.avail(o)):
+                    union = {t for s in support for t in g.support(s, a)}
+                    expected = {
+                        o2: frozenset(t for t in union if g.obs(t) == o2)
+                        for o2 in sorted({g.obs(t) for t in union})
+                    }
+                    got = belief_successors(g, mask_of(support), a)
+                    assert got == [(o2, mask_of(ts)) for o2, ts in expected.items()]
+                    b = Belief(frozenset(support), o)
+                    assert successor_beliefs(g, b, a) == expected
+                    for o2 in range(g.n_observations):
+                        nxt = belief_update(g, b, a, o2)
+                        assert nxt == (Belief(expected[o2], o2) if o2 in expected else None)
 
     def test_unavailable_action_raises(self):
         g, _ = ring_pomdp()

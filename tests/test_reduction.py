@@ -1,5 +1,6 @@
 """The belief-observation reduction: predicates, structure, invariants."""
 
+import itertools
 import random
 
 import pytest
@@ -14,15 +15,9 @@ from asmp import (
 )
 from asmp.bits import bits, mask_of
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp
-from asmp.reduction import (
-    INIT,
-    SINK,
-    enabled_action,
-    enabled_memory_action,
-    is_winning_memory,
-)
+from asmp.reduction import INIT, SINK, enabled_action
 
-from helpers import random_belief_obs_pomdp
+from helpers import enabled_memory_action, random_belief_obs_pomdp
 
 
 def random_memory(rng, state_universe, action_universe):
@@ -38,12 +33,6 @@ def random_memory(rng, state_universe, action_universe):
 
 
 class TestPredicates:
-    def test_winning_memory_means_win_covers_belief(self):
-        cm = CollapsedMemory(0b011, MemoryFingerprint(0b011, 0b001, 0b1))
-        assert is_winning_memory(cm)
-        cm = CollapsedMemory(0b011, MemoryFingerprint(0b001, 0b001, 0b1))
-        assert not is_winning_memory(cm)
-
     def test_enabled_action_matches_set_arithmetic(self):
         g, rewards = ring_pomdp()
         rng = random.Random(11)
@@ -94,6 +83,35 @@ class TestPredicates:
                 assert enabled_memory_action(g, cm2, belief2, a, cm) == ok
                 checked += 1
         assert checked > 200
+
+    def test_memory_selection_offers_exactly_the_enabled_updates(self):
+        g, rewards = unavoidable_zero_pomdp()
+        bg = reduce_pomdp(g, rewards)
+        checked = 0
+        for o, payload in enumerate(bg.obs_payloads):
+            if payload[0] != "mem":
+                continue
+            _, belief2, a, cm = payload
+            within = [m for m in range(belief2 + 1) if m & ~belief2 == 0]
+            acts2 = g.avail(g.obs(next(bits(belief2))))
+            candidates = (
+                CollapsedMemory(belief2, MemoryFingerprint(w, r, mask_of(acts)))
+                for w in within
+                for r in within
+                for k in range(1, len(acts2) + 1)
+                for acts in itertools.combinations(acts2, k)
+            )
+            expected = {
+                cm2 for cm2 in candidates if enabled_memory_action(g, cm2, belief2, a, cm)
+            }
+            offered = {
+                bg.memory_actions[aid - bg.abort_action - 1]
+                for aid in bg.avail(o)
+                if aid != bg.abort_action
+            }
+            assert offered == expected
+            checked += 1
+        assert checked == 16
 
 
 class TestReductionStructure:
@@ -239,9 +257,13 @@ class TestReducedRewardAdapter:
     def test_adapter_reads_through(self):
         g, rewards = unavoidable_zero_pomdp()
         bg = reduce_pomdp(g, rewards)
-        adapter = bg.reward_fn()
+        gp, rp = bg.to_pomdp()
+        assert (gp.n_states, gp.n_observations) == (bg.n_states, bg.n_observations)
+        assert list(gp.available_pairs()) == list(bg.available_pairs())
         for s, a in bg.available_pairs():
-            assert adapter.get(s, a) == bg.reward(s, a)
+            assert gp.obs(s) == bg.obs(s)
+            assert gp.support(s, a) == bg.support(s, a)
+            assert rp.get(s, a) == bg.reward(s, a)
 
     def test_memory_counts_stay_within_the_quotient_bound(self):
         g, rewards = unavoidable_zero_pomdp()

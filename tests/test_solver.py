@@ -190,14 +190,14 @@ class TestStrategyBridges:
         bg = reduce_pomdp(g, r)
         collapsed = collapse(g, r, alternating_strategy(g, 0, 1))
         ml = finite_memory_to_memoryless(bg, collapsed)
-        assert almost_sure_limavg1(product_chain(bg, bg.reward_fn(), ml))
+        assert almost_sure_limavg1(product_chain(*bg.to_pomdp(), ml))
 
     def test_collapsed_loser_projects_to_a_losing_reduction_strategy(self):
         g, r = ring_pomdp()
         bg = reduce_pomdp(g, r)
         collapsed = collapse(g, r, constant_strategy(g, 0))
         ml = finite_memory_to_memoryless(bg, collapsed)
-        assert not almost_sure_limavg1(product_chain(bg, bg.reward_fn(), ml))
+        assert not almost_sure_limavg1(product_chain(*bg.to_pomdp(), ml))
 
     def test_projection_and_unfolding_agree_on_the_verdict(self):
         g, r = ring_pomdp()
