@@ -39,12 +39,7 @@ print()
 def cycle_mean(g, rewards, sigma) -> Fraction:
     """Mean payoff of the single recurrent class the strategy reaches."""
     mc = product_chain(g, rewards, sigma)
-    reachable = set(mc.reachable())
-    (mean,) = {
-        bscc_mean_payoff(mc, cls)
-        for cls in recurrent_classes(mc)
-        if cls[0] in reachable
-    }
+    (mean,) = {bscc_mean_payoff(mc, cls) for cls in recurrent_classes(mc)}
     return mean
 
 

@@ -53,7 +53,6 @@ from .reduction import BeliefObsPomdp, reduce_pomdp
 from .fixpoint import (
     ReachResult,
     SafetyResult,
-    allow,
     almost_reach,
     almost_safe,
     restrict_safe,
@@ -113,7 +112,6 @@ __all__ = [
     "SolveReport",
     "StrategyError",
     "acceptance_probability",
-    "allow",
     "almost_reach",
     "almost_safe",
     "almost_sure_limavg1",

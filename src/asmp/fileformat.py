@@ -93,12 +93,23 @@ def _fraction(tok: str, ln: int, col: int) -> Fraction:
     return x
 
 
+def _legal_name(name: str) -> bool:
+    """Can ``name`` stand for a state, action, observation, letter or memory?
+
+    It must be exactly one token and hold none of ``=``, ``:``, ``,`` and
+    ``#``, which the formats use as separators and the comment mark.
+    """
+    return _TOKEN.fullmatch(name) is not None and not any(
+        c in name for c in "=:,#"
+    )
+
+
 def _names(section, what: str) -> list[str]:
     out: list[str] = []
     seen: set[str] = set()
     for ln, toks in section:
         for col, tok in toks:
-            if "=" in tok or ":" in tok or "," in tok:
+            if not _legal_name(tok):
                 raise ParseError(f"bad {what} name {tok!r}", ln, col)
             if tok in seen:
                 raise ParseError(f"duplicate {what} name {tok!r}", ln, col)
@@ -346,11 +357,15 @@ def parse_strategy(text: str, g: Pomdp) -> FiniteMemoryStrategy:
 
 
 def strategy_memory_names(sigma: FiniteMemoryStrategy) -> list[str]:
-    """Printable unique memory names; non-string labels become m<i>."""
+    """Printable unique memory names that ``parse_strategy`` reads back.
+
+    Non-string labels become m<i>; when any string label is not a legal
+    name or two labels collide, every memory is named m<i>.
+    """
     names = []
     for i, label in enumerate(sigma.memories):
         names.append(label if isinstance(label, str) else f"m{i}")
-    if len(set(names)) != len(names):
+    if len(set(names)) != len(names) or not all(map(_legal_name, names)):
         names = [f"m{i}" for i in range(len(names))]
     return names
 

@@ -13,6 +13,13 @@ here and in the fixpoint solver reads the maps only at belief states, so
 canonicalization quotients the construction by a bisimulation that respects
 observations, availability, and rewards. It is what makes the construction
 feasible: free map bits outside the belief would square the fan-out twice.
+
+The construction looks everything up by integer keys: a memory action by
+its (belief, win, rec, acts) masks and then by its id, states and
+observations by tuples of bit masks, base ids and memory-action ids.
+Payload tuples and CollapsedMemory objects are built once, when their state,
+observation or memory action is first met; the breadth-first walk fixes that
+order and with it every id.
 """
 
 from __future__ import annotations
@@ -237,6 +244,12 @@ def reduce_pomdp(
     CapacityError with the partial counters, never a truncated model.
     Enumeration order is fixed (lexicographic on bit patterns), so state
     numbering is reproducible.
+
+    Lookups use integer keys only: a memory action by its four masks, an
+    action-selection state by (s, memory-action id), a memory-selection
+    state by (t, ymask2, a, memory-action id), and their observations by
+    the same keys without the hidden state. Payload tuples, which carry the
+    CollapsedMemory, are built once, when their state or observation is new.
     """
     n_base = g.n_actions
     abort = n_base
@@ -249,14 +262,16 @@ def reduce_pomdp(
     }
 
     state_payloads: list[StatePayload] = [INIT, SINK]
-    state_index: dict[StatePayload, int] = {INIT: 0, SINK: 1}
     obs_payloads: list[ObsPayload] = [INIT, SINK]
-    obs_index: dict[ObsPayload, int] = {INIT: 0, SINK: 1}
     obs_of: list[int] = [0, 1]
     succ: dict[tuple[int, int], tuple[int, ...]] = {}
     availability: dict[int, tuple[int, ...]] = {}
     memory_actions: list[CollapsedMemory] = []
-    memory_action_id: dict[CollapsedMemory, int] = {}
+    memory_action_id: dict[tuple[int, int, int, int], int] = {}
+    act_states: dict[tuple[int, int], int] = {}
+    mem_states: dict[tuple[int, int, int, int], int] = {}
+    act_obs: dict[int, int] = {}
+    mem_obs: dict[tuple[int, int, int], int] = {}
 
     def stats() -> dict[str, int]:
         return {
@@ -266,47 +281,58 @@ def reduce_pomdp(
             "memory_actions": len(memory_actions),
         }
 
-    def intern_memory_action(cm: CollapsedMemory) -> int:
-        got = memory_action_id.get(cm)
+    def intern_memory_action(belief: int, win: int, rec: int, acts: int) -> int:
+        key = (belief, win, rec, acts)
+        got = memory_action_id.get(key)
         if got is None:
-            got = n_base + 1 + len(memory_actions)
-            memory_action_id[cm] = got
-            memory_actions.append(cm)
+            got = memory_action_id[key] = n_base + 1 + len(memory_actions)
+            memory_actions.append(
+                CollapsedMemory(belief, MemoryFingerprint(win, rec, acts))
+            )
         return got
 
-    queue: deque[int] = deque()
+    # Queue entries: state id and the memory-action id of its memory.
+    queue: deque[tuple[int, int]] = deque()
 
-    def intern_state(payload: StatePayload, o: int) -> int:
-        got = state_index.get(payload)
-        if got is None:
-            if len(state_payloads) >= max_states:
-                raise CapacityError(
-                    f"reduction exceeded the cap of {max_states} states", stats()
-                )
-            got = len(state_payloads)
-            state_index[payload] = got
-            state_payloads.append(payload)
-            obs_of.append(o)
-            queue.append(got)
+    def new_state(payload: StatePayload, o: int, mid: int) -> int:
+        if len(state_payloads) >= max_states:
+            raise CapacityError(
+                f"reduction exceeded the cap of {max_states} states", stats()
+            )
+        sid = len(state_payloads)
+        state_payloads.append(payload)
+        obs_of.append(o)
+        queue.append((sid, mid))
+        return sid
+
+    def new_obs(payload: ObsPayload) -> int:
+        obs_payloads.append(payload)
+        return len(obs_payloads) - 1
+
+    # Callers look a state up first; these add one that is missing, with
+    # its observation when that is new too.
+    def new_act_state(s: int, mid: int) -> int:
+        cm = memory_actions[mid - abort - 1]
+        o = act_obs.get(mid)
+        if o is None:
+            o = act_obs[mid] = new_obs(("act", cm))
+        got = act_states[(s, mid)] = new_state(("act", s, cm), o, mid)
         return got
 
-    def intern_obs(payload: ObsPayload) -> int:
-        got = obs_index.get(payload)
-        if got is None:
-            got = len(obs_payloads)
-            obs_index[payload] = got
-            obs_payloads.append(payload)
+    def new_mem_state(
+        t: int, ymask2: int, a: int, mid: int, cm: CollapsedMemory
+    ) -> int:
+        o = mem_obs.get((ymask2, a, mid))
+        if o is None:
+            o = mem_obs[(ymask2, a, mid)] = new_obs(("mem", ymask2, a, cm))
+        got = mem_states[(t, ymask2, a, mid)] = new_state(
+            ("mem", t, ymask2, a, cm), o, mid
+        )
         return got
 
-    # Candidate next memories per memory-selection observation; keyed by the
-    # observation payload since the candidate set depends on nothing else.
-    candidate_cache: dict[ObsPayload, list[CollapsedMemory]] = {}
-
-    def memory_candidates(ymask2: int, a: int, cm: CollapsedMemory) -> list[CollapsedMemory]:
-        key = ("mem", ymask2, a, cm)
-        got = candidate_cache.get(key)
-        if got is not None:
-            return got
+    def memory_candidates(ymask2: int, a: int, cm: CollapsedMemory) -> list[int]:
+        """Ids of the next memories enabled after ``a`` led to ``ymask2``,
+        in CollapsedMemory order."""
         forced_w = 0
         for s in bits(cm.belief & cm.fp.win):
             forced_w |= mask_of(g.support(s, a))
@@ -316,25 +342,23 @@ def reduce_pomdp(
             forced_r |= mask_of(g.support(s, a))
         forced_r &= ymask2
         acts2 = avail_mask[belief_obs(g, ymask2)]
-        out = []
-        for w2 in supermasks_within(forced_w, ymask2):
-            for r2 in supermasks_within(forced_r, ymask2):
-                for a2 in submasks(acts2):
-                    if a2:
-                        out.append(
-                            CollapsedMemory(ymask2, MemoryFingerprint(w2, r2, a2))
-                        )
-        out.sort()
-        candidate_cache[key] = out
-        return out
+        found = sorted(
+            (w2, r2, a2)
+            for w2 in supermasks_within(forced_w, ymask2)
+            for r2 in supermasks_within(forced_r, ymask2)
+            for a2 in submasks(acts2)
+            if a2
+        )
+        return [intern_memory_action(ymask2, w2, r2, a2) for w2, r2, a2 in found]
 
-    # Grouped successor beliefs per (belief, action), shared across memories.
-    post_cache: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    # Successor beliefs by observation per (belief, action), shared across
+    # memories.
+    post_cache: dict[tuple[int, int], dict[int, int]] = {}
 
-    def posts(ymask: int, a: int) -> list[tuple[int, int]]:
+    def posts(ymask: int, a: int) -> dict[int, int]:
         got = post_cache.get((ymask, a))
         if got is None:
-            got = post_cache[(ymask, a)] = belief_successors(g, ymask, a)
+            got = post_cache[(ymask, a)] = dict(belief_successors(g, ymask, a))
         return got
 
     # The losing sink: self-loops under every action; availability is filled
@@ -344,58 +368,53 @@ def reduce_pomdp(
         succ[(1, a)] = (1,)
 
     y0 = 1 << g.initial
-    initial_memories = [
-        CollapsedMemory(y0, MemoryFingerprint(y0, r, acts))
-        for r in (0, y0)
-        for acts in sorted(m for m in submasks(avail_mask[g.obs(g.initial)]) if m)
-    ]
-    initial_memories.sort()
     init_actions = []
-    for cm in initial_memories:
-        aid = intern_memory_action(cm)
-        obs_act = intern_obs(("act", cm))
-        target = intern_state(("act", g.initial, cm), obs_act)
-        succ[(0, aid)] = (target,)
+    for r, acts in sorted(
+        (r, acts)
+        for r in (0, y0)
+        for acts in submasks(avail_mask[g.obs(g.initial)])
+        if acts
+    ):
+        aid = intern_memory_action(y0, y0, r, acts)
+        succ[(0, aid)] = (new_act_state(g.initial, aid),)
         init_actions.append(aid)
     succ[(0, abort)] = (1,)
     availability[0] = tuple(sorted(init_actions + [abort]))
 
     while queue:
-        sid = queue.popleft()
+        sid, mid = queue.popleft()
         payload = state_payloads[sid]
+        o = obs_of[sid]
         if payload[0] == "act":
             _, s, cm = payload
-            o = obs_of[sid]
             if o not in availability:
                 availability[o] = tuple(range(n_base))
             for a in range(n_base):
                 if not enabled_action(cm, a, reward1[a]):
                     succ[(sid, a)] = (1,)
                     continue
-                grouped = dict(posts(cm.belief, a))
+                grouped = posts(cm.belief, a)
                 targets = []
                 for t in g.support(s, a):
                     ymask2 = grouped[g.obs(t)]
-                    obs_mem = intern_obs(("mem", ymask2, a, cm))
-                    targets.append(
-                        intern_state(("mem", t, ymask2, a, cm), obs_mem)
-                    )
+                    got = mem_states.get((t, ymask2, a, mid))
+                    if got is None:
+                        got = new_mem_state(t, ymask2, a, mid, cm)
+                    targets.append(got)
                 succ[(sid, a)] = tuple(sorted(set(targets)))
         else:
             _, s2, ymask2, a, cm = payload
-            o = obs_of[sid]
             if o not in availability:
-                acts = [abort]
-                for cm2 in memory_candidates(ymask2, a, cm):
-                    acts.append(intern_memory_action(cm2))
+                acts = [abort] + memory_candidates(ymask2, a, cm)
                 availability[o] = tuple(sorted(acts))
             for aid in availability[o]:
                 if aid == abort:
                     succ[(sid, abort)] = (1,)
-                else:
-                    cm2 = memory_actions[aid - n_base - 1]
-                    obs_act = intern_obs(("act", cm2))
-                    succ[(sid, aid)] = (intern_state(("act", s2, cm2), obs_act),)
+                    continue
+                got = act_states.get((s2, aid))
+                if got is None:
+                    got = new_act_state(s2, aid)
+                succ[(sid, aid)] = (got,)
 
     all_actions = tuple(range(n_base + 1 + len(memory_actions)))
     availability[1] = all_actions

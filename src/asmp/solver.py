@@ -328,9 +328,20 @@ def decide_limavg1(
     if problems:
         raise ModelError("; ".join(problems))
 
-    t0 = time.perf_counter()
+    # Wall time of each phase that runs, then of the whole decision.
+    stats: dict[str, float] = {}
+    t0 = last = time.perf_counter()
+
+    def lap(phase: str) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        stats[phase] = now - last
+        last = now
+
     bg = reduce_pomdp(g, rewards, max_states=max_states)
+    lap("reduce_s")
     safety = almost_safe(bg, [s for s in range(bg.n_states) if s != bg.sink])
+    lap("safe_s")
     report = SolveReport(
         verdict="NO",
         reason="",
@@ -339,6 +350,7 @@ def decide_limavg1(
         n_observations=bg.n_observations,
         safety_sizes=[len(y) for y in safety.iterates],
         y_star_size=len(safety.y_star),
+        stats=stats,
     )
     if bg.obs(bg.initial) not in safety.y_star:
         report.reason = (
@@ -349,8 +361,10 @@ def decide_limavg1(
         return report
 
     restricted = restrict_safe(bg, safety.y_star, safety.allow_map)
+    lap("restrict_s")
     wcs = restricted.wcs_state_ids()
     reach = almost_reach(restricted, wcs)
+    lap("reach_s")
     report.wcs_size = len(wcs)
     report.z_sizes = [len(z) for z in reach.z_iterates]
     report.z_star_size = len(reach.z_star)
@@ -371,7 +385,9 @@ def decide_limavg1(
         else:
             choice[o] = Distr.uniform(restricted.avail(o))
     witness = memoryless_to_finite_memory(restricted, MemorylessStrategy(choice))
+    lap("unfold_s")
     ok, diag = validate_strategy(g, rewards, witness)
+    lap("validate_s")
     if not ok:
         raise ModelError(
             f"solver witness failed validation: {diag.message}"

@@ -11,7 +11,20 @@ import itertools
 import random
 from fractions import Fraction
 
-from asmp import CollapsedMemory, Distr, MarkovChain, Pfa, Pomdp, RewardFn
+from asmp import (
+    CollapsedMemory,
+    Distr,
+    MarkovChain,
+    MemorylessStrategy,
+    ModelError,
+    Pfa,
+    Pomdp,
+    ReachResult,
+    RewardFn,
+    SafetyResult,
+    product_chain,
+    recurrent_classes,
+)
 from asmp.bits import bits, mask_of
 
 
@@ -150,6 +163,156 @@ def oracle_reach_obs(g: Pomdp, target_states) -> set[int]:
             if o not in good and set(g.obs_states(o)) <= winning:
                 good.add(o)
     return good
+
+
+# ------------------------------------------------ fixpoint references
+
+def oracle_allow(g, o, obs_set):
+    """Actions keeping every state of o's class inside obs_set, spelled out."""
+    out = []
+    for a in g.avail(o):
+        if all(
+            g.obs(t) in obs_set
+            for s in g.obs_states(o)
+            for t in g.support(s, a)
+        ):
+            out.append(a)
+    return tuple(out)
+
+
+class AbsorbingView:
+    """Read-only view of a model with a state set made absorbing."""
+
+    def __init__(self, g, absorbing):
+        self._g = g
+        self.absorbing = frozenset(absorbing)
+
+    def __getattr__(self, name):
+        return getattr(self._g, name)
+
+    def support(self, s, a):
+        if s in self.absorbing:
+            return (s,)
+        return self._g.support(s, a)
+
+    def row(self, s, a):
+        if s in self.absorbing:
+            return Distr.dirac(s)
+        return self._g.row(s, a)
+
+
+def reference_almost_safe(g, safe_states) -> SafetyResult:
+    """The safety fixpoint on dicts keyed by pairs: a worklist with
+    per-(state, action) exit counts and per-(observation, action) breakage
+    counts. The library's row-numbered version must give the same
+    iterates and the same ``allow_map``, key order included."""
+    safe = frozenset(safe_states)
+    n_obs = g.n_observations
+    pred: dict[int, list[tuple[int, int]]] = {}
+    n_out: dict[tuple[int, int], int] = {}
+    broken: dict[tuple[int, int], int] = {}
+    allowed_count = [0] * n_obs
+    for o in range(n_obs):
+        acts = g.avail(o)
+        allowed_count[o] = len(acts)
+        for a in acts:
+            broken[(o, a)] = 0
+            for s in g.obs_states(o):
+                n_out[(s, a)] = 0
+                for t in g.support(s, a):
+                    pred.setdefault(t, []).append((s, a))
+
+    in_y = [True] * n_obs
+    y = set(range(n_obs))
+    level = [
+        o
+        for o in range(n_obs)
+        if any(s not in safe for s in g.obs_states(o))
+    ]
+    iterates: list[frozenset[int]] = []
+    while True:
+        next_level: list[int] = []
+        for o in level:
+            if not in_y[o]:
+                continue
+            in_y[o] = False
+            y.discard(o)
+            for gone in g.obs_states(o):
+                for s, a in pred.get(gone, ()):
+                    n_out[(s, a)] += 1
+                    if n_out[(s, a)] == 1:
+                        o2 = g.obs(s)
+                        broken[(o2, a)] += 1
+                        if broken[(o2, a)] == 1:
+                            allowed_count[o2] -= 1
+                            if allowed_count[o2] == 0:
+                                next_level.append(o2)
+        iterates.append(frozenset(y))
+        if not next_level:
+            break
+        level = next_level
+
+    y_star = frozenset(y)
+    allow_map = {
+        o: tuple(a for a in g.avail(o) if broken[(o, a)] == 0) for o in y_star
+    }
+    return SafetyResult(y_star, allow_map, iterates)
+
+
+def reference_almost_reach(g, target_states) -> ReachResult:
+    """The reachability fixpoint by rescanning: each outer round recomputes
+    the allowed actions of every observation, and each inner pass scans
+    every pending state. The library's worklist version must give the same
+    Z iterates, X growth, ``allow_map`` (key order included) and
+    certification outcome."""
+    targets = frozenset(target_states)
+    view = AbsorbingView(g, targets)
+    z = frozenset(range(g.n_observations))
+    z_iterates = [z]
+    x_rounds: list[list[int]] = []
+    allow_map: dict[int, tuple[int, ...]] = {}
+    while True:
+        allow_map = {o: oracle_allow(view, o, z) for o in z}
+        x = {s for s in targets if g.obs(s) in z}
+        sizes = [len(x)]
+        pending = {s for o in z for s in g.obs_states(o)} - x
+        changed = True
+        while changed:
+            changed = False
+            entered = []
+            for s in pending:
+                acts = allow_map[g.obs(s)]
+                if any(
+                    any(t in x for t in view.support(s, a)) for a in acts
+                ):
+                    entered.append(s)
+            if entered:
+                x.update(entered)
+                pending.difference_update(entered)
+                changed = True
+            sizes.append(len(x))
+        x_rounds.append(sizes)
+        new_z = frozenset(
+            o for o in z if all(s in x for s in g.obs_states(o))
+        )
+        if new_z == z:
+            break
+        z = new_z
+        z_iterates.append(z)
+
+    witness = None
+    if z and g.obs(g.initial) in z:
+        witness = MemorylessStrategy(
+            {o: Distr.uniform(allow_map[o]) for o in z}
+        )
+        mc = product_chain(view, None, witness)
+        for cls in recurrent_classes(mc):
+            if not any(mc.labels[i][0] in targets for i in cls):
+                raise ModelError(
+                    "reachability witness failed certification: a recurrent"
+                    " class of its chain avoids the target"
+                )
+    return ReachResult(z, allow_map, witness, z_iterates, x_rounds)
 
 
 # ------------------------------------------------------- chain judgments

@@ -2,6 +2,7 @@
 diagnostics for malformed input."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,15 +11,19 @@ from asmp import (
     ParseError,
     RewardFn,
     alternating_strategy,
+    almost_sure_limavg_gt,
     collapse,
     emit_model,
     emit_pfa,
     emit_rewards,
     emit_strategy,
+    interleaved_word_strategy,
     parse_model,
     parse_pfa,
     parse_rewards,
     parse_strategy,
+    product_chain,
+    reduce_quantitative,
     strategy_memory_names,
     uniform_strategy,
     validate,
@@ -27,6 +32,7 @@ from asmp import (
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp, two_state_pfa
 from asmp.reduction import reduce_pomdp
 
+from helpers import all_words
 from test_simulate import restricted_pomdp
 
 TINY_CANONICAL = """states:
@@ -289,6 +295,23 @@ class TestStrategies:
         assert sigma.memories == ["a", "a"]
         assert strategy_memory_names(sigma) == ["m0", "m1"]
         assert "m0" in emit_strategy(sigma, g)
+
+    def test_word_strategies_survive_the_format(self):
+        # Word strategies label memories step<i>:<action>, which the format
+        # cannot hold, so they are written as m<i> and keep their verdict.
+        g, r = reduce_quantitative(two_state_pfa())
+        half = Fraction(1, 2)
+        verdicts = set()
+        for word in all_words(["a", "b"], 3):
+            sigma = interleaved_word_strategy(g, word)
+            text = emit_strategy(sigma, g)
+            back = parse_strategy(text, g)
+            assert back.memories == [f"m{i}" for i in range(sigma.n_memories)]
+            assert emit_strategy(back, g) == text
+            verdict = almost_sure_limavg_gt(product_chain(g, r, sigma), half)
+            assert almost_sure_limavg_gt(product_chain(g, r, back), half) == verdict
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_diagnostics(self):
         g, _ = ring_pomdp()

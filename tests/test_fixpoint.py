@@ -1,4 +1,5 @@
-"""Observation-level fixpoints against enumeration oracles."""
+"""Observation-level fixpoints against enumeration oracles and against the
+plain reference fixpoints of the helpers."""
 
 import random
 
@@ -6,46 +7,40 @@ import pytest
 
 from asmp import (
     ModelError,
-    allow,
     almost_reach,
     almost_safe,
     reduce_pomdp,
     restrict_safe,
 )
-from asmp.gadgets import ring_pomdp, unavoidable_zero_pomdp
+from asmp.gadgets import ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp
 
 from helpers import (
+    oracle_allow,
     oracle_reach_obs,
     oracle_safe_obs,
     random_belief_obs_pomdp,
-    random_pomdp,
+    reference_almost_reach,
+    reference_almost_safe,
 )
 
 
-def oracle_allow(g, o, obs_set):
-    """Actions keeping every state of o's class inside obs_set, spelled out."""
-    out = []
-    for a in g.avail(o):
-        if all(
-            g.obs(t) in obs_set
-            for s in g.obs_states(o)
-            for t in g.support(s, a)
-        ):
-            out.append(a)
-    return tuple(out)
+def safety_fields(res):
+    return res.iterates, list(res.allow_map.items()), res.y_star
 
 
-class TestPrimitives:
-    def test_allow_matches_its_definition(self):
-        rng = random.Random(5)
-        for _ in range(60):
-            g = random_pomdp(rng)
-            for trial in range(4):
-                obs_set = frozenset(
-                    o for o in range(g.n_observations) if rng.random() < 0.6
-                )
-                for o in obs_set:
-                    assert allow(g, o, obs_set) == oracle_allow(g, o, obs_set)
+def reach_fields(fixpoint, g, targets):
+    """Every traced field of a reachability result, or the error raised by
+    its certification."""
+    try:
+        res = fixpoint(g, targets)
+    except ModelError as err:
+        return str(err)
+    return (
+        res.z_iterates,
+        res.x_rounds,
+        list(res.allow_map.items()),
+        res.z_star,
+    )
 
 
 class TestAlmostSafe:
@@ -69,7 +64,7 @@ class TestAlmostSafe:
         assert sizes == [271, 127, 75, 39]
         assert len(res.y_star) == 39
         for o in res.y_star:
-            assert res.allow_map[o] == allow(bg, o, res.y_star)
+            assert res.allow_map[o] == oracle_allow(bg, o, res.y_star)
             assert res.allow_map[o]
 
 
@@ -134,3 +129,42 @@ class TestRestrictSafe:
         assert restricted.initial == 0
         kept = {bg.obs_payloads[o] for o in safety.y_star}
         assert {p for p in restricted.obs_payloads} == kept
+
+
+class TestAgainstTheReferenceFixpoints:
+    """The row-numbered fixpoints agree field by field with the pair-keyed
+    safety worklist and the rescanning reachability fixpoint."""
+
+    def test_random_models(self):
+        rng = random.Random(44)
+        for _ in range(200):
+            g, _ = random_belief_obs_pomdp(rng)
+            safe = frozenset(
+                s for s in range(g.n_states) if rng.random() < 0.75
+            )
+            assert safety_fields(almost_safe(g, safe)) == safety_fields(
+                reference_almost_safe(g, safe)
+            )
+            targets = frozenset(
+                s for s in range(g.n_states) if rng.random() < 0.3
+            )
+            assert reach_fields(almost_reach, g, targets) == reach_fields(
+                reference_almost_reach, g, targets
+            )
+
+    @pytest.mark.parametrize(
+        "make", [ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp]
+    )
+    def test_gadget_reductions(self, make):
+        bg = reduce_pomdp(*make())
+        safe = [s for s in range(bg.n_states) if s != bg.sink]
+        safety = almost_safe(bg, safe)
+        assert safety_fields(safety) == safety_fields(
+            reference_almost_safe(bg, safe)
+        )
+        restricted = restrict_safe(bg, safety.y_star, safety.allow_map)
+        for g in (bg, restricted):
+            wcs = g.wcs_state_ids()
+            assert reach_fields(almost_reach, g, wcs) == reach_fields(
+                reference_almost_reach, g, wcs
+            )

@@ -1,5 +1,6 @@
 """The belief-observation reduction: predicates, structure, invariants."""
 
+import hashlib
 import itertools
 import random
 
@@ -245,6 +246,41 @@ class TestReductionStructure:
         assert one.succ == two.succ
         assert one.availability == two.availability
         assert one.memory_actions == two.memory_actions
+
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (
+                ring_pomdp,
+                "e4d75423fbc5b6292b028621029af179f2980520dd1ef31cadfa623846cdb457",
+            ),
+            (
+                trap_ring_pomdp,
+                "0605064757be54b67a754eb8b889778b224a2821459ebb4ecf87c1f37bb49e1d",
+            ),
+            (
+                unavoidable_zero_pomdp,
+                "d39ddecc659227218299824f5acfdee137bd268dbeaa764e09c54701fca5e4d4",
+            ),
+        ],
+    )
+    def test_frozen_digest_of_the_gadget_reductions(self, make, digest):
+        """Payload names, rows, availability and memory-action order, frozen
+        from the reduction that looked states up by their payload tuples."""
+        bg = reduce_pomdp(*make())
+        text = repr(
+            (
+                [bg.state_name(s) for s in range(bg.n_states)],
+                [bg.obs_name(o) for o in range(bg.n_observations)],
+                list(bg.succ.items()),
+                list(bg.availability.items()),
+                [
+                    (cm.belief, cm.fp.win, cm.fp.rec, cm.fp.acts)
+                    for cm in bg.memory_actions
+                ],
+            )
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_capacity_error_reports_progress(self):
         g, rewards = ring_pomdp()

@@ -169,6 +169,19 @@ class TestReportRendering:
         text = report.render(trace=True)
         assert "wall" not in text
         assert report.stats["wall_s"] > 0
+        assert not any(key in text for key in report.stats)
+        phases = ["reduce_s", "safe_s", "restrict_s", "reach_s", "unfold_s", "validate_s"]
+        assert list(report.stats) == phases + ["wall_s"]
+        assert all(report.stats[k] > 0 for k in phases)
+        assert sum(report.stats[k] for k in phases) <= report.stats["wall_s"]
+
+    def test_stats_time_only_the_phases_that_ran(self):
+        g, r = unavoidable_zero_pomdp()
+        report = decide_limavg1(g, r)
+        assert report.verdict == "NO" and report.z_sizes is not None
+        assert list(report.stats) == [
+            "reduce_s", "safe_s", "restrict_s", "reach_s", "wall_s"
+        ]
 
     def test_yes_text_carries_the_witness_line(self):
         g, r = ring_pomdp()
