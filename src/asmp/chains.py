@@ -213,12 +213,7 @@ class MarkovChain:
     @cached_property
     def recurrent(self) -> list[list[int]]:
         """Bottom strongly connected components, sorted by smallest node id."""
-        bottoms = []
-        for comp in _sccs(self._succ):
-            members = set(comp)
-            if all(t in members for i in comp for t in self._succ[i]):
-                bottoms.append(comp)
-        return sorted(bottoms, key=lambda c: c[0])
+        return bottom_classes(self._succ)
 
     @cached_property
     def label_texts(self) -> list[str]:
@@ -369,6 +364,23 @@ def _sccs(succ: Sequence[Sequence[int]]) -> list[list[int]]:
                 u = work[-1][0]
                 low[u] = min(low[u], low[v])
     return out
+
+
+def bottom_classes(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Bottom strongly connected components of the graph with successor
+    lists ``succ`` over nodes 0..n-1: each class sorted, the classes
+    ordered by smallest node."""
+    comp_of = [0] * len(succ)
+    comps = _sccs(succ)
+    for c, comp in enumerate(comps):
+        for i in comp:
+            comp_of[i] = c
+    bottoms = [
+        comp
+        for c, comp in enumerate(comps)
+        if all(comp_of[t] == c for i in comp for t in succ[i])
+    ]
+    return sorted(bottoms, key=lambda comp: comp[0])
 
 
 def recurrent_classes(mc: MarkovChain) -> list[list[int]]:

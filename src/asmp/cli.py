@@ -10,6 +10,7 @@ seeds; wall-clock time goes to stderr.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
@@ -72,6 +73,9 @@ def cmd_solve(args) -> int:
     g, rewards = _need_rewards(args)
     report = decide_limavg1(g, rewards, max_states=args.max_states)
     sys.stdout.write(report.render(trace=args.trace_fixpoints))
+    if args.stats:
+        record = {"reduction_stats": report.reduction_stats, "stats": report.stats}
+        _write(args.stats, json.dumps(record, indent=2) + "\n")
     if report.witness is not None:
         if args.strategy_out:
             _write(args.strategy_out, emit_strategy(report.witness, g))
@@ -219,6 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="include per-iteration fixpoint sizes in the report",
     )
     p.add_argument("--dot", metavar="PATH", help="write a Graphviz rendering here")
+    p.add_argument(
+        "--stats",
+        metavar="PATH",
+        help="write the reduction sizes and phase times here as JSON",
+    )
     p.set_defaults(handler=cmd_solve)
 
     p = sub.add_parser(

@@ -2,14 +2,17 @@
 
 Everything here works on observation sets rather than belief supports; the
 models these run on are belief-observation POMDPs, where the two coincide.
-The fixpoints are duck-typed (plain POMDPs and reduced ones share the read
-interface), so the same solver drives both; the restriction to the safe
-core takes the reduced model only.
+The fixpoints are duck-typed: plain POMDPs and reduced ones both expose the
+row table ``supports``, where ``supports[s][i]`` is the support of state s
+under the i-th action of ``avail(obs(s))``, so the same solver drives both.
+The restriction to the safe core takes the reduced model only, and builds
+the restricted table from the allowed positions of each observation.
 
-Both fixpoints first number the rows (s, a) once, observation by
-observation, and then work on row ids: each state keeps the ids of the rows
-that can enter it, and each row knows its (observation, action) group.
-Flags per group replace dicts keyed by pairs.
+Both fixpoints first number the rows once, state by state from the table,
+and then work on row ids: each state keeps the ids of the rows that can
+enter it, and each row knows its (observation, action) group. Flags per
+group replace dicts keyed by pairs. The iterates are sets, so the order of
+the numbering does not show in any result.
 
 Safety is a greatest fixpoint over the allowed-action predicate, computed
 with a worklist that removes observations level by level; the levels agree
@@ -20,8 +23,10 @@ computed on a copy where the target is absorbing. The inner fixpoint is a
 worklist too: a pass only visits the rows entering the states that joined
 in the previous pass, which gives the same levels as rescanning every
 pending state. Allowed actions are updated when observations leave the
-outer set. Reachability results are certified before being returned: the
-recurrent classes of the witness chain must all meet the target.
+outer set. Reachability results are certified before being returned, on
+the allowed rows themselves: the states the witness reaches from the
+initial state, with the target absorbing, must stay in the winning
+observations, and every bottom class of that graph must meet the target.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .model import Distr, ModelError
-from .chains import MemorylessStrategy, product_chain, recurrent_classes
+from .chains import MemorylessStrategy, bottom_classes
 from .reduction import BeliefObsPomdp
 
 
@@ -51,7 +56,7 @@ class ReachResult:
 
 
 def _numbered_rows(g, skip: frozenset[int] = frozenset()):
-    """Number the rows (s, a) of ``g`` observation by observation, leaving
+    """Number the rows of ``g`` state by state from ``g.supports``, leaving
     out the rows of the states in ``skip``.
 
     Returns the ids of the rows entering each state, the state of each row,
@@ -59,25 +64,21 @@ def _numbered_rows(g, skip: frozenset[int] = frozenset()):
     group of (o, a) is ``first[o] + i`` for the i-th action of
     ``g.avail(o)``, and ``first[n_observations]`` counts the groups.
     """
+    first = [0]
+    for o in range(g.n_observations):
+        first.append(first[-1] + len(g.avail(o)))
     pred: list[list[int]] = [[] for _ in range(g.n_states)]
     row_state: list[int] = []
     row_group: list[int] = []
-    first: list[int] = []
-    support = g.support
-    k = 0
-    for o in range(g.n_observations):
-        first.append(k)
-        states = [s for s in g.obs_states(o) if s not in skip]
-        for a in g.avail(o):
-            r = len(row_state)
-            row_state += states
-            row_group += [k] * len(states)
-            for s in states:
-                for t in support(s, a):
-                    pred[t].append(r)
-                r += 1
-            k += 1
-    first.append(k)
+    for s, rows in enumerate(g.supports):
+        if s in skip:
+            continue
+        for r, ts in enumerate(rows, len(row_state)):
+            for t in ts:
+                pred[t].append(r)
+        k = first[g.obs(s)]
+        row_state += [s] * len(rows)
+        row_group += range(k, k + len(rows))
     return pred, row_state, row_group, first
 
 
@@ -135,27 +136,62 @@ def almost_safe(g, safe_states: Iterable[int]) -> SafetyResult:
     return SafetyResult(y_star, allow_map, iterates)
 
 
-class _AbsorbingView:
-    """Read-only view of a model with a state set made absorbing."""
+def _allowed_positions(g, o: int, acts: Iterable[int]) -> list[int]:
+    """Positions in ``g.avail(o)``, and so in each row list of o's states,
+    of the actions in ``acts``."""
+    allowed = set(acts)
+    return [i for i, a in enumerate(g.avail(o)) if a in allowed]
 
-    def __init__(self, g, absorbing: Iterable[int]):
-        self._g = g
-        self.absorbing = frozenset(absorbing)
-        self.obs = g.obs
-        self.avail = g.avail
 
-    def __getattr__(self, name):
-        return getattr(self._g, name)
+def _certify_reach(
+    g, targets: frozenset[int], allow_map: dict[int, tuple[int, ...]]
+) -> None:
+    """Certify the uniform play over ``allow_map`` on the copy of ``g``
+    where ``targets`` are absorbing, or raise ModelError.
 
-    def support(self, s: int, a: int) -> tuple[int, ...]:
-        if s in self.absorbing:
-            return (s,)
-        return self._g.support(s, a)
-
-    def row(self, s: int, a: int) -> Distr:
-        if s in self.absorbing:
-            return Distr.dirac(s)
-        return self._g.row(s, a)
+    Walks the allowed rows from the initial state. Every state reached must
+    lie in an observation of ``allow_map``, and every bottom class of the
+    reached graph must contain a target: then the play stays in those
+    observations and reaches the target with probability one.
+    """
+    supports = g.supports
+    positions: dict[int, list[int]] = {}
+    # index[s]: s's node in the reached graph, -1 until s is reached.
+    index = [-1] * g.n_states
+    index[g.initial] = 0
+    order = [g.initial]
+    succ: list[tuple[int, ...]] = []
+    # order grows during the walk, so states are expanded in discovery order.
+    for s in order:
+        o = g.obs(s)
+        pos = positions.get(o)
+        if pos is None:
+            if o not in allow_map:
+                raise ModelError(
+                    "reachability witness failed certification: its chain"
+                    f" reaches observation {g.obs_name(o)!r} outside the"
+                    " winning set"
+                )
+            pos = positions[o] = _allowed_positions(g, o, allow_map[o])
+        if s in targets:
+            succ.append((index[s],))
+            continue
+        row = supports[s]
+        nxt: set[int] = set()
+        for i in pos:
+            for t in row[i]:
+                j = index[t]
+                if j < 0:
+                    j = index[t] = len(order)
+                    order.append(t)
+                nxt.add(j)
+        succ.append(tuple(nxt))
+    for cls in bottom_classes(succ):
+        if not any(order[i] in targets for i in cls):
+            raise ModelError(
+                "reachability witness failed certification: a recurrent"
+                " class of its chain avoids the target"
+            )
 
 
 def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
@@ -168,9 +204,8 @@ def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
     every successor of every state of its class stays in Z; the absorbing
     target rows never leave, so they are not numbered. Z stabilizes once it
     is exactly the cover of the inner fixpoint. The witness plays uniformly
-    over the allowed actions at Z; before returning it is certified on the
-    absorbing copy: every recurrent class of the witness chain must contain
-    a target state.
+    over the allowed actions at Z; before returning it is certified on its
+    allowed rows (see ``_certify_reach``).
     """
     targets = frozenset(target_states)
     pred, row_state, row_group, first = _numbered_rows(g, skip=targets)
@@ -227,13 +262,7 @@ def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
         witness = MemorylessStrategy(
             {o: Distr.uniform(allow_map[o]) for o in z}
         )
-        mc = product_chain(_AbsorbingView(g, targets), None, witness)
-        for cls in recurrent_classes(mc):
-            if not any(mc.labels[i][0] in targets for i in cls):
-                raise ModelError(
-                    "reachability witness failed certification: a recurrent"
-                    " class of its chain avoids the target"
-                )
+        _certify_reach(g, targets, allow_map)
     return ReachResult(z, allow_map, witness, z_iterates, x_rounds)
 
 
@@ -250,21 +279,34 @@ def restrict_safe(
         raise ModelError(
             "initial observation is not almost-safe; no safe strategy exists"
         )
-    kept_states = sorted(s for o in y_star for s in g.obs_states(o))
     kept_obs = sorted(y_star)
-    state_map = {s: i for i, s in enumerate(kept_states)}
+    kept_states = sorted(s for o in kept_obs for s in g.obs_states(o))
     obs_map = {o: i for i, o in enumerate(kept_obs)}
-    succ = {}
+    state_map = {s: i for i, s in enumerate(kept_states)}
+    # Most rows are single successors: share one tuple per kept state.
+    single = {s: (i,) for s, i in state_map.items()}
+    positions = {o: _allowed_positions(g, o, allow_map[o]) for o in kept_obs}
+    supports = []
     for s in kept_states:
-        for a in allow_map[g.obs(s)]:
-            succ[(state_map[s], a)] = tuple(state_map[t] for t in g.support(s, a))
+        row = g.supports[s]
+        packed = []
+        for i in positions[g.obs(s)]:
+            ts = row[i]
+            if len(ts) == 1:
+                packed.append(single[ts[0]])
+            else:
+                packed.append(tuple([state_map[t] for t in ts]))
+        supports.append(packed)
     return BeliefObsPomdp(
         base=g.base,
         rewards=g.base_rewards,
         state_payloads=[g.state_payloads[s] for s in kept_states],
         obs_payloads=[g.obs_payloads[o] for o in kept_obs],
         obs_of=[obs_map[g.obs(s)] for s in kept_states],
-        succ=succ,
-        availability={obs_map[o]: tuple(allow_map[o]) for o in kept_obs},
+        supports=supports,
+        availability={
+            obs_map[o]: tuple(g.avail(o)[i] for i in positions[o])
+            for o in kept_obs
+        },
         memory_actions=g.memory_actions,
     )

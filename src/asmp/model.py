@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .bits import bits, mask_of
@@ -187,6 +188,16 @@ class Pomdp:
 
     def support(self, s: int, a: int) -> tuple[int, ...]:
         return self.row(s, a).support()
+
+    @cached_property
+    def supports(self) -> list[list[tuple[int, ...]]]:
+        """``supports[s][i]``: the support of state s under the i-th action
+        of ``avail(obs(s))``, the row table the fixpoints read. Derived on
+        first read; a missing row raises ModelError as ``support`` does."""
+        return [
+            [self.support(s, a) for a in self.avail(self.obs(s))]
+            for s in range(self.n_states)
+        ]
 
     def state_name(self, s: int) -> str:
         return self.states[s]

@@ -20,10 +20,16 @@ observations by tuples of bit masks, base ids and memory-action ids.
 Payload tuples and CollapsedMemory objects are built once, when their state,
 observation or memory action is first met; the breadth-first walk fixes that
 order and with it every id.
+
+The successors are one table per state, filled as the walk expands the
+state: ``supports[s][i]`` is the support of state s under the i-th action
+of ``avail(obs(s))``. Availability tuples are sorted, so ``support(s, a)``
+finds a's position by bisection; the fixpoints read the table directly.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
 from typing import Iterator
@@ -45,6 +51,7 @@ ObsPayload = tuple
 
 INIT = ("init",)
 SINK = ("sink",)
+SINK_ROW = (1,)  # the losing sink is state 1
 
 
 def enabled_action(cm: CollapsedMemory, a: int, reward1_mask: int) -> bool:
@@ -65,10 +72,12 @@ class BeliefObsPomdp:
 
     Presents the same read interface as Pomdp (ids, names, availability,
     rows, supports) so chain construction, the belief-observation checker,
-    and the fixpoint solver work unchanged. Rows are uniform over stored
-    support tuples and built on demand. State 0 is the initial state,
-    state 1 the losing sink. Base actions keep their ids from the source
-    POMDP, then comes the abort action, then the interned memory actions.
+    and the fixpoint solver work unchanged. The row table ``supports``
+    holds, at ``supports[s][i]``, the support of state s under the i-th
+    action of ``avail(obs(s))``; rows are uniform over those supports and
+    built on demand. State 0 is the initial state, state 1 the losing sink.
+    Base actions keep their ids from the source POMDP, then comes the abort
+    action, then the interned memory actions.
     """
 
     def __init__(
@@ -78,7 +87,7 @@ class BeliefObsPomdp:
         state_payloads: list[StatePayload],
         obs_payloads: list[ObsPayload],
         obs_of: list[int],
-        succ: dict[tuple[int, int], tuple[int, ...]],
+        supports: list[list[tuple[int, ...]]],
         availability: dict[int, tuple[int, ...]],
         memory_actions: list[CollapsedMemory],
     ):
@@ -87,7 +96,7 @@ class BeliefObsPomdp:
         self.state_payloads = state_payloads
         self.obs_payloads = obs_payloads
         self.obs_of = obs_of
-        self.succ = succ
+        self.supports = supports
         self.availability = availability
         self.memory_actions = memory_actions
         self.memory_action_id = {
@@ -132,13 +141,14 @@ class BeliefObsPomdp:
         return self.availability[o]
 
     def support(self, s: int, a: int) -> tuple[int, ...]:
-        try:
-            return self.succ[(s, a)]
-        except KeyError:
-            raise ModelError(
-                f"no transition row for state {self.state_name(s)!r}"
-                f" and action {self.action_name(a)!r}"
-            ) from None
+        acts = self.availability[self.obs_of[s]]
+        i = bisect_left(acts, a)
+        if i < len(acts) and acts[i] == a:
+            return self.supports[s][i]
+        raise ModelError(
+            f"no transition row for state {self.state_name(s)!r}"
+            f" and action {self.action_name(a)!r}"
+        )
 
     def row(self, s: int, a: int) -> Distr:
         return Distr.uniform(self.support(s, a))
@@ -207,7 +217,7 @@ class BeliefObsPomdp:
         return {
             "states": self.n_states,
             "observations": self.n_observations,
-            "rows": len(self.succ),
+            "rows": sum(map(len, self.supports)),
             "memory_actions": len(self.memory_actions),
         }
 
@@ -220,7 +230,10 @@ class BeliefObsPomdp:
         states = [f"q{i}" for i in range(self.n_states)]
         observations = [f"o{i}" for i in range(self.n_observations)]
         actions = [self.action_name(a) for a in range(self.n_actions)]
-        rows = {pair: Distr.uniform(ts) for pair, ts in self.succ.items()}
+        rows = {
+            (s, a): Distr.uniform(self.support(s, a))
+            for s, a in self.available_pairs()
+        }
         g = Pomdp(
             states=states,
             actions=actions,
@@ -264,11 +277,18 @@ def reduce_pomdp(
     state_payloads: list[StatePayload] = [INIT, SINK]
     obs_payloads: list[ObsPayload] = [INIT, SINK]
     obs_of: list[int] = [0, 1]
-    succ: dict[tuple[int, int], tuple[int, ...]] = {}
+    # One row list per state, appended when the state is expanded and
+    # filled in place, so a CapacityError counts the rows built so far.
+    # The losing sink self-loops under the base actions and abort; its rows
+    # for the memory actions are added once those are all known.
+    init_row: list[tuple[int, ...]] = []
+    supports: list[list[tuple[int, ...]]] = [init_row, [SINK_ROW] * (n_base + 1)]
     availability: dict[int, tuple[int, ...]] = {}
     memory_actions: list[CollapsedMemory] = []
     memory_action_id: dict[tuple[int, int, int, int], int] = {}
-    act_states: dict[tuple[int, int], int] = {}
+    # Every row into an action-selection state is the same singleton, so
+    # the state is kept as that tuple.
+    act_states: dict[tuple[int, int], tuple[int]] = {}
     mem_states: dict[tuple[int, int, int, int], int] = {}
     act_obs: dict[int, int] = {}
     mem_obs: dict[tuple[int, int, int], int] = {}
@@ -277,7 +297,7 @@ def reduce_pomdp(
         return {
             "states": len(state_payloads),
             "observations": len(obs_payloads),
-            "rows": len(succ),
+            "rows": sum(map(len, supports)),
             "memory_actions": len(memory_actions),
         }
 
@@ -311,12 +331,12 @@ def reduce_pomdp(
 
     # Callers look a state up first; these add one that is missing, with
     # its observation when that is new too.
-    def new_act_state(s: int, mid: int) -> int:
+    def new_act_state(s: int, mid: int) -> tuple[int]:
         cm = memory_actions[mid - abort - 1]
         o = act_obs.get(mid)
         if o is None:
             o = act_obs[mid] = new_obs(("act", cm))
-        got = act_states[(s, mid)] = new_state(("act", s, cm), o, mid)
+        got = act_states[(s, mid)] = (new_state(("act", s, cm), o, mid),)
         return got
 
     def new_mem_state(
@@ -361,12 +381,6 @@ def reduce_pomdp(
             got = post_cache[(ymask, a)] = dict(belief_successors(g, ymask, a))
         return got
 
-    # The losing sink: self-loops under every action; availability is filled
-    # in after the walk once all memory actions are known.
-    succ[(1, abort)] = (1,)
-    for a in range(n_base):
-        succ[(1, a)] = (1,)
-
     y0 = 1 << g.initial
     init_actions = []
     for r, acts in sorted(
@@ -376,13 +390,18 @@ def reduce_pomdp(
         if acts
     ):
         aid = intern_memory_action(y0, y0, r, acts)
-        succ[(0, aid)] = (new_act_state(g.initial, aid),)
+        init_row.append(new_act_state(g.initial, aid))
         init_actions.append(aid)
-    succ[(0, abort)] = (1,)
-    availability[0] = tuple(sorted(init_actions + [abort]))
+    # The initial memory actions are the first interned, so their ids
+    # ascend and all exceed abort's.
+    availability[0] = (abort, *init_actions)
+    init_row.insert(0, SINK_ROW)
 
     while queue:
         sid, mid = queue.popleft()
+        # States are queued in id order, so this row list lands at sid.
+        row: list[tuple[int, ...]] = []
+        supports.append(row)
         payload = state_payloads[sid]
         o = obs_of[sid]
         if payload[0] == "act":
@@ -391,7 +410,7 @@ def reduce_pomdp(
                 availability[o] = tuple(range(n_base))
             for a in range(n_base):
                 if not enabled_action(cm, a, reward1[a]):
-                    succ[(sid, a)] = (1,)
+                    row.append(SINK_ROW)
                     continue
                 grouped = posts(cm.belief, a)
                 targets = []
@@ -401,25 +420,23 @@ def reduce_pomdp(
                     if got is None:
                         got = new_mem_state(t, ymask2, a, mid, cm)
                     targets.append(got)
-                succ[(sid, a)] = tuple(sorted(set(targets)))
+                row.append(tuple(sorted(set(targets))))
         else:
             _, s2, ymask2, a, cm = payload
             if o not in availability:
                 acts = [abort] + memory_candidates(ymask2, a, cm)
                 availability[o] = tuple(sorted(acts))
-            for aid in availability[o]:
-                if aid == abort:
-                    succ[(sid, abort)] = (1,)
-                    continue
+            # abort sorts first: memory-action ids exceed it.
+            row.append(SINK_ROW)
+            for aid in availability[o][1:]:
                 got = act_states.get((s2, aid))
                 if got is None:
                     got = new_act_state(s2, aid)
-                succ[(sid, aid)] = (got,)
+                row.append(got)
 
     all_actions = tuple(range(n_base + 1 + len(memory_actions)))
     availability[1] = all_actions
-    for aid in all_actions:
-        succ.setdefault((1, aid), (1,))
+    supports[1] = [SINK_ROW] * len(all_actions)
 
     return BeliefObsPomdp(
         base=g,
@@ -427,7 +444,7 @@ def reduce_pomdp(
         state_payloads=state_payloads,
         obs_payloads=obs_payloads,
         obs_of=obs_of,
-        succ=succ,
+        supports=supports,
         availability=availability,
         memory_actions=memory_actions,
     )

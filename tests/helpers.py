@@ -302,17 +302,27 @@ def reference_almost_reach(g, target_states) -> ReachResult:
 
     witness = None
     if z and g.obs(g.initial) in z:
-        witness = MemorylessStrategy(
-            {o: Distr.uniform(allow_map[o]) for o in z}
-        )
-        mc = product_chain(view, None, witness)
-        for cls in recurrent_classes(mc):
-            if not any(mc.labels[i][0] in targets for i in cls):
-                raise ModelError(
-                    "reachability witness failed certification: a recurrent"
-                    " class of its chain avoids the target"
-                )
+        witness = reference_certify_reach(g, targets, allow_map)
     return ReachResult(z, allow_map, witness, z_iterates, x_rounds)
+
+
+def reference_certify_reach(g, targets, allow_map) -> MemorylessStrategy:
+    """Certify the uniform play over ``allow_map`` on the product chain of
+    the absorbing view, and return it. Raises StrategyError when the play
+    reaches an observation outside ``allow_map`` and ModelError when a
+    recurrent class of the chain holds no target."""
+    targets = frozenset(targets)
+    witness = MemorylessStrategy(
+        {o: Distr.uniform(acts) for o, acts in allow_map.items()}
+    )
+    mc = product_chain(AbsorbingView(g, targets), None, witness)
+    for cls in recurrent_classes(mc):
+        if not any(mc.labels[i][0] in targets for i in cls):
+            raise ModelError(
+                "reachability witness failed certification: a recurrent"
+                " class of its chain avoids the target"
+            )
+    return witness
 
 
 # ------------------------------------------------------- chain judgments

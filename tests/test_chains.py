@@ -151,7 +151,8 @@ class TestSupportChain:
             g, r = random_belief_obs_pomdp(rng)
             sigma = random_tagged_strategy(rng, g, randomized=k % 2 == 1)
             mc = product_chain(g, r, sigma)
-            assert mc.reachable() == list(range(mc.n_nodes))
+            succ = {i: mc.successors(i) for i in range(mc.n_nodes)}
+            assert reach_set(succ, 0) == set(range(mc.n_nodes))
             with monkeypatch.context() as patch:
                 patch.setattr(MarkovChain, "_weights", property(weights_read))
                 found = limavg1_diagnosis(mc)

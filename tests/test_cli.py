@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, report text, artifacts, chaining."""
 
+import json
+
 import pytest
 
 from asmp import (
@@ -52,6 +54,9 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+FIXPOINT_PHASES = ["reduce_s", "safe_s", "restrict_s", "reach_s"]
 
 
 class TestSolve:
@@ -111,6 +116,31 @@ class TestSolve:
         text = (files["dir"] / "wit.dot").read_text()
         assert text.startswith("digraph")
         assert "recurrent class" in text
+
+    @pytest.mark.parametrize(
+        "model, phases",
+        [
+            ("ring.txt", FIXPOINT_PHASES + ["unfold_s", "validate_s"]),
+            ("zero.txt", FIXPOINT_PHASES),
+        ],
+    )
+    def test_stats_file_leaves_the_report_alone(self, files, capsys, model, phases):
+        """The JSON record holds the report's sizes and phase times; stdout
+        and the exit code are those of a run without the flag."""
+        path = files["dir"] / "stats.json"
+        argv = ["solve", files[model], "--trace-fixpoints"]
+        code, out, _ = run(capsys, argv)
+        code2, out2, _ = run(capsys, argv + ["--stats", str(path)])
+        assert (code2, out2) == (code, out)
+        record = json.loads(path.read_text())
+        assert list(record) == ["reduction_stats", "stats"]
+        rs = record["reduction_stats"]
+        assert (
+            f"reduction: states={rs['states']} observations={rs['observations']}"
+            f" rows={rs['rows']} memory-actions={rs['memory_actions']}"
+        ) in out.splitlines()
+        assert list(record["stats"]) == phases + ["wall_s"]
+        assert all(t > 0 for t in record["stats"].values())
 
     def test_capacity_cap_exits_three(self, files, capsys):
         code, out, err = run(
@@ -361,6 +391,7 @@ class TestParserPlumbing:
     def test_options_are_accepted_only_where_they_are_read(self, files, capsys):
         for argv in (
             ["validate", files["ring.txt"], "--seed", "3"],
+            ["validate", files["ring.txt"], "--stats", "x.json"],
             ["check-belief-obs", files["ring.txt"], "--dot", "x.dot"],
             ["collapse", files["ring.txt"], "--strategy", files["sigma4.txt"], "--max-states", "9"],
             ["simulate", files["ring.txt"], "--strategy", files["sigma4.txt"], "--trace-fixpoints"],

@@ -2,16 +2,19 @@
 plain reference fixpoints of the helpers."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from asmp import (
     ModelError,
+    StrategyError,
     almost_reach,
     almost_safe,
     reduce_pomdp,
     restrict_safe,
 )
+from asmp.fixpoint import _certify_reach
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp
 
 from helpers import (
@@ -19,8 +22,10 @@ from helpers import (
     oracle_reach_obs,
     oracle_safe_obs,
     random_belief_obs_pomdp,
+    random_pomdp,
     reference_almost_reach,
     reference_almost_safe,
+    reference_certify_reach,
 )
 
 
@@ -168,3 +173,55 @@ class TestAgainstTheReferenceFixpoints:
             assert reach_fields(almost_reach, g, wcs) == reach_fields(
                 reference_almost_reach, g, wcs
             )
+
+
+def certification(certify, g, targets, allow_map):
+    """None when the play over ``allow_map`` certifies, else the check it
+    fails: "leaves" the observations of ``allow_map`` or "avoids" the
+    target in a recurrent class."""
+    try:
+        certify(g, targets, allow_map)
+    except StrategyError:
+        return "leaves"
+    except ModelError as err:
+        if "outside the winning set" in str(err):
+            return "leaves"
+        assert "avoids the target" in str(err)
+        return "avoids"
+    return None
+
+
+class TestCertification:
+    """The certification on allowed rows against the product chain of the
+    absorbing view."""
+
+    def test_agrees_with_the_product_chain_reference(self):
+        rng = random.Random(45)
+        outcomes = Counter()
+        for k in range(400):
+            g = random_belief_obs_pomdp(rng)[0] if k % 2 else random_pomdp(rng)
+            targets = frozenset(
+                s for s in range(g.n_states) if rng.random() < 0.3
+            )
+            res = almost_reach(g, targets)
+            o0 = g.obs(g.initial)
+            if k % 4 == 0 and o0 in res.z_star:
+                allow_map = res.allow_map
+            else:
+                # Any observation set holding the initial one, with any
+                # non-empty action set at each: most of these are broken.
+                z = {o0} | {
+                    o for o in range(g.n_observations) if rng.random() < 0.6
+                }
+                allow_map = {}
+                for o in sorted(z):
+                    acts = g.avail(o)
+                    allow_map[o] = tuple(
+                        sorted(rng.sample(acts, rng.randint(1, len(acts))))
+                    )
+            got = certification(_certify_reach, g, targets, allow_map)
+            assert got == certification(
+                reference_certify_reach, g, targets, allow_map
+            )
+            outcomes[got] += 1
+        assert set(outcomes) == {None, "leaves", "avoids"}

@@ -10,6 +10,7 @@ from asmp import (
     CapacityError,
     CollapsedMemory,
     MemoryFingerprint,
+    ModelError,
     is_belief_observation,
     reduce_pomdp,
     validate,
@@ -19,6 +20,11 @@ from asmp.gadgets import ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp
 from asmp.reduction import INIT, SINK, enabled_action
 
 from helpers import enabled_memory_action, random_belief_obs_pomdp
+
+
+def rows_of(bg):
+    """Every row of a reduced model as ((state, action), support) pairs."""
+    return [((s, a), bg.support(s, a)) for s, a in bg.available_pairs()]
 
 
 def random_memory(rng, state_universe, action_universe):
@@ -243,7 +249,7 @@ class TestReductionStructure:
         two = reduce_pomdp(g, rewards)
         assert one.state_payloads == two.state_payloads
         assert one.obs_payloads == two.obs_payloads
-        assert one.succ == two.succ
+        assert rows_of(one) == rows_of(two)
         assert one.availability == two.availability
         assert one.memory_actions == two.memory_actions
 
@@ -252,27 +258,28 @@ class TestReductionStructure:
         [
             (
                 ring_pomdp,
-                "e4d75423fbc5b6292b028621029af179f2980520dd1ef31cadfa623846cdb457",
+                "c0e07f544e5278105fb9f2cd8263b84da06cd843a82ca7f1d83dda9f75ab1f76",
             ),
             (
                 trap_ring_pomdp,
-                "0605064757be54b67a754eb8b889778b224a2821459ebb4ecf87c1f37bb49e1d",
+                "c4225666e7fef4ecb6727bb8a5ca42cf63dbe4b3f7b2ba1223f6e470ce63eddd",
             ),
             (
                 unavoidable_zero_pomdp,
-                "d39ddecc659227218299824f5acfdee137bd268dbeaa764e09c54701fca5e4d4",
+                "d7c4e111a23417425a115128daedab61663e3bcedcc55b341399ac300e3457e9",
             ),
         ],
     )
     def test_frozen_digest_of_the_gadget_reductions(self, make, digest):
         """Payload names, rows, availability and memory-action order, frozen
-        from the reduction that looked states up by their payload tuples."""
+        from the reduction that looked states up by their payload tuples and
+        kept its rows in a dict keyed by (state, action)."""
         bg = reduce_pomdp(*make())
         text = repr(
             (
                 [bg.state_name(s) for s in range(bg.n_states)],
                 [bg.obs_name(o) for o in range(bg.n_observations)],
-                list(bg.succ.items()),
+                rows_of(bg),
                 list(bg.availability.items()),
                 [
                     (cm.belief, cm.fp.win, cm.fp.rec, cm.fp.acts)
@@ -282,11 +289,35 @@ class TestReductionStructure:
         )
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_unavailable_pairs_have_no_row(self):
+        """The row table answers only available pairs; the error text is the
+        one the (state, action)-keyed store gave."""
+        bg = reduce_pomdp(*ring_pomdp())
+        act = "s0·(Y=s0 W=s0 R=- A=a)"
+        for s, a, text in [
+            (0, 0, "state 'init' and action 'a'"),
+            (2, bg.abort_action, f"state {act!r} and action 'abort'"),
+            (2, bg.n_actions - 1, f"state {act!r} and action 'mem197'"),
+        ]:
+            with pytest.raises(ModelError) as err:
+                bg.support(s, a)
+            assert str(err.value) == f"no transition row for {text}"
+
     def test_capacity_error_reports_progress(self):
-        g, rewards = ring_pomdp()
-        with pytest.raises(CapacityError) as err:
-            reduce_pomdp(g, rewards, max_states=50)
-        assert err.value.stats["states"] >= 50
+        """Message and counters frozen from the reduction that stored its
+        rows in a dict, so rows are counted one at a time mid-expansion."""
+        keys = ("states", "observations", "rows", "memory_actions")
+        reached = {
+            50: (50, 16, 21, 6),
+            100: (100, 61, 67, 198),
+            1000: (1000, 208, 971, 198),
+        }
+        for make in (ring_pomdp, trap_ring_pomdp):
+            for cap, counts in reached.items():
+                with pytest.raises(CapacityError) as err:
+                    reduce_pomdp(*make(), max_states=cap)
+                assert str(err.value) == f"reduction exceeded the cap of {cap} states"
+                assert err.value.stats == dict(zip(keys, counts))
 
 
 class TestReducedRewardAdapter:
