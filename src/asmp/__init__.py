@@ -11,7 +11,6 @@ mean-payoff thresholds.
 """
 
 from .model import (
-    Belief,
     CapacityError,
     Distr,
     ModelError,
@@ -19,10 +18,7 @@ from .model import (
     Pomdp,
     RewardFn,
     StrategyError,
-    belief_update,
-    initial_belief,
     is_belief_observation,
-    successor_beliefs,
     validate,
     validate_pfa,
 )
@@ -30,13 +26,11 @@ from .chains import (
     FiniteMemoryStrategy,
     MarkovChain,
     MemorylessStrategy,
-    almost_sure_limavg1,
     almost_sure_limavg_gt,
     alternating_strategy,
     bscc_mean_payoff,
     constant_strategy,
     limavg1_diagnosis,
-    prefix_probability,
     product_chain,
     recurrent_classes,
     uniform_strategy,
@@ -61,7 +55,6 @@ from .solver import (
     Diagnosis,
     SolveReport,
     decide_limavg1,
-    finite_memory_to_memoryless,
     memoryless_to_finite_memory,
     validate_strategy,
 )
@@ -89,7 +82,6 @@ from .fileformat import (
 from .dot import chain_dot, projection_dot
 
 __all__ = [
-    "Belief",
     "BeliefObsPomdp",
     "CapacityError",
     "CollapsedMemory",
@@ -114,10 +106,8 @@ __all__ = [
     "acceptance_probability",
     "almost_reach",
     "almost_safe",
-    "almost_sure_limavg1",
     "almost_sure_limavg_gt",
     "alternating_strategy",
-    "belief_update",
     "bscc_mean_payoff",
     "chain_dot",
     "check_loop_strategy",
@@ -129,8 +119,6 @@ __all__ = [
     "emit_rewards",
     "emit_strategy",
     "fingerprints",
-    "finite_memory_to_memoryless",
-    "initial_belief",
     "interleaved_word_strategy",
     "is_belief_observation",
     "limavg1_diagnosis",
@@ -139,7 +127,6 @@ __all__ = [
     "parse_pfa",
     "parse_rewards",
     "parse_strategy",
-    "prefix_probability",
     "product_chain",
     "projection_dot",
     "projection_graph",
@@ -150,7 +137,6 @@ __all__ = [
     "restrict_safe",
     "simulate",
     "strategy_memory_names",
-    "successor_beliefs",
     "uniform_strategy",
     "validate",
     "validate_pfa",

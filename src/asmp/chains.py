@@ -410,10 +410,6 @@ def limavg1_diagnosis(mc: MarkovChain) -> tuple[list[int], tuple[int, int]] | No
     return None
 
 
-def almost_sure_limavg1(mc: MarkovChain) -> bool:
-    return limavg1_diagnosis(mc) is None
-
-
 def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
     n = len(a)
     m = [row[:] + [b[i]] for i, row in enumerate(a)]
@@ -476,47 +472,3 @@ def almost_sure_limavg_gt(mc: MarkovChain, lam: Fraction) -> bool:
     """
     return all(bscc_mean_payoff(mc, cls) > lam for cls in recurrent_classes(mc))
 
-
-def prefix_probability(
-    g: Pomdp, sigma: FiniteMemoryStrategy, prefix: Sequence[int]
-) -> Fraction:
-    """Probability that a play starts with the given state-action prefix.
-
-    ``prefix`` alternates state and action ids, ``[s0, a1, s1, ..., ak, sk]``.
-    The strategy's memory is hidden, so the computation drags along the
-    memory posterior given the observable part of the prefix and applies the
-    chain rule step by step.
-    """
-    if len(prefix) % 2 == 0 or not prefix:
-        raise ModelError("prefix must alternate states and actions, ending in a state")
-    if prefix[0] != g.initial:
-        return Fraction(0)
-    mem: dict[int, Fraction] = {sigma.initial: Fraction(1)}
-    p = Fraction(1)
-    s = prefix[0]
-    for k in range(1, len(prefix), 2):
-        a, t = prefix[k], prefix[k + 1]
-        o = g.obs(s)
-        if a not in g.avail(o):
-            raise ModelError(
-                f"prefix plays {g.action_name(a)!r}, unavailable at"
-                f" observation {g.obs_name(o)!r}"
-            )
-        act_prob = sum(
-            (w * sigma.next_action[m][a] for m, w in mem.items()), Fraction(0)
-        )
-        step = act_prob * g.row(s, a)[t]
-        if step == 0:
-            return Fraction(0)
-        p *= step
-        o2 = g.obs(t)
-        nxt: dict[int, Fraction] = {}
-        for m, w in mem.items():
-            wa = w * sigma.next_action[m][a]
-            if wa == 0:
-                continue
-            for m2, pm in sigma.update_row(m, o2, a).items():
-                nxt[m2] = nxt.get(m2, Fraction(0)) + wa * pm / act_prob
-        mem = nxt
-        s = t
-    return p

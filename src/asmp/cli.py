@@ -16,9 +16,9 @@ import time
 from pathlib import Path
 
 from .chains import (
-    almost_sure_limavg1,
     almost_sure_limavg_gt,
     bscc_mean_payoff,
+    limavg1_diagnosis,
     product_chain,
     recurrent_classes,
 )
@@ -188,7 +188,7 @@ def cmd_analyze_chain(args) -> int:
         verdict = almost_sure_limavg_gt(mc, lam)
         print(f"almost-sure average > {lam}: {'yes' if verdict else 'no'}")
     else:
-        verdict = almost_sure_limavg1(mc)
+        verdict = limavg1_diagnosis(mc) is None
         print(f"almost-sure average 1: {'yes' if verdict else 'no'}")
     return 0 if verdict else 1
 

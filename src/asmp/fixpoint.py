@@ -34,8 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import Distr, ModelError
-from .chains import MemorylessStrategy, bottom_classes
+from .model import ModelError
+from .chains import bottom_classes
 from .reduction import BeliefObsPomdp
 
 
@@ -50,7 +50,6 @@ class SafetyResult:
 class ReachResult:
     z_star: frozenset[int]
     allow_map: dict[int, tuple[int, ...]]
-    witness: MemorylessStrategy | None
     z_iterates: list[frozenset[int]]
     x_rounds: list[list[int]]
 
@@ -203,9 +202,9 @@ def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
     one level per pass. An action is allowed at an observation of Z while
     every successor of every state of its class stays in Z; the absorbing
     target rows never leave, so they are not numbered. Z stabilizes once it
-    is exactly the cover of the inner fixpoint. The witness plays uniformly
-    over the allowed actions at Z; before returning it is certified on its
-    allowed rows (see ``_certify_reach``).
+    is exactly the cover of the inner fixpoint. When Z holds the initial
+    observation, the uniform play over the allowed actions at Z is
+    certified on its allowed rows before returning (see ``_certify_reach``).
     """
     targets = frozenset(target_states)
     pred, row_state, row_group, first = _numbered_rows(g, skip=targets)
@@ -256,14 +255,9 @@ def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
         o: tuple(a for k, a in enumerate(g.avail(o), first[o]) if allowed[k])
         for o in z
     }
-
-    witness = None
-    if z and g.obs(g.initial) in z:
-        witness = MemorylessStrategy(
-            {o: Distr.uniform(allow_map[o]) for o in z}
-        )
+    if g.obs(g.initial) in z:
         _certify_reach(g, targets, allow_map)
-    return ReachResult(z, allow_map, witness, z_iterates, x_rounds)
+    return ReachResult(z, allow_map, z_iterates, x_rounds)
 
 
 def restrict_safe(
@@ -299,7 +293,6 @@ def restrict_safe(
         supports.append(packed)
     return BeliefObsPomdp(
         base=g.base,
-        rewards=g.base_rewards,
         state_payloads=[g.state_payloads[s] for s in kept_states],
         obs_payloads=[g.obs_payloads[o] for o in kept_obs],
         obs_of=[obs_map[g.obs(s)] for s in kept_states],

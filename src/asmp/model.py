@@ -6,13 +6,15 @@ a 0.9999999 leaking in would silently change answers. Weights may be given as
 ints, Fractions, or strings like ``"1/3"``.
 
 States, actions, and observations are ids (list indices); names live in
-parallel lists and only matter for parsing and rendering.
+parallel lists and only matter for parsing and rendering. A belief, the
+set of states consistent with the history, is an int bit mask of state
+ids (see `bits`); its states share one observation, which the mask
+therefore determines.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
@@ -290,19 +292,6 @@ def validate(g: Pomdp, require_unique_initial_obs: bool = True) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class Belief:
-    """A belief support: the states consistent with the history, all sharing
-    one observation."""
-
-    support: frozenset[int]
-    observation: int
-
-
-def initial_belief(g: Pomdp) -> Belief:
-    return Belief(frozenset((g.initial,)), g.obs(g.initial))
-
-
 def belief_obs(g: Pomdp, mask: int) -> int:
     """Observation shared by the states of a non-empty belief mask."""
     return g.obs(next(bits(mask)))
@@ -323,59 +312,34 @@ def belief_successors(g: Pomdp, mask: int, a: int) -> list[tuple[int, int]]:
     return sorted(grouped.items())
 
 
-def successor_beliefs(g: Pomdp, b: Belief, a: int) -> dict[int, frozenset[int]]:
-    """All one-step belief supports after playing ``a``, grouped by observation.
-
-    Playing an action unavailable at the belief's observation is an error.
-    """
-    if a not in g.avail(b.observation):
-        raise ModelError(
-            f"action {g.action_name(a)!r} unavailable at"
-            f" observation {g.obs_name(b.observation)!r}"
-        )
-    return {
-        o: frozenset(bits(m)) for o, m in belief_successors(g, mask_of(b.support), a)
-    }
-
-
-def belief_update(g: Pomdp, b: Belief, a: int, o: int) -> Belief | None:
-    """Advance a belief by playing ``a`` and observing ``o``.
-
-    Returns None when ``o`` cannot be observed after ``a`` from ``b``, which
-    callers treat as a distinct outcome rather than an error. Playing an
-    action unavailable at the belief's observation is an error.
-    """
-    support = successor_beliefs(g, b, a).get(o)
-    return None if support is None else Belief(support, o)
-
-
 def is_belief_observation(g: Pomdp) -> tuple[bool, list[str] | None]:
     """Test whether every reachable belief is a full observation class.
 
     When it fails, returns a shortest witness as an alternating list of
     observation and action names ``[o0, a1, o1, ..., ak, ok]`` whose final
-    belief is a strict subset of its observation class.
+    belief is a strict subset of its observation class. The search runs
+    breadth-first over belief masks, in the order of ``belief_successors``.
     """
-    b0 = initial_belief(g)
-    if b0.support != frozenset(g.obs_states(b0.observation)):
-        return False, [g.obs_name(b0.observation)]
-    parent: dict[Belief, tuple[Belief, int] | None] = {b0: None}
+    classes = [mask_of(g.obs_states(o)) for o in range(g.n_observations)]
+    b0 = 1 << g.initial
+    if b0 != classes[g.obs(g.initial)]:
+        return False, [g.obs_name(g.obs(g.initial))]
+    parent: dict[int, tuple[int, int] | None] = {b0: None}
     queue = deque([b0])
     while queue:
         b = queue.popleft()
-        for a in g.avail(b.observation):
-            for o, support in successor_beliefs(g, b, a).items():
-                nxt = Belief(support, o)
+        for a in g.avail(belief_obs(g, b)):
+            for o, nxt in belief_successors(g, b, a):
                 if nxt in parent:
                     continue
                 parent[nxt] = (b, a)
-                if support != frozenset(g.obs_states(o)):
+                if nxt != classes[o]:
                     path: list[str] = [g.obs_name(o)]
-                    cur: Belief = nxt
+                    cur = nxt
                     while parent[cur] is not None:
                         prev, act = parent[cur]  # type: ignore[misc]
                         path.append(g.action_name(act))
-                        path.append(g.obs_name(prev.observation))
+                        path.append(g.obs_name(belief_obs(g, prev)))
                         cur = prev
                     path.reverse()
                     return False, path

@@ -31,14 +31,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from fractions import Fraction
 from typing import Iterator
 
 from .bits import bits, mask_of, submasks, supermasks_within
 from .collapse import CollapsedMemory, MemoryFingerprint
 from .model import (
     CapacityError,
-    Distr,
     ModelError,
     Pomdp,
     RewardFn,
@@ -70,20 +68,20 @@ def enabled_action(cm: CollapsedMemory, a: int, reward1_mask: int) -> bool:
 class BeliefObsPomdp:
     """Reduced POMDP over action-selection and memory-selection states.
 
-    Presents the same read interface as Pomdp (ids, names, availability,
-    rows, supports) so chain construction, the belief-observation checker,
-    and the fixpoint solver work unchanged. The row table ``supports``
-    holds, at ``supports[s][i]``, the support of state s under the i-th
-    action of ``avail(obs(s))``; rows are uniform over those supports and
-    built on demand. State 0 is the initial state, state 1 the losing sink.
-    Base actions keep their ids from the source POMDP, then comes the abort
-    action, then the interned memory actions.
+    Presents the part of Pomdp's read interface that the fixpoints, the
+    belief-observation checker and support-only chain construction read:
+    ids, names, availability, ``support`` and the row table ``supports``,
+    which holds, at ``supports[s][i]``, the support of state s under the
+    i-th action of ``avail(obs(s))``. There are no ``rows``: the reduction
+    is a support graph and carries no probabilities or rewards. State 0 is
+    the initial state, state 1 the losing sink. Base actions keep their ids
+    from the source POMDP, then comes the abort action, then the interned
+    memory actions.
     """
 
     def __init__(
         self,
         base: Pomdp,
-        rewards: RewardFn,
         state_payloads: list[StatePayload],
         obs_payloads: list[ObsPayload],
         obs_of: list[int],
@@ -92,16 +90,12 @@ class BeliefObsPomdp:
         memory_actions: list[CollapsedMemory],
     ):
         self.base = base
-        self.base_rewards = rewards
         self.state_payloads = state_payloads
         self.obs_payloads = obs_payloads
         self.obs_of = obs_of
         self.supports = supports
         self.availability = availability
         self.memory_actions = memory_actions
-        self.memory_action_id = {
-            cm: base.n_actions + 1 + i for i, cm in enumerate(memory_actions)
-        }
         self.initial = 0
         # Safety restriction prunes the sink together with its observation.
         self.sink = 1 if len(state_payloads) > 1 and state_payloads[1] == SINK else None
@@ -109,7 +103,6 @@ class BeliefObsPomdp:
         for s, o in enumerate(obs_of):
             by_obs[o].append(s)
         self._obs_states = {o: tuple(ss) for o, ss in by_obs.items()}
-        self._base_avail_pairs = set(base.available_pairs())
 
     @property
     def n_states(self) -> int:
@@ -122,10 +115,6 @@ class BeliefObsPomdp:
     @property
     def n_observations(self) -> int:
         return len(self.obs_payloads)
-
-    @property
-    def actions(self) -> list[str]:
-        return [self.action_name(a) for a in range(self.n_actions)]
 
     @property
     def abort_action(self) -> int:
@@ -149,9 +138,6 @@ class BeliefObsPomdp:
             f"no transition row for state {self.state_name(s)!r}"
             f" and action {self.action_name(a)!r}"
         )
-
-    def row(self, s: int, a: int) -> Distr:
-        return Distr.uniform(self.support(s, a))
 
     def state_name(self, s: int) -> str:
         p = self.state_payloads[s]
@@ -187,16 +173,6 @@ class BeliefObsPomdp:
         names = ",".join(self.base.state_name(t) for t in bits(ymask))
         return f"upd[{names}|{self.base.action_name(a)}|{cm.pretty(self.base)}]"
 
-    def reward(self, s: int, a: int) -> Fraction:
-        p = self.state_payloads[s]
-        if p[0] == "act":
-            if (p[1], a) in self._base_avail_pairs:
-                return self.base_rewards.get(p[1], a)
-            return Fraction(0)
-        if p[0] == "mem" or p == INIT:
-            return Fraction(1)
-        return Fraction(0)
-
     def wcs_state_ids(self) -> list[int]:
         """Action-selection states whose own win and recurrence bits are set:
         the reachability target of the top-level decision procedure."""
@@ -220,32 +196,6 @@ class BeliefObsPomdp:
             "rows": sum(map(len, self.supports)),
             "memory_actions": len(self.memory_actions),
         }
-
-    def to_pomdp(self, name: str = "") -> tuple[Pomdp, RewardFn]:
-        """Materialize as a plain POMDP with synthesized short names.
-
-        States become q0..qN, observations o0..oM, memory actions keep their
-        mem<i> names. Mainly for dumping reduced models to files.
-        """
-        states = [f"q{i}" for i in range(self.n_states)]
-        observations = [f"o{i}" for i in range(self.n_observations)]
-        actions = [self.action_name(a) for a in range(self.n_actions)]
-        rows = {
-            (s, a): Distr.uniform(self.support(s, a))
-            for s, a in self.available_pairs()
-        }
-        g = Pomdp(
-            states=states,
-            actions=actions,
-            observations=observations,
-            obs_of=list(self.obs_of),
-            rows=rows,
-            initial=self.initial,
-            availability=self.availability,
-            name=name,
-        )
-        table = {(s, a): self.reward(s, a) for s, a in self.available_pairs()}
-        return g, RewardFn(table)
 
 
 def reduce_pomdp(
@@ -285,7 +235,7 @@ def reduce_pomdp(
     supports: list[list[tuple[int, ...]]] = [init_row, [SINK_ROW] * (n_base + 1)]
     availability: dict[int, tuple[int, ...]] = {}
     memory_actions: list[CollapsedMemory] = []
-    memory_action_id: dict[tuple[int, int, int, int], int] = {}
+    mid_by_masks: dict[tuple[int, int, int, int], int] = {}
     # Every row into an action-selection state is the same singleton, so
     # the state is kept as that tuple.
     act_states: dict[tuple[int, int], tuple[int]] = {}
@@ -303,9 +253,9 @@ def reduce_pomdp(
 
     def intern_memory_action(belief: int, win: int, rec: int, acts: int) -> int:
         key = (belief, win, rec, acts)
-        got = memory_action_id.get(key)
+        got = mid_by_masks.get(key)
         if got is None:
-            got = memory_action_id[key] = n_base + 1 + len(memory_actions)
+            got = mid_by_masks[key] = n_base + 1 + len(memory_actions)
             memory_actions.append(
                 CollapsedMemory(belief, MemoryFingerprint(win, rec, acts))
             )
@@ -440,7 +390,6 @@ def reduce_pomdp(
 
     return BeliefObsPomdp(
         base=g,
-        rewards=rewards,
         state_payloads=state_payloads,
         obs_payloads=obs_payloads,
         obs_of=obs_of,

@@ -32,7 +32,6 @@ from .model import (
     Pomdp,
     RewardFn,
     StrategyError,
-    belief_obs,
     belief_successors,
     validate,
 )
@@ -229,91 +228,6 @@ def memoryless_to_finite_memory(
         update=update,
         initial=0,
     )
-
-
-def finite_memory_to_memoryless(
-    bg: BeliefObsPomdp, collapsed: FiniteMemoryStrategy
-) -> MemorylessStrategy:
-    """Project a collapsed strategy onto the reduction's observations.
-
-    Memories must be collapsed-memory labels (the output of ``collapse``).
-    They are canonicalized first; distinct memories that collide with
-    conflicting behavior are rejected. Memory choices the reduction has
-    disabled (and update rows the strategy lacks) map to the abort action,
-    which runs into the losing sink, so validation rejects exactly the
-    strategies whose quotient steps outside the enabled region.
-    """
-    g = bg.base
-    n_base = g.n_actions
-    for label in collapsed.memories:
-        if not isinstance(label, CollapsedMemory):
-            raise StrategyError(
-                "strategy memories are not collapsed; collapse it first"
-            )
-
-    def norm_updates(m: int) -> dict[tuple[int, int], tuple]:
-        out = {}
-        for (mm, o, a), row in collapsed.update.items():
-            if mm == m:
-                moved = {}
-                for m2, p in row.items():
-                    c2 = collapsed.memories[m2].canonical()
-                    moved[c2] = moved.get(c2, 0) + p
-                out[(o, a)] = tuple(sorted(moved.items()))
-        return out
-
-    behavior: dict[CollapsedMemory, tuple] = {}
-    rep: dict[CollapsedMemory, int] = {}
-    for m, label in enumerate(collapsed.memories):
-        c = label.canonical()
-        found = (collapsed.next_action[m], tuple(sorted(norm_updates(m).items())))
-        if c in behavior:
-            if behavior[c] != found:
-                raise StrategyError(
-                    f"memories collide at {c.pretty(g)} with conflicting rows"
-                )
-        else:
-            behavior[c] = found
-            rep[c] = m
-
-    obs_id = {p: i for i, p in enumerate(bg.obs_payloads)}
-    abort = bg.abort_action
-    choice: dict[int, Distr] = {}
-
-    c0 = collapsed.memories[collapsed.initial].canonical()
-    aid0 = bg.memory_action_id.get(c0)
-    init_obs = obs_id[("init",)]
-    if aid0 is not None and aid0 in bg.avail(init_obs):
-        choice[init_obs] = Distr.dirac(aid0)
-    else:
-        choice[init_obs] = Distr.dirac(abort)
-
-    def mapped_row(c: CollapsedMemory, o_red: int, key: tuple[int, int]) -> Distr:
-        row = collapsed.update.get((rep[c],) + key)
-        if row is None:
-            return Distr.dirac(abort)
-        moved: dict[int, "Fraction"] = {}
-        for m2, p in row.items():
-            c2 = collapsed.memories[m2].canonical()
-            aid = bg.memory_action_id.get(c2)
-            if aid is None or aid not in bg.avail(o_red):
-                aid = abort
-            moved[aid] = moved.get(aid, 0) + p
-        return Distr(moved)
-
-    for o_red, payload in enumerate(bg.obs_payloads):
-        if payload[0] == "act":
-            c = payload[1]
-            if c in behavior:
-                choice[o_red] = collapsed.next_action[rep[c]]
-        elif payload[0] == "mem":
-            _, ymask2, a, c = payload
-            if c in rep:
-                choice[o_red] = mapped_row(c, o_red, (belief_obs(g, ymask2), a))
-        elif payload == ("sink",):
-            choice[o_red] = Distr.dirac(abort)
-
-    return MemorylessStrategy(choice)
 
 
 def decide_limavg1(

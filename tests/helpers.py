@@ -1,19 +1,27 @@
-"""Shared oracles and random-instance generators.
+"""Shared oracles, reference implementations and random-instance generators.
 
 Everything here re-derives the quantity under test from first principles:
 explicit enumeration, path expansion, graph sweeps. Slower and dumber than
 the library on purpose, so a shared bug would have to be invented twice.
+The references are code the library replaced or never needed at run time:
+the pair-keyed fixpoints and the product-chain certification, the
+frozenset belief check, the projection of a collapsed strategy onto the
+reduction (the completeness direction of the construction), and the dump
+of a reduced model as a plain POMDP with rewards.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 
 from asmp import (
+    BeliefObsPomdp,
     CollapsedMemory,
     Distr,
+    FiniteMemoryStrategy,
     MarkovChain,
     MemorylessStrategy,
     ModelError,
@@ -22,10 +30,13 @@ from asmp import (
     ReachResult,
     RewardFn,
     SafetyResult,
+    StrategyError,
     product_chain,
     recurrent_classes,
 )
 from asmp.bits import bits, mask_of
+from asmp.model import belief_obs
+from asmp.reduction import INIT, SINK
 
 
 # ---------------------------------------------------------------- graphs
@@ -300,10 +311,9 @@ def reference_almost_reach(g, target_states) -> ReachResult:
         z = new_z
         z_iterates.append(z)
 
-    witness = None
     if z and g.obs(g.initial) in z:
-        witness = reference_certify_reach(g, targets, allow_map)
-    return ReachResult(z, allow_map, witness, z_iterates, x_rounds)
+        reference_certify_reach(g, targets, allow_map)
+    return ReachResult(z, allow_map, z_iterates, x_rounds)
 
 
 def reference_certify_reach(g, targets, allow_map) -> MemorylessStrategy:
@@ -323,6 +333,173 @@ def reference_certify_reach(g, targets, allow_map) -> MemorylessStrategy:
                 " class of its chain avoids the target"
             )
     return witness
+
+
+# ------------------------------------------------------ belief references
+
+def reference_successor_beliefs(g, support: frozenset[int], a: int):
+    """One-step belief supports after playing ``a``, as sets, by observation
+    in increasing order."""
+    grouped: dict[int, set[int]] = {}
+    for s in support:
+        for t in g.support(s, a):
+            grouped.setdefault(g.obs(t), set()).add(t)
+    return {o: frozenset(ts) for o, ts in sorted(grouped.items())}
+
+
+def reference_is_belief_observation(g) -> tuple[bool, list[str] | None]:
+    """The belief-observation check on (support, observation) pairs of
+    frozensets: the breadth-first search the library runs on masks, with the
+    same shortest witness."""
+    o0 = g.obs(g.initial)
+    b0 = (frozenset((g.initial,)), o0)
+    if b0[0] != frozenset(g.obs_states(o0)):
+        return False, [g.obs_name(o0)]
+    parent: dict[tuple, tuple | None] = {b0: None}
+    queue = deque([b0])
+    while queue:
+        b = queue.popleft()
+        for a in g.avail(b[1]):
+            for o, support in reference_successor_beliefs(g, b[0], a).items():
+                nxt = (support, o)
+                if nxt in parent:
+                    continue
+                parent[nxt] = (b, a)
+                if support != frozenset(g.obs_states(o)):
+                    path = [g.obs_name(o)]
+                    cur = nxt
+                    while parent[cur] is not None:
+                        prev, act = parent[cur]
+                        path += [g.action_name(act), g.obs_name(prev[1])]
+                        cur = prev
+                    path.reverse()
+                    return False, path
+                queue.append(nxt)
+    return True, None
+
+
+# ---------------------------------------------------- reduction references
+
+def reduced_pomdp(
+    bg: BeliefObsPomdp, rewards: RewardFn, name: str = ""
+) -> tuple[Pomdp, RewardFn]:
+    """Materialize a reduced model as a plain POMDP with uniform rows over
+    its supports and synthesized names: states q0..qN, observations o0..oM,
+    actions as the reduction names them.
+
+    ``rewards`` are the base model's. An action-selection state pays the
+    base reward of its hidden state under a base action available there,
+    and 0 under any other; memory-selection states and the initial state
+    pay 1, the losing sink 0.
+    """
+    base = bg.base
+    base_pairs = set(base.available_pairs())
+
+    def reward(s: int, a: int) -> Fraction:
+        p = bg.state_payloads[s]
+        if p[0] == "act":
+            return rewards.get(p[1], a) if (p[1], a) in base_pairs else Fraction(0)
+        return Fraction(0) if p == SINK else Fraction(1)
+
+    pairs = list(bg.available_pairs())
+    g = Pomdp(
+        states=[f"q{i}" for i in range(bg.n_states)],
+        actions=[bg.action_name(a) for a in range(bg.n_actions)],
+        observations=[f"o{i}" for i in range(bg.n_observations)],
+        obs_of=list(bg.obs_of),
+        rows={(s, a): Distr.uniform(bg.support(s, a)) for s, a in pairs},
+        initial=bg.initial,
+        availability=bg.availability,
+        name=name,
+    )
+    return g, RewardFn({(s, a): reward(s, a) for s, a in pairs})
+
+
+def finite_memory_to_memoryless(
+    bg: BeliefObsPomdp, collapsed: FiniteMemoryStrategy
+) -> MemorylessStrategy:
+    """Project a collapsed strategy onto the reduction's observations.
+
+    Memories must be collapsed-memory labels (the output of ``collapse``).
+    They are canonicalized first; distinct memories that collide with
+    conflicting behavior are rejected. Memory choices the reduction has
+    disabled (and update rows the strategy lacks) map to the abort action,
+    which runs into the losing sink, so validation rejects exactly the
+    strategies whose quotient steps outside the enabled region.
+    """
+    g = bg.base
+    for label in collapsed.memories:
+        if not isinstance(label, CollapsedMemory):
+            raise StrategyError(
+                "strategy memories are not collapsed; collapse it first"
+            )
+    memory_action_id = {
+        cm: g.n_actions + 1 + i for i, cm in enumerate(bg.memory_actions)
+    }
+
+    def norm_updates(m: int) -> dict[tuple[int, int], tuple]:
+        out = {}
+        for (mm, o, a), row in collapsed.update.items():
+            if mm == m:
+                moved = {}
+                for m2, p in row.items():
+                    c2 = collapsed.memories[m2].canonical()
+                    moved[c2] = moved.get(c2, 0) + p
+                out[(o, a)] = tuple(sorted(moved.items()))
+        return out
+
+    behavior: dict[CollapsedMemory, tuple] = {}
+    rep: dict[CollapsedMemory, int] = {}
+    for m, label in enumerate(collapsed.memories):
+        c = label.canonical()
+        found = (collapsed.next_action[m], tuple(sorted(norm_updates(m).items())))
+        if c in behavior:
+            if behavior[c] != found:
+                raise StrategyError(
+                    f"memories collide at {c.pretty(g)} with conflicting rows"
+                )
+        else:
+            behavior[c] = found
+            rep[c] = m
+
+    obs_id = {p: i for i, p in enumerate(bg.obs_payloads)}
+    abort = bg.abort_action
+    choice: dict[int, Distr] = {}
+
+    c0 = collapsed.memories[collapsed.initial].canonical()
+    aid0 = memory_action_id.get(c0)
+    init_obs = obs_id[INIT]
+    if aid0 is not None and aid0 in bg.avail(init_obs):
+        choice[init_obs] = Distr.dirac(aid0)
+    else:
+        choice[init_obs] = Distr.dirac(abort)
+
+    def mapped_row(c: CollapsedMemory, o_red: int, key: tuple[int, int]) -> Distr:
+        row = collapsed.update.get((rep[c],) + key)
+        if row is None:
+            return Distr.dirac(abort)
+        moved: dict[int, Fraction] = {}
+        for m2, p in row.items():
+            c2 = collapsed.memories[m2].canonical()
+            aid = memory_action_id.get(c2)
+            if aid is None or aid not in bg.avail(o_red):
+                aid = abort
+            moved[aid] = moved.get(aid, 0) + p
+        return Distr(moved)
+
+    for o_red, payload in enumerate(bg.obs_payloads):
+        if payload[0] == "act":
+            c = payload[1]
+            if c in behavior:
+                choice[o_red] = collapsed.next_action[rep[c]]
+        elif payload[0] == "mem":
+            _, ymask2, a, c = payload
+            if c in rep:
+                choice[o_red] = mapped_row(c, o_red, (belief_obs(g, ymask2), a))
+        elif payload == SINK:
+            choice[o_red] = Distr.dirac(abort)
+
+    return MemorylessStrategy(choice)
 
 
 # ------------------------------------------------------- chain judgments

@@ -61,6 +61,7 @@ from helpers import (
     oracle_safe_obs,
     random_belief_obs_pomdp,
     random_pfa,
+    reduced_pomdp,
 )
 
 RING_STATES = {"X", "X'", "Y", "Y'", "Z", "Z'"}
@@ -210,11 +211,11 @@ def test_criterion_08_belief_observation_certificates():
     for builder in (ring_pomdp, trap_ring_pomdp):
         g, rewards = builder()
         bg = reduce_pomdp(g, rewards)
-        ok, witness = is_belief_observation(bg.to_pomdp()[0])
+        ok, witness = is_belief_observation(bg)
         assert ok and witness is None
         safety = almost_safe(bg, [s for s in range(bg.n_states) if s != bg.sink])
         restricted = restrict_safe(bg, safety.y_star, safety.allow_map)
-        ok, witness = is_belief_observation(restricted.to_pomdp()[0])
+        ok, witness = is_belief_observation(restricted)
         assert ok and witness is None
     g, _ = ring_pomdp_with_orphan()
     ok, witness = is_belief_observation(g)
@@ -245,7 +246,7 @@ def full_report() -> str:
     parts.append(chain_dot(product_chain(g, rewards, report.witness), title=g.name))
     zg, zr = unavoidable_zero_pomdp()
     parts.append(decide_limavg1(zg, zr).render(trace=True))
-    parts.append(emit_model(*reduce_pomdp(zg, zr).to_pomdp(name="reduced")))
+    parts.append(emit_model(*reduced_pomdp(reduce_pomdp(zg, zr), zr, name="reduced")))
     sigma = alternating_strategy(g, 0, 1)
     parts.append(
         simulate(g, rewards, sigma, SimConfig(steps=1500, runs=10)).render()

@@ -1,4 +1,4 @@
-"""Product chains, recurrent classes, exact mean payoffs, prefix laws."""
+"""Product chains, recurrent classes, exact mean payoffs."""
 
 import random
 from fractions import Fraction
@@ -11,14 +11,12 @@ from asmp import (
     MarkovChain,
     MemorylessStrategy,
     StrategyError,
-    almost_sure_limavg1,
     almost_sure_limavg_gt,
     alternating_strategy,
     bscc_mean_payoff,
     constant_strategy,
     fingerprints,
     limavg1_diagnosis,
-    prefix_probability,
     product_chain,
     recurrent_classes,
     uniform_strategy,
@@ -61,7 +59,7 @@ class TestProductChain:
             frozenset({"X·a", "X'·b"}),
             frozenset({"Z·b", "Z'·a"}),
         }
-        assert almost_sure_limavg1(mc)
+        assert limavg1_diagnosis(mc) is None
 
     def test_constant_play_mixes_everything(self):
         g, r = ring_pomdp()
@@ -70,7 +68,7 @@ class TestProductChain:
         assert len(classes) == 1
         states = {text.split("·")[0] for text in class_names(mc, classes[0])}
         assert states == {"X", "X'", "Y", "Y'", "Z", "Z'"}
-        assert not almost_sure_limavg1(mc)
+        assert limavg1_diagnosis(mc) is not None
 
     def test_unavailable_action_rejected(self):
         g, r = ring_pomdp()
@@ -111,7 +109,9 @@ class TestProductChain:
             for c in recurrent_classes(direct)
         }
         assert direct_states == lifted_states
-        assert almost_sure_limavg1(direct) == almost_sure_limavg1(lifted)
+        assert (limavg1_diagnosis(direct) is None) == (
+            limavg1_diagnosis(lifted) is None
+        )
 
 
 def random_tagged_strategy(rng, g, randomized):
@@ -248,37 +248,3 @@ class TestDiagnosis:
         mc = product_chain(g, r, alternating_strategy(g, 0, 1))
         assert limavg1_diagnosis(mc) is None
 
-
-class TestPrefixProbability:
-    def test_one_step_scatter(self):
-        g, _ = ring_pomdp()
-        sigma = alternating_strategy(g, 0, 1)
-        x = g.state_id("X")
-        assert prefix_probability(g, sigma, [0, 0, x]) == Fraction(1, 6)
-
-    def test_wrong_action_has_probability_zero(self):
-        g, _ = ring_pomdp()
-        sigma = alternating_strategy(g, 0, 1)
-        x = g.state_id("X")
-        assert prefix_probability(g, sigma, [0, 1, x]) == 0
-
-    def test_memory_posterior_is_tracked(self):
-        g, _ = ring_pomdp()
-        # First action drawn uniformly, then repeated forever: the memory
-        # remembers which branch was taken, the prefix only shows the action.
-        branch = {}
-        for o in range(g.n_observations):
-            branch[(0, o, 0)] = Distr.dirac(1)
-            branch[(0, o, 1)] = Distr.dirac(2)
-            branch[(1, o, 0)] = Distr.dirac(1)
-            branch[(2, o, 1)] = Distr.dirac(2)
-        sigma = FiniteMemoryStrategy(
-            memories=["first", "stick-a", "stick-b"],
-            next_action=[Distr.uniform([0, 1]), Distr.dirac(0), Distr.dirac(1)],
-            update=branch,
-            initial=0,
-        )
-        x, x2, y = g.state_id("X"), g.state_id("X'"), g.state_id("Y")
-        assert prefix_probability(g, sigma, [0, 0, x, 0, x2]) == Fraction(1, 12)
-        assert prefix_probability(g, sigma, [0, 0, x, 1, y]) == 0
-        assert prefix_probability(g, sigma, [0]) == 1

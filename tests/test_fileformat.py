@@ -32,7 +32,7 @@ from asmp import (
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp, two_state_pfa
 from asmp.reduction import reduce_pomdp
 
-from helpers import all_words
+from helpers import all_words, reduced_pomdp
 from test_simulate import restricted_pomdp
 
 TINY_CANONICAL = """states:
@@ -106,8 +106,9 @@ class TestModelRoundTrip:
     def test_reduction_output_survives_the_format(self):
         from asmp.gadgets import unavoidable_zero_pomdp
 
-        bg = reduce_pomdp(*unavoidable_zero_pomdp())
-        g, rewards = bg.to_pomdp(name="reduced")
+        base, base_rewards = unavoidable_zero_pomdp()
+        bg = reduce_pomdp(base, base_rewards)
+        g, rewards = reduced_pomdp(bg, base_rewards, name="reduced")
         text = emit_model(g, rewards)
         g2, r2 = parse_model(text)
         assert emit_model(g2, r2) == text

@@ -94,7 +94,6 @@ class TestAlmostReach:
         assert restricted.wcs_state_ids() == []
         res = almost_reach(restricted, restricted.wcs_state_ids())
         assert res.z_star == frozenset()
-        assert res.witness is None
 
     def test_trace_sizes_are_monotone(self):
         g, rewards = ring_pomdp()

@@ -2,24 +2,24 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from asmp import (
-    Belief,
     Distr,
     ModelError,
     Pomdp,
     RewardFn,
-    belief_update,
-    initial_belief,
+    almost_safe,
     is_belief_observation,
-    successor_beliefs,
+    reduce_pomdp,
+    restrict_safe,
     validate,
     validate_pfa,
 )
-from asmp.bits import mask_of
+from asmp.bits import bits, mask_of
 from asmp.gadgets import (
     ring_pomdp,
     ring_pomdp_with_orphan,
@@ -27,9 +27,9 @@ from asmp.gadgets import (
     two_state_pfa,
     unavoidable_zero_pomdp,
 )
-from asmp.model import belief_successors
+from asmp.model import belief_obs, belief_successors
 
-from helpers import random_pomdp
+from helpers import random_pomdp, reference_is_belief_observation
 
 
 class TestDistr:
@@ -109,30 +109,23 @@ class TestValidation:
 class TestBeliefs:
     def test_initial_belief_is_the_start_state(self):
         g, _ = ring_pomdp()
-        b = initial_belief(g)
-        assert b.support == frozenset({g.initial})
-        assert b.observation == g.obs(g.initial)
+        b = 1 << g.initial
+        assert list(bits(b)) == [g.initial]
+        assert belief_obs(g, b) == g.obs(g.initial)
 
     def test_one_step_scatter_covers_the_ring(self):
         g, _ = ring_pomdp()
-        b = initial_belief(g)
-        nxt = belief_update(g, b, 0, g.obs_id("u"))
-        assert nxt is not None
-        assert nxt.support == frozenset(g.obs_states(g.obs_id("u")))
-
-    def test_update_to_unreachable_observation_is_none(self):
-        g, _ = ring_pomdp()
-        b = initial_belief(g)
-        assert belief_update(g, b, 0, g.obs_id("start")) is None
+        u = g.obs_id("u")
+        nxt = dict(belief_successors(g, 1 << g.initial, 0))
+        assert nxt[u] == mask_of(g.obs_states(u))
 
     def test_successor_beliefs_group_by_observation(self):
         g, _ = trap_ring_pomdp()
         u = g.obs_id("u")
-        full = Belief(frozenset(g.obs_states(u)), u)
-        grouped = successor_beliefs(g, full, 0)
+        grouped = dict(belief_successors(g, mask_of(g.obs_states(u)), 0))
         assert set(grouped) == {u, g.obs_id("b")}
-        assert grouped[u] == frozenset(g.obs_states(u))
-        assert grouped[g.obs_id("b")] == frozenset({g.state_id("B")})
+        assert grouped[u] == mask_of(g.obs_states(u))
+        assert grouped[g.obs_id("b")] == 1 << g.state_id("B")
 
         rng = random.Random(12)
         for _ in range(40):
@@ -150,25 +143,6 @@ class TestBeliefs:
                     }
                     got = belief_successors(g, mask_of(support), a)
                     assert got == [(o2, mask_of(ts)) for o2, ts in expected.items()]
-                    b = Belief(frozenset(support), o)
-                    assert successor_beliefs(g, b, a) == expected
-                    for o2 in range(g.n_observations):
-                        nxt = belief_update(g, b, a, o2)
-                        assert nxt == (Belief(expected[o2], o2) if o2 in expected else None)
-
-    def test_unavailable_action_raises(self):
-        g, _ = ring_pomdp()
-        restricted = Pomdp(
-            g.states,
-            g.actions,
-            g.observations,
-            g.obs_of,
-            g.rows,
-            g.initial,
-            availability={0: (0,), 1: (0, 1)},
-        )
-        with pytest.raises(ModelError):
-            belief_update(restricted, initial_belief(restricted), 1, 1)
 
 
 class TestBeliefObservationCheck:
@@ -185,6 +159,26 @@ class TestBeliefObservationCheck:
         assert witness is not None
         assert witness[0] == "start" and witness[-1] == "u"
         assert len(witness) == 3
+
+    def test_masks_agree_with_the_frozenset_reference(self):
+        """Verdict and witness of the mask search equal those of the
+        search over (support, observation) pairs of frozensets."""
+        rng = random.Random(61)
+        verdicts = Counter()
+        for _ in range(300):
+            g = random_pomdp(rng)
+            got = is_belief_observation(g)
+            assert got == reference_is_belief_observation(g)
+            verdicts[got[0]] += 1
+        assert set(verdicts) == {True, False}
+        builds = (ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp)
+        models = [build()[0] for build in builds + (ring_pomdp_with_orphan,)]
+        for build in builds:
+            bg = reduce_pomdp(*build())
+            safety = almost_safe(bg, [s for s in range(bg.n_states) if s != bg.sink])
+            models += [bg, restrict_safe(bg, safety.y_star, safety.allow_map)]
+        for g in models:
+            assert is_belief_observation(g) == reference_is_belief_observation(g)
 
 
 class TestRewardFn:

@@ -19,7 +19,7 @@ from asmp.bits import bits, mask_of
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp
 from asmp.reduction import INIT, SINK, enabled_action
 
-from helpers import enabled_memory_action, random_belief_obs_pomdp
+from helpers import enabled_memory_action, random_belief_obs_pomdp, reduced_pomdp
 
 
 def rows_of(bg):
@@ -172,10 +172,11 @@ class TestReductionStructure:
     def test_rewards_follow_the_payload_kind(self):
         g, rewards = ring_pomdp()
         bg = reduce_pomdp(g, rewards)
+        _, rp = reduced_pomdp(bg, rewards)
         seen_kinds = set()
         for s, payload in enumerate(bg.state_payloads):
             for a in bg.avail(bg.obs(s)):
-                r = bg.reward(s, a)
+                r = rp.get(s, a)
                 if payload == SINK:
                     assert r == 0
                 elif payload == INIT or payload[0] == "mem":
@@ -189,10 +190,10 @@ class TestReductionStructure:
         for build in (unavoidable_zero_pomdp, trap_ring_pomdp):
             g, rewards = build()
             bg = reduce_pomdp(g, rewards)
-            gp, rp = bg.to_pomdp(name="reduced")
+            gp, rp = reduced_pomdp(bg, rewards, name="reduced")
             assert validate(gp) == []
             assert rp.check(gp) == []
-            ok, witness = is_belief_observation(gp)
+            ok, witness = is_belief_observation(bg)
             assert ok, witness
 
     def test_random_reductions_are_belief_observation(self):
@@ -204,8 +205,7 @@ class TestReductionStructure:
                 bg = reduce_pomdp(g, rewards, max_states=40_000)
             except CapacityError:
                 continue
-            gp, _ = bg.to_pomdp()
-            ok, witness = is_belief_observation(gp)
+            ok, witness = is_belief_observation(bg)
             assert ok, witness
             done += 1
         assert done >= 8
@@ -324,13 +324,12 @@ class TestReducedRewardAdapter:
     def test_adapter_reads_through(self):
         g, rewards = unavoidable_zero_pomdp()
         bg = reduce_pomdp(g, rewards)
-        gp, rp = bg.to_pomdp()
+        gp, _ = reduced_pomdp(bg, rewards)
         assert (gp.n_states, gp.n_observations) == (bg.n_states, bg.n_observations)
         assert list(gp.available_pairs()) == list(bg.available_pairs())
         for s, a in bg.available_pairs():
             assert gp.obs(s) == bg.obs(s)
             assert gp.support(s, a) == bg.support(s, a)
-            assert rp.get(s, a) == bg.reward(s, a)
 
     def test_memory_counts_stay_within_the_quotient_bound(self):
         g, rewards = unavoidable_zero_pomdp()

@@ -18,12 +18,11 @@ from asmp import (
     ModelError,
     RewardFn,
     StrategyError,
-    almost_sure_limavg1,
     alternating_strategy,
     collapse,
     constant_strategy,
     decide_limavg1,
-    finite_memory_to_memoryless,
+    limavg1_diagnosis,
     memoryless_to_finite_memory,
     product_chain,
     reduce_pomdp,
@@ -32,6 +31,8 @@ from asmp import (
 )
 from asmp.collapse import CollapsedMemory
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp
+
+from helpers import finite_memory_to_memoryless, reduced_pomdp
 
 
 class TestVerdicts:
@@ -93,7 +94,7 @@ class TestVerdicts:
         report = decide_limavg1(g, r)
         ok, diag = validate_strategy(g, r, report.witness)
         assert ok and diag is None
-        assert almost_sure_limavg1(product_chain(g, r, report.witness))
+        assert limavg1_diagnosis(product_chain(g, r, report.witness)) is None
         # Start memory is synthetic; every later memory is a collapsed one.
         assert report.witness.memories[0] == "init"
         assert all(
@@ -203,14 +204,16 @@ class TestStrategyBridges:
         bg = reduce_pomdp(g, r)
         collapsed = collapse(g, r, alternating_strategy(g, 0, 1))
         ml = finite_memory_to_memoryless(bg, collapsed)
-        assert almost_sure_limavg1(product_chain(*bg.to_pomdp(), ml))
+        mc = product_chain(*reduced_pomdp(bg, r), ml)
+        assert limavg1_diagnosis(mc) is None
 
     def test_collapsed_loser_projects_to_a_losing_reduction_strategy(self):
         g, r = ring_pomdp()
         bg = reduce_pomdp(g, r)
         collapsed = collapse(g, r, constant_strategy(g, 0))
         ml = finite_memory_to_memoryless(bg, collapsed)
-        assert not almost_sure_limavg1(product_chain(*bg.to_pomdp(), ml))
+        mc = product_chain(*reduced_pomdp(bg, r), ml)
+        assert limavg1_diagnosis(mc) is not None
 
     def test_projection_and_unfolding_agree_on_the_verdict(self):
         g, r = ring_pomdp()
