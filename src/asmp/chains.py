@@ -160,13 +160,12 @@ class MarkovChain:
     and every node is reachable from the start. ``product_chain`` records
     supports only: ``successors(i)`` is the sorted tuple of node i's
     successors, and ``below_one[i]`` the smallest action node i plays for
-    reward below 1, or None when it pays 1 on every play (``below_one`` is
-    None when the chain was built without rewards). The qualitative
+    reward below 1, or None when it pays 1 on every play. The qualitative
     questions read only these and the recurrent classes.
 
     The exact weights are derived on first read: ``rows[i]`` is node i's
     successor distribution, ``plays[i]`` maps each action played at node i
-    to its play probability and reward (None without rewards), and
+    to its play probability and reward, and
     ``edge_actions`` records which actions contribute to each edge, for
     rendering.
     """
@@ -174,12 +173,12 @@ class MarkovChain:
     def __init__(
         self,
         g: Pomdp,
-        rewards: RewardFn | None,
+        rewards: RewardFn,
         sigma: FiniteMemoryStrategy | _ObservationMemory,
         labels: list[tuple[int, int]],
         index: dict[tuple[int, int], int],
         succ: list[tuple[int, ...]],
-        below_one: list[int | None] | None,
+        below_one: list[int | None],
     ):
         self._g = g
         self._rewards = rewards
@@ -233,7 +232,7 @@ class MarkovChain:
         return self._weights[0]
 
     @property
-    def plays(self) -> list[dict[int, tuple[Fraction, Fraction]]] | None:
+    def plays(self) -> list[dict[int, tuple[Fraction, Fraction]]]:
         return self._weights[1]
 
     @property
@@ -251,8 +250,7 @@ class MarkovChain:
             weights: dict[int, Fraction] = {}
             played: dict[int, tuple[Fraction, Fraction]] = {}
             for a, pa in sigma.action_distr(m).items():
-                if rewards is not None:
-                    played[a] = (pa, rewards.get(s, a))
+                played[a] = (pa, rewards.get(s, a))
                 for t, pt in g.row(s, a).items():
                     for m2, pm in sigma.update_row(m, g.obs(t), a).items():
                         j = index[(t, m2)]
@@ -263,14 +261,14 @@ class MarkovChain:
             plays.append(played)
         return (
             rows,
-            plays if rewards is not None else None,
+            plays,
             {e: frozenset(acts) for e, acts in sorted(edge_actions.items())},
         )
 
 
 def product_chain(
     g: Pomdp,
-    rewards: RewardFn | None,
+    rewards: RewardFn,
     sigma: FiniteMemoryStrategy | MemorylessStrategy,
 ) -> MarkovChain:
     """Build the reachable chain of ``sigma`` played on ``g``, over supports.
@@ -300,7 +298,7 @@ def product_chain(
                     f" {g.state_name(s)!r}, unavailable at"
                     f" observation {g.obs_name(o)!r}"
                 )
-            if rewards is not None and rewards.get(s, a) != 1 and low is None:
+            if rewards.get(s, a) != 1 and low is None:
                 low = a
             for t in g.support(s, a):
                 for m2 in sigma.update_row(m, g.obs(t), a).support():
@@ -312,8 +310,6 @@ def product_chain(
                     nxt.add(j)
         succ.append(tuple(sorted(nxt)))
         below_one.append(low)
-    if rewards is None:
-        below_one = None
     return MarkovChain(g, rewards, sigma, labels, index, succ, below_one)
 
 
@@ -401,8 +397,6 @@ def limavg1_diagnosis(mc: MarkovChain) -> tuple[list[int], tuple[int, int]] | No
     played pair of every recurrent class is exactly almost-sure mean-payoff
     1, so None certifies the property.
     """
-    if mc.below_one is None:
-        raise ModelError("chain was built without rewards")
     for cls in recurrent_classes(mc):
         for i in cls:
             if mc.below_one[i] is not None:
@@ -434,8 +428,6 @@ def bscc_mean_payoff(mc: MarkovChain, cls: Sequence[int]) -> Fraction:
     class: the mean is kept on the chain for later reads. ``cls`` must be a
     recurrent class of the chain.
     """
-    if mc.below_one is None:
-        raise ModelError("chain was built without rewards")
     members = sorted(cls)
     try:
         c = recurrent_classes(mc).index(members)

@@ -49,20 +49,6 @@ class CollapsedMemory:
     belief: int
     fp: MemoryFingerprint
 
-    def canonical(self) -> "CollapsedMemory":
-        """Zero the win/rec bits outside the belief.
-
-        Every predicate downstream reads the maps only at belief states, so
-        canonical memories carry the same information with far fewer distinct
-        values.
-        """
-        return CollapsedMemory(
-            self.belief,
-            MemoryFingerprint(
-                self.fp.win & self.belief, self.fp.rec & self.belief, self.fp.acts
-            ),
-        )
-
     def pretty(self, g: Pomdp) -> str:
         def names(mask: int) -> str:
             return ",".join(g.state_name(s) for s in bits(mask)) or "-"

@@ -14,12 +14,21 @@ canonicalization quotients the construction by a bisimulation that respects
 observations, availability, and rewards. It is what makes the construction
 feasible: free map bits outside the belief would square the fan-out twice.
 
-The construction looks everything up by integer keys: a memory action by
-its (belief, win, rec, acts) masks and then by its id, states and
-observations by tuples of bit masks, base ids and memory-action ids.
-Payload tuples and CollapsedMemory objects are built once, when their state,
-observation or memory action is first met; the breadth-first walk fixes that
-order and with it every id.
+Each state and observation is named by its payload, a kind tag followed by
+integers, which is also its lookup key. Memories appear by memory-action id:
+
+* action-selection state ``("act", s, aid)``, observation ``("act", aid)``;
+* memory-selection state ``("mem", t, ymask2, a, aid)``, observation
+  ``("mem", ymask2, a, aid)``: the hidden state t, the belief ``ymask2``
+  reached after base action ``a``, and the memory ``aid`` that played it;
+* the initial state and the losing sink, ``INIT`` and ``SINK``, which are
+  also their own observations.
+
+An observation's payload is its states' payload without the hidden state.
+The CollapsedMemory objects live only in ``memory_actions``, interned by
+their (belief, win, rec, acts) masks; ``BeliefObsPomdp.memory(aid)`` reads
+them back. The breadth-first walk fixes the order in which payloads are
+first met, and with it every id.
 
 The successors are one table per state, filled as the walk expands the
 state: ``supports[s][i]`` is the support of state s under the i-th action
@@ -30,7 +39,6 @@ finds a's position by bisection; the fixpoints read the table directly.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from typing import Iterator
 
 from .bits import bits, mask_of, submasks, supermasks_within
@@ -77,6 +85,10 @@ class BeliefObsPomdp:
     the initial state, state 1 the losing sink. Base actions keep their ids
     from the source POMDP, then comes the abort action, then the interned
     memory actions.
+
+    ``state_payloads`` and ``obs_payloads`` hold the integer payloads of the
+    module docstring, which name memories by memory-action id;
+    ``memory(aid)`` is the CollapsedMemory behind such an id.
     """
 
     def __init__(
@@ -139,6 +151,10 @@ class BeliefObsPomdp:
             f" and action {self.action_name(a)!r}"
         )
 
+    def memory(self, aid: int) -> CollapsedMemory:
+        """The collapsed memory behind memory action ``aid``."""
+        return self.memory_actions[aid - self.base.n_actions - 1]
+
     def state_name(self, s: int) -> str:
         p = self.state_payloads[s]
         if p == INIT:
@@ -146,12 +162,13 @@ class BeliefObsPomdp:
         if p == SINK:
             return "sink"
         if p[0] == "act":
-            return f"{self.base.state_name(p[1])}·{p[2].pretty(self.base)}"
-        _, s2, ymask, a, cm = p
+            cm = self.memory(p[2])
+            return f"{self.base.state_name(p[1])}·{cm.pretty(self.base)}"
+        _, s2, ymask, a, aid = p
         names = ",".join(self.base.state_name(t) for t in bits(ymask))
         return (
             f"{self.base.state_name(s2)}·upd[{names}|{self.base.action_name(a)}"
-            f"|{cm.pretty(self.base)}]"
+            f"|{self.memory(aid).pretty(self.base)}]"
         )
 
     def action_name(self, a: int) -> str:
@@ -168,10 +185,13 @@ class BeliefObsPomdp:
         if p == SINK:
             return "sink"
         if p[0] == "act":
-            return f"act{p[1].pretty(self.base)}"
-        _, ymask, a, cm = p
+            return f"act{self.memory(p[1]).pretty(self.base)}"
+        _, ymask, a, aid = p
         names = ",".join(self.base.state_name(t) for t in bits(ymask))
-        return f"upd[{names}|{self.base.action_name(a)}|{cm.pretty(self.base)}]"
+        return (
+            f"upd[{names}|{self.base.action_name(a)}"
+            f"|{self.memory(aid).pretty(self.base)}]"
+        )
 
     def wcs_state_ids(self) -> list[int]:
         """Action-selection states whose own win and recurrence bits are set:
@@ -180,7 +200,8 @@ class BeliefObsPomdp:
         for s, p in enumerate(self.state_payloads):
             if p[0] == "act":
                 bit = 1 << p[1]
-                if p[2].fp.win & bit and p[2].fp.rec & bit:
+                fp = self.memory(p[2]).fp
+                if fp.win & bit and fp.rec & bit:
                     out.append(s)
         return out
 
@@ -208,11 +229,8 @@ def reduce_pomdp(
     Enumeration order is fixed (lexicographic on bit patterns), so state
     numbering is reproducible.
 
-    Lookups use integer keys only: a memory action by its four masks, an
-    action-selection state by (s, memory-action id), a memory-selection
-    state by (t, ymask2, a, memory-action id), and their observations by
-    the same keys without the hidden state. Payload tuples, which carry the
-    CollapsedMemory, are built once, when their state or observation is new.
+    Lookups use integer keys only: a memory action by its four masks, and
+    a state or observation by its payload.
     """
     n_base = g.n_actions
     abort = n_base
@@ -236,12 +254,10 @@ def reduce_pomdp(
     availability: dict[int, tuple[int, ...]] = {}
     memory_actions: list[CollapsedMemory] = []
     mid_by_masks: dict[tuple[int, int, int, int], int] = {}
-    # Every row into an action-selection state is the same singleton, so
-    # the state is kept as that tuple.
-    act_states: dict[tuple[int, int], tuple[int]] = {}
-    mem_states: dict[tuple[int, int, int, int], int] = {}
-    act_obs: dict[int, int] = {}
-    mem_obs: dict[tuple[int, int, int], int] = {}
+    # Each state is kept as the singleton row into it: every row into an
+    # action-selection state is one, and they share it.
+    state_rows: dict[StatePayload, tuple[int]] = {}
+    obs_ids: dict[ObsPayload, int] = {}
 
     def stats() -> dict[str, int]:
         return {
@@ -261,43 +277,21 @@ def reduce_pomdp(
             )
         return got
 
-    # Queue entries: state id and the memory-action id of its memory.
-    queue: deque[tuple[int, int]] = deque()
-
-    def new_state(payload: StatePayload, o: int, mid: int) -> int:
+    def intern(payload: StatePayload) -> tuple[int]:
+        """Add a state its caller did not find, with its observation when
+        that is new too, and return the singleton row into it."""
+        obs_payload = (payload[0], *payload[2:])
+        o = obs_ids.get(obs_payload)
+        if o is None:
+            o = obs_ids[obs_payload] = len(obs_payloads)
+            obs_payloads.append(obs_payload)
         if len(state_payloads) >= max_states:
             raise CapacityError(
                 f"reduction exceeded the cap of {max_states} states", stats()
             )
-        sid = len(state_payloads)
+        got = state_rows[payload] = (len(state_payloads),)
         state_payloads.append(payload)
         obs_of.append(o)
-        queue.append((sid, mid))
-        return sid
-
-    def new_obs(payload: ObsPayload) -> int:
-        obs_payloads.append(payload)
-        return len(obs_payloads) - 1
-
-    # Callers look a state up first; these add one that is missing, with
-    # its observation when that is new too.
-    def new_act_state(s: int, mid: int) -> tuple[int]:
-        cm = memory_actions[mid - abort - 1]
-        o = act_obs.get(mid)
-        if o is None:
-            o = act_obs[mid] = new_obs(("act", cm))
-        got = act_states[(s, mid)] = (new_state(("act", s, cm), o, mid),)
-        return got
-
-    def new_mem_state(
-        t: int, ymask2: int, a: int, mid: int, cm: CollapsedMemory
-    ) -> int:
-        o = mem_obs.get((ymask2, a, mid))
-        if o is None:
-            o = mem_obs[(ymask2, a, mid)] = new_obs(("mem", ymask2, a, cm))
-        got = mem_states[(t, ymask2, a, mid)] = new_state(
-            ("mem", t, ymask2, a, cm), o, mid
-        )
         return got
 
     def memory_candidates(ymask2: int, a: int, cm: CollapsedMemory) -> list[int]:
@@ -340,22 +334,23 @@ def reduce_pomdp(
         if acts
     ):
         aid = intern_memory_action(y0, y0, r, acts)
-        init_row.append(new_act_state(g.initial, aid))
+        init_row.append(intern(("act", g.initial, aid)))
         init_actions.append(aid)
     # The initial memory actions are the first interned, so their ids
     # ascend and all exceed abort's.
     availability[0] = (abort, *init_actions)
     init_row.insert(0, SINK_ROW)
 
-    while queue:
-        sid, mid = queue.popleft()
-        # States are queued in id order, so this row list lands at sid.
+    # States are expanded in id order: the next one to expand is the first
+    # without a row list, and its row list lands at its id.
+    while len(supports) < len(state_payloads):
+        payload = state_payloads[len(supports)]
+        o = obs_of[len(supports)]
         row: list[tuple[int, ...]] = []
         supports.append(row)
-        payload = state_payloads[sid]
-        o = obs_of[sid]
         if payload[0] == "act":
-            _, s, cm = payload
+            _, s, aid = payload
+            cm = memory_actions[aid - abort - 1]
             if o not in availability:
                 availability[o] = tuple(range(n_base))
             for a in range(n_base):
@@ -363,25 +358,27 @@ def reduce_pomdp(
                     row.append(SINK_ROW)
                     continue
                 grouped = posts(cm.belief, a)
-                targets = []
+                targets = set()
                 for t in g.support(s, a):
-                    ymask2 = grouped[g.obs(t)]
-                    got = mem_states.get((t, ymask2, a, mid))
+                    key = ("mem", t, grouped[g.obs(t)], a, aid)
+                    got = state_rows.get(key)
                     if got is None:
-                        got = new_mem_state(t, ymask2, a, mid, cm)
-                    targets.append(got)
-                row.append(tuple(sorted(set(targets))))
+                        got = intern(key)
+                    targets.add(got[0])
+                row.append(tuple(sorted(targets)))
         else:
-            _, s2, ymask2, a, cm = payload
+            _, s2, ymask2, a, aid = payload
             if o not in availability:
+                cm = memory_actions[aid - abort - 1]
                 acts = [abort] + memory_candidates(ymask2, a, cm)
                 availability[o] = tuple(sorted(acts))
             # abort sorts first: memory-action ids exceed it.
             row.append(SINK_ROW)
-            for aid in availability[o][1:]:
-                got = act_states.get((s2, aid))
+            for aid2 in availability[o][1:]:
+                key = ("act", s2, aid2)
+                got = state_rows.get(key)
                 if got is None:
-                    got = new_act_state(s2, aid)
+                    got = intern(key)
                 row.append(got)
 
     all_actions = tuple(range(n_base + 1 + len(memory_actions)))

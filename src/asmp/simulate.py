@@ -24,6 +24,11 @@ class SimConfig:
     seed: int = 0
     burn_in: int | None = None  # None: a tenth of the steps
 
+    def __post_init__(self):
+        for name, value in (("steps", self.steps), ("runs", self.runs)):
+            if value < 1:
+                raise ModelError(f"{name} must be at least 1, not {value}")
+
     def resolved_burn_in(self) -> int:
         b = self.steps // 10 if self.burn_in is None else self.burn_in
         if not 0 <= b < self.steps:

@@ -15,8 +15,8 @@ output; timing lives in the stats dict for callers that want it.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .chains import (
     FiniteMemoryStrategy,
@@ -24,7 +24,6 @@ from .chains import (
     limavg1_diagnosis,
     product_chain,
 )
-from .collapse import CollapsedMemory
 from .fixpoint import almost_reach, almost_safe, restrict_safe
 from .model import (
     Distr,
@@ -35,7 +34,7 @@ from .model import (
     belief_successors,
     validate,
 )
-from .reduction import BeliefObsPomdp, reduce_pomdp
+from .reduction import INIT, BeliefObsPomdp, reduce_pomdp
 
 INIT_MEMORY = "init"
 
@@ -152,79 +151,86 @@ def memoryless_to_finite_memory(
     through, plus a fresh start memory that folds the initial memory choice
     into the first update: the joint law of (memory, first action) is
     preserved by conditioning the memory on the action actually played.
+    Memories are tracked by memory-action id and labelled with their
+    CollapsedMemory. Raises StrategyError when the strategy leaves the
+    reduction: a base action into the losing sink, or no memory action
+    where the next memory is chosen.
     """
     g = bg.base
-    n_base = g.n_actions
+    abort = bg.abort_action
     obs_id = {p: i for i, p in enumerate(bg.obs_payloads)}
 
-    def act_choice(cm: CollapsedMemory) -> Distr:
-        return sigma.action_distr(obs_id[("act", cm)])
+    def act_choice(aid: int) -> Distr:
+        return sigma.action_distr(obs_id[("act", aid)])
 
-    init_distr = sigma.action_distr(obs_id[("init",)])
-    first: dict[CollapsedMemory, "Fraction"] = {}
-    for aid, p in init_distr.items():
-        if aid == bg.abort_action or aid < n_base:
-            raise StrategyError(
-                "reduction strategy must open with a memory action"
-            )
-        first[bg.memory_actions[aid - n_base - 1]] = p
+    first = sigma.action_distr(obs_id[INIT]).items()
+    if any(aid <= abort for aid, _ in first):
+        raise StrategyError("reduction strategy must open with a memory action")
 
     memories: list[object] = [INIT_MEMORY]
-    index: dict[CollapsedMemory, int] = {}
+    # Memory m > 0 stands for memory action aids[m - 1].
+    aids: list[int] = []
+    index: dict[int, int] = {}
     next_action: list[Distr | None] = [None]
     update: dict[tuple[int, int, int], Distr] = {}
-    queue: deque[CollapsedMemory] = deque()
 
-    def intern(cm: CollapsedMemory) -> int:
-        got = index.get(cm)
+    def intern(aid: int) -> int:
+        got = index.get(aid)
         if got is None:
-            got = len(memories)
-            index[cm] = got
-            memories.append(cm)
-            next_action.append(act_choice(cm))
-            queue.append(cm)
+            got = index[aid] = len(memories)
+            memories.append(bg.memory(aid))
+            aids.append(aid)
+            next_action.append(act_choice(aid))
         return got
 
-    def mem_choice(cm: CollapsedMemory, ymask2: int, a: int) -> Distr:
-        row = sigma.action_distr(obs_id[("mem", ymask2, a, cm)])
-        moved: dict[int, "Fraction"] = {}
-        for aid, p in row.items():
-            cm2 = bg.memory_actions[aid - n_base - 1]
-            m2 = intern(cm2)
-            moved[m2] = moved.get(m2, 0) + p
-        return Distr(moved)
+    def mem_choice(aid: int, ymask2: int, a: int) -> Distr:
+        o = obs_id.get(("mem", ymask2, a, aid))
+        if o is None:
+            raise StrategyError(
+                f"reduction strategy plays {bg.action_name(a)!r} at observation"
+                f" {bg.obs_name(obs_id[('act', aid)])!r} into the losing sink"
+            )
+        row = sigma.action_distr(o).items()
+        if any(aid2 <= abort for aid2, _ in row):
+            raise StrategyError(
+                f"reduction strategy chooses no memory action at observation"
+                f" {bg.obs_name(o)!r}"
+            )
+        # Memory actions and their memories correspond one to one, so no
+        # two weights of the row fall on the same memory.
+        return Distr({intern(aid2): p for aid2, p in row})
 
     # Start memory: mix the first action over the initial memory choices,
     # then update by the posterior of that choice given the action.
-    mixed: dict[int, "Fraction"] = {}
-    for cm, p0 in first.items():
-        for a, pa in act_choice(cm).items():
+    mixed: dict[int, Fraction] = {}
+    for aid, p0 in first:
+        for a, pa in act_choice(aid).items():
             mixed[a] = mixed.get(a, 0) + p0 * pa
     next_action[0] = Distr(mixed)
     for a in next_action[0].support():
         posterior = {
-            cm: p0 * act_choice(cm)[a]
-            for cm, p0 in first.items()
-            if act_choice(cm)[a] > 0
+            aid: p0 * act_choice(aid)[a]
+            for aid, p0 in first
+            if act_choice(aid)[a] > 0
         }
         total = sum(posterior.values())
         for o2, ymask2 in belief_successors(g, 1 << g.initial, a):
-            blended: dict[int, "Fraction"] = {}
-            for cm, w in posterior.items():
-                for m2, p in mem_choice(cm, ymask2, a).items():
+            blended: dict[int, Fraction] = {}
+            for aid, w in posterior.items():
+                for m2, p in mem_choice(aid, ymask2, a).items():
                     blended[m2] = blended.get(m2, 0) + (w / total) * p
             update[(0, o2, a)] = Distr(blended)
 
-    while queue:
-        cm = queue.popleft()
-        m = index[cm]
+    # aids grows during the walk, so memories are expanded in the order
+    # they were first met.
+    for m, aid in enumerate(aids, 1):
         for a in next_action[m].support():
-            for o2, ymask2 in belief_successors(g, cm.belief, a):
-                update[(m, o2, a)] = mem_choice(cm, ymask2, a)
+            for o2, ymask2 in belief_successors(g, memories[m].belief, a):
+                update[(m, o2, a)] = mem_choice(aid, ymask2, a)
 
     return FiniteMemoryStrategy(
         memories=memories,
-        next_action=list(next_action),
+        next_action=next_action,
         update=update,
         initial=0,
     )
@@ -292,12 +298,9 @@ def decide_limavg1(
         report.stats["wall_s"] = time.perf_counter() - t0
         return report
 
-    choice = {}
-    for o in range(restricted.n_observations):
-        if o in reach.z_star:
-            choice[o] = Distr.uniform(reach.allow_map[o])
-        else:
-            choice[o] = Distr.uniform(restricted.avail(o))
+    # Certification has checked that this play never leaves Z*, so the
+    # unfolding reads no observation outside it.
+    choice = {o: Distr.uniform(acts) for o, acts in reach.allow_map.items()}
     witness = memoryless_to_finite_memory(restricted, MemorylessStrategy(choice))
     lap("unfold_s")
     ok, diag = validate_strategy(g, rewards, witness)

@@ -6,8 +6,9 @@ the library on purpose, so a shared bug would have to be invented twice.
 The references are code the library replaced or never needed at run time:
 the pair-keyed fixpoints and the product-chain certification, the
 frozenset belief check, the projection of a collapsed strategy onto the
-reduction (the completeness direction of the construction), and the dump
-of a reduced model as a plain POMDP with rewards.
+reduction (the completeness direction of the construction) with the
+canonical form of a collapsed memory, and the dump of a reduced model as a
+plain POMDP with rewards.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from asmp import (
     Distr,
     FiniteMemoryStrategy,
     MarkovChain,
+    MemoryFingerprint,
     MemorylessStrategy,
     ModelError,
     Pfa,
@@ -316,6 +318,13 @@ def reference_almost_reach(g, target_states) -> ReachResult:
     return ReachResult(z, allow_map, z_iterates, x_rounds)
 
 
+class PaysOne:
+    """Reward stub for chains whose rewards nothing reads."""
+
+    def get(self, s: int, a: int) -> int:
+        return 1
+
+
 def reference_certify_reach(g, targets, allow_map) -> MemorylessStrategy:
     """Certify the uniform play over ``allow_map`` on the product chain of
     the absorbing view, and return it. Raises StrategyError when the play
@@ -325,7 +334,7 @@ def reference_certify_reach(g, targets, allow_map) -> MemorylessStrategy:
     witness = MemorylessStrategy(
         {o: Distr.uniform(acts) for o, acts in allow_map.items()}
     )
-    mc = product_chain(AbsorbingView(g, targets), None, witness)
+    mc = product_chain(AbsorbingView(g, targets), PaysOne(), witness)
     for cls in recurrent_classes(mc):
         if not any(mc.labels[i][0] in targets for i in cls):
             raise ModelError(
@@ -415,6 +424,19 @@ def reduced_pomdp(
     return g, RewardFn({(s, a): reward(s, a) for s, a in pairs})
 
 
+def canonical(cm: CollapsedMemory) -> CollapsedMemory:
+    """Zero the win/rec bits outside the belief.
+
+    Every predicate downstream reads the maps only at belief states, so
+    canonical memories carry the same information with far fewer distinct
+    values; the reduction builds only canonical ones.
+    """
+    return CollapsedMemory(
+        cm.belief,
+        MemoryFingerprint(cm.fp.win & cm.belief, cm.fp.rec & cm.belief, cm.fp.acts),
+    )
+
+
 def finite_memory_to_memoryless(
     bg: BeliefObsPomdp, collapsed: FiniteMemoryStrategy
 ) -> MemorylessStrategy:
@@ -443,7 +465,7 @@ def finite_memory_to_memoryless(
             if mm == m:
                 moved = {}
                 for m2, p in row.items():
-                    c2 = collapsed.memories[m2].canonical()
+                    c2 = canonical(collapsed.memories[m2])
                     moved[c2] = moved.get(c2, 0) + p
                 out[(o, a)] = tuple(sorted(moved.items()))
         return out
@@ -451,7 +473,7 @@ def finite_memory_to_memoryless(
     behavior: dict[CollapsedMemory, tuple] = {}
     rep: dict[CollapsedMemory, int] = {}
     for m, label in enumerate(collapsed.memories):
-        c = label.canonical()
+        c = canonical(label)
         found = (collapsed.next_action[m], tuple(sorted(norm_updates(m).items())))
         if c in behavior:
             if behavior[c] != found:
@@ -466,7 +488,7 @@ def finite_memory_to_memoryless(
     abort = bg.abort_action
     choice: dict[int, Distr] = {}
 
-    c0 = collapsed.memories[collapsed.initial].canonical()
+    c0 = canonical(collapsed.memories[collapsed.initial])
     aid0 = memory_action_id.get(c0)
     init_obs = obs_id[INIT]
     if aid0 is not None and aid0 in bg.avail(init_obs):
@@ -480,7 +502,7 @@ def finite_memory_to_memoryless(
             return Distr.dirac(abort)
         moved: dict[int, Fraction] = {}
         for m2, p in row.items():
-            c2 = collapsed.memories[m2].canonical()
+            c2 = canonical(collapsed.memories[m2])
             aid = memory_action_id.get(c2)
             if aid is None or aid not in bg.avail(o_red):
                 aid = abort
@@ -489,11 +511,12 @@ def finite_memory_to_memoryless(
 
     for o_red, payload in enumerate(bg.obs_payloads):
         if payload[0] == "act":
-            c = payload[1]
+            c = bg.memory(payload[1])
             if c in behavior:
                 choice[o_red] = collapsed.next_action[rep[c]]
         elif payload[0] == "mem":
-            _, ymask2, a, c = payload
+            _, ymask2, a, aid = payload
+            c = bg.memory(aid)
             if c in rep:
                 choice[o_red] = mapped_row(c, o_red, (belief_obs(g, ymask2), a))
         elif payload == SINK:

@@ -33,21 +33,17 @@ def class_names(mc, cls):
 
 
 def stationary_mean_float(mc, cls):
-    """Mean payoff of one recurrent class by numpy power iteration."""
-    np = pytest.importorskip("numpy")
-    idx = {n: i for i, n in enumerate(cls)}
-    P = np.zeros((len(cls), len(cls)))
-    gains = np.zeros(len(cls))
-    for n in cls:
-        for t, p in mc.rows[n].items():
-            P[idx[n], idx[t]] = float(p)
-        gains[idx[n]] = float(
-            sum(pa * r for pa, r in mc.plays[n].values())
-        )
-    pi = np.full(len(cls), 1.0 / len(cls))
+    """Mean payoff of one recurrent class by sparse power iteration."""
+    rows = {n: [(t, float(p)) for t, p in mc.rows[n].items()] for n in cls}
+    gains = {n: float(sum(pa * r for pa, r in mc.plays[n].values())) for n in cls}
+    pi = dict.fromkeys(cls, 1.0 / len(cls))
     for _ in range(20_000):
-        pi = pi @ P
-    return float(pi @ gains)
+        nxt = dict.fromkeys(cls, 0.0)
+        for n, w in pi.items():
+            for t, p in rows[n]:
+                nxt[t] += w * p
+        pi = nxt
+    return sum(pi[n] * gains[n] for n in cls)
 
 
 class TestProductChain:

@@ -247,6 +247,16 @@ class TestSimulate:
         assert "seed=5" in other[1]
         assert other[1].split(" stderr")[0] != base[1].split(" stderr")[0]
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--runs", "0"), ("--runs", "-2"), ("--steps", "0")]
+    )
+    def test_empty_runs_are_invalid_input(self, files, capsys, flag, value):
+        argv = ["simulate", files["ring.txt"], "--strategy", files["sigma4.txt"]]
+        code, out, err = run(capsys, argv + [flag, value])
+        assert code == 2
+        assert out == ""
+        assert f"{flag[2:]} must be at least 1, not {value}" in err
+
 
 class TestCollapse:
     def test_winning_alternation(self, files, capsys):

@@ -20,7 +20,7 @@ from asmp import (
 from asmp.bits import bits, mask_of
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp
 
-from helpers import bsccs, oracle_node_wins, random_belief_obs_pomdp
+from helpers import bsccs, canonical, oracle_node_wins, random_belief_obs_pomdp
 
 
 def oracle_fingerprints(g, rewards, sigma):
@@ -174,8 +174,8 @@ class TestCollapse:
 class TestCanonical:
     def test_canonical_is_idempotent_and_belief_bounded(self):
         cm = CollapsedMemory(0b0110, MemoryFingerprint(0b1111, 0b1010, 0b01))
-        canon = cm.canonical()
-        assert canon.canonical() == canon
+        canon = canonical(cm)
+        assert canonical(canon) == canon
         assert canon.belief == cm.belief
         assert canon.fp.acts == cm.fp.acts
         assert canon.fp.win & ~canon.belief == 0

@@ -98,7 +98,8 @@ class TestPredicates:
         for o, payload in enumerate(bg.obs_payloads):
             if payload[0] != "mem":
                 continue
-            _, belief2, a, cm = payload
+            _, belief2, a, aid = payload
+            cm = bg.memory(aid)
             within = [m for m in range(belief2 + 1) if m & ~belief2 == 0]
             acts2 = g.avail(g.obs(next(bits(belief2))))
             candidates = (
@@ -112,9 +113,7 @@ class TestPredicates:
                 cm2 for cm2 in candidates if enabled_memory_action(g, cm2, belief2, a, cm)
             }
             offered = {
-                bg.memory_actions[aid - bg.abort_action - 1]
-                for aid in bg.avail(o)
-                if aid != bg.abort_action
+                bg.memory(aid2) for aid2 in bg.avail(o) if aid2 != bg.abort_action
             }
             assert offered == expected
             checked += 1
@@ -150,7 +149,7 @@ class TestReductionStructure:
                 continue
             members = bg.obs_states(o)
             if payload[0] == "act":
-                cm = payload[1]
+                cm = bg.memory(payload[1])
                 base_states = {bg.state_payloads[s][1] for s in members}
                 assert base_states == set(bits(cm.belief))
             else:
@@ -217,8 +216,8 @@ class TestReductionStructure:
             s
             for s, p in enumerate(bg.state_payloads)
             if p[0] == "act"
-            and p[2].fp.win & (1 << p[1])
-            and p[2].fp.rec & (1 << p[1])
+            and bg.memory(p[2]).fp.win & (1 << p[1])
+            and bg.memory(p[2]).fp.rec & (1 << p[1])
         ]
         assert bg.wcs_state_ids() == expected
         assert len(expected) > 0
@@ -235,7 +234,7 @@ class TestReductionStructure:
             if p[0] != "act":
                 continue
             for a in range(g.n_actions):
-                if enabled_action(p[2], a, reward1[a]):
+                if enabled_action(bg.memory(p[2]), a, reward1[a]):
                     assert bg.sink not in bg.support(s, a)
                     checked_live += 1
                 else:

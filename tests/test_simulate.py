@@ -127,6 +127,12 @@ class TestConfigAndErrors:
             simulate(*ring_pomdp(), uniform_strategy(ring_pomdp()[0]),
                      SimConfig(steps=10, burn_in=10))
 
+    @pytest.mark.parametrize("field", ["steps", "runs"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_steps_and_runs_must_be_positive(self, field, value):
+        with pytest.raises(ModelError, match=f"{field} must be at least 1, not {value}"):
+            SimConfig(**{field: value})
+
     def test_illegal_moves_are_reported_with_state_and_action(self):
         g = restricted_pomdp()
         r = RewardFn.from_state_rewards(g, {0: 1, 1: 1})

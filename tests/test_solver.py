@@ -234,6 +234,45 @@ class TestStrategyBridges:
             with pytest.raises(StrategyError, match="open with a memory action"):
                 memoryless_to_finite_memory(bg, sigma)
 
+    @staticmethod
+    def opening(bg, live: bool):
+        """The first initial memory action, and a base action at its
+        observation whose rows stay out of the sink (``live``) or all go
+        there."""
+        for aid in bg.avail(bg.obs(bg.initial))[1:]:
+            o = bg.obs_payloads.index(("act", aid))
+            s = bg.obs_states(o)[0]
+            for a in bg.avail(o):
+                if (bg.support(s, a) != (bg.sink,)) == live:
+                    return aid, o, a
+        raise AssertionError("no such opening")
+
+    def test_unfolding_rejects_abort_at_a_memory_choice(self):
+        g, r = ring_pomdp()
+        bg = reduce_pomdp(g, r)
+        aid, o, a = self.opening(bg, live=True)
+        choice = {bg.obs(bg.initial): Distr.dirac(aid), o: Distr.dirac(a)}
+        for o2, p in enumerate(bg.obs_payloads):
+            if p[0] == "mem":
+                choice[o2] = Distr.dirac(bg.abort_action)
+        with pytest.raises(
+            StrategyError, match=r"chooses no memory action at observation .upd\["
+        ):
+            memoryless_to_finite_memory(bg, MemorylessStrategy(choice))
+
+    def test_unfolding_rejects_a_base_action_into_the_sink(self):
+        g, r = ring_pomdp()
+        bg = reduce_pomdp(g, r)
+        aid, o, a = self.opening(bg, live=False)
+        choice = {bg.obs(bg.initial): Distr.dirac(aid), o: Distr.dirac(a)}
+        expected = (
+            f"plays {bg.action_name(a)!r} at observation {bg.obs_name(o)!r}"
+            " into the losing sink"
+        )
+        with pytest.raises(StrategyError) as err:
+            memoryless_to_finite_memory(bg, MemorylessStrategy(choice))
+        assert expected in str(err.value)
+
     def test_projection_requires_collapsed_memory_labels(self):
         g, r = ring_pomdp()
         bg = reduce_pomdp(g, r)
