@@ -57,11 +57,15 @@ def _load_model(args):
 
 
 def _need_rewards(args):
+    """The model and its rewards, which must be present and in [0, 1]."""
     g, rewards = _load_model(args)
     if rewards is None:
         raise ModelError(
             "no reward section in the model file and no --rewards file given"
         )
+    problems = rewards.check(g)
+    if problems:
+        raise ModelError("; ".join(problems))
     return g, rewards
 
 
@@ -86,8 +90,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    g, rewards = _load_model(args)
     if args.strategy is None:
+        g, rewards = _load_model(args)
         problems = validate(g, require_unique_initial_obs=not args.lenient)
         if rewards is not None:
             problems += rewards.check(g)
@@ -97,10 +101,7 @@ def cmd_validate(args) -> int:
             return 1
         print("valid")
         return 0
-    if rewards is None:
-        raise ModelError(
-            "no reward section in the model file and no --rewards file given"
-        )
+    g, rewards = _need_rewards(args)
     sigma = _load_strategy(args, g)
     ok, diagnosis = validate_strategy(g, rewards, sigma)
     if ok:

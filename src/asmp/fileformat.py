@@ -50,8 +50,9 @@ def _lines(text: str):
             yield ln, toks
 
 
-def _split_sections(text: str, known: tuple[str, ...]):
-    """Group content lines under their section headers."""
+def _split_sections(text: str, known: tuple[str, ...], required: tuple[str, ...]):
+    """Group content lines under their section headers, and require each
+    section of ``required`` to be present with some content."""
     sections: dict[str, list[tuple[int, list[tuple[int, str]]]]] = {}
     current: str | None = None
     for ln, toks in _lines(text):
@@ -72,6 +73,9 @@ def _split_sections(text: str, known: tuple[str, ...]):
             if current is None:
                 raise ParseError(f"content before any section: {tok!r}", ln, col)
             sections[current].append((ln, toks))
+    for name in required:
+        if not sections.get(name):
+            raise ParseError(f"missing or empty section {name + ':'!r}", 0)
     return sections
 
 
@@ -158,6 +162,39 @@ def _arrow_line(toks, ln: int, head: int, arrow: str = "->"):
     return toks[:head], toks[head + 1 :]
 
 
+def _parse_trans(section, sid, lid, what: str) -> dict[tuple[int, int], Distr]:
+    """Rows of a ``trans:`` section, ``state <what> -> state:p ...``, keyed
+    by (state, <what>) ids; ``lid`` names the actions or letters."""
+    rows: dict[tuple[int, int], Distr] = {}
+    for ln, toks in section:
+        head, rest = _arrow_line(toks, ln, 2)
+        s = _lookup(sid, head[0][1], "state", ln, head[0][0])
+        a = _lookup(lid, head[1][1], what, ln, head[1][0])
+        if (s, a) in rows:
+            raise ParseError(
+                f"duplicate row for {head[0][1]!r} {head[1][1]!r}", ln, head[0][0]
+            )
+        rows[(s, a)] = _distr_tokens(rest, ln, sid, "state")
+    return rows
+
+
+def _trans_lines(rows: dict[tuple[int, int], Distr], states, labels) -> list[str]:
+    """The ``trans:`` section of ``rows``, with ``labels`` naming the actions
+    or letters."""
+    out = ["trans:"]
+    for s, a in sorted(rows):
+        row = " ".join(f"{states[t]}:{p}" for t, p in rows[(s, a)].items())
+        out.append(f"{states[s]} {labels[a]} -> {row}")
+    return out
+
+
+def _reward_lines(g: Pomdp, rewards: RewardFn) -> list[str]:
+    out = ["reward:"]
+    for (s, a) in sorted(rewards.table):
+        out.append(f"{g.states[s]} {g.actions[a]} = {rewards.get(s, a)}")
+    return out
+
+
 _MODEL_SECTIONS = (
     "states",
     "actions",
@@ -172,10 +209,8 @@ _MODEL_SECTIONS = (
 
 def parse_model(text: str) -> tuple[Pomdp, RewardFn | None]:
     """Parse a model file; the reward section is returned when present."""
-    sec = _split_sections(text, _MODEL_SECTIONS)
-    for required in ("states", "actions", "observations", "obs", "init", "trans"):
-        if required not in sec or not sec[required]:
-            raise ParseError(f"missing or empty section {required + ':'!r}", 0)
+    required = ("states", "actions", "observations", "obs", "init", "trans")
+    sec = _split_sections(text, _MODEL_SECTIONS, required)
     states = _names(sec["states"], "state")
     actions = _names(sec["actions"], "action")
     observations = _names(sec["observations"], "observation")
@@ -219,33 +254,21 @@ def parse_model(text: str) -> tuple[Pomdp, RewardFn | None]:
                     )
                 availability[o] = tuple(sorted(set(ids)))
 
-    rows: dict[tuple[int, int], Distr] = {}
-    for ln, toks in sec["trans"]:
-        head, rest = _arrow_line(toks, ln, 2)
-        s = _lookup(sid, head[0][1], "state", ln, head[0][0])
-        a = _lookup(aid, head[1][1], "action", ln, head[1][0])
-        if (s, a) in rows:
-            raise ParseError(
-                f"duplicate row for {head[0][1]!r} {head[1][1]!r}", ln, head[0][0]
-            )
-        rows[(s, a)] = _distr_tokens(rest, ln, sid, "state")
-
     g = Pomdp(
         states=states,
         actions=actions,
         observations=observations,
         obs_of=obs_of,
-        rows=rows,
+        rows=_parse_trans(sec["trans"], sid, aid, "action"),
         initial=initial,
         availability=availability,
     )
-    rewards = _parse_reward_section(sec.get("reward", []), sid, aid)
-    return g, rewards
+    if not sec.get("reward"):
+        return g, None
+    return g, _parse_reward_section(sec["reward"], sid, aid)
 
 
-def _parse_reward_section(section, sid, aid) -> RewardFn | None:
-    if not section:
-        return None
+def _parse_reward_section(section, sid, aid) -> RewardFn:
     table: dict[tuple[int, int], Fraction] = {}
     for ln, toks in section:
         head, rest = _arrow_line(toks, ln, 2, arrow="=")
@@ -263,13 +286,10 @@ def _parse_reward_section(section, sid, aid) -> RewardFn | None:
 
 def parse_rewards(text: str, g: Pomdp) -> RewardFn:
     """Parse a standalone reward file against a model's names."""
-    sec = _split_sections(text, ("reward",))
+    sec = _split_sections(text, ("reward",), ("reward",))
     sid = {n: i for i, n in enumerate(g.states)}
     aid = {n: i for i, n in enumerate(g.actions)}
-    rewards = _parse_reward_section(sec.get("reward", []), sid, aid)
-    if rewards is None:
-        raise ParseError("missing or empty section 'reward:'", 0)
-    return rewards
+    return _parse_reward_section(sec["reward"], sid, aid)
 
 
 def emit_model(g: Pomdp, rewards: RewardFn | None = None) -> str:
@@ -290,26 +310,14 @@ def emit_model(g: Pomdp, rewards: RewardFn | None = None) -> str:
         for o in range(g.n_observations):
             acts = ",".join(g.actions[a] for a in g.avail(o))
             out.append(f"{g.observations[o]}={acts}")
-    out.append("trans:")
-    for s, a in sorted(g.rows):
-        row = " ".join(
-            f"{g.states[t]}:{p}" for t, p in g.rows[(s, a)].items()
-        )
-        out.append(f"{g.states[s]} {g.actions[a]} -> {row}")
+    out += _trans_lines(g.rows, g.states, g.actions)
     if rewards is not None:
-        out.append("reward:")
-        for (s, a) in sorted(rewards.table):
-            out.append(
-                f"{g.states[s]} {g.actions[a]} = {rewards.get(s, a)}"
-            )
+        out += _reward_lines(g, rewards)
     return "\n".join(out) + "\n"
 
 
 def emit_rewards(g: Pomdp, rewards: RewardFn) -> str:
-    out = ["reward:"]
-    for (s, a) in sorted(rewards.table):
-        out.append(f"{g.states[s]} {g.actions[a]} = {rewards.get(s, a)}")
-    return "\n".join(out) + "\n"
+    return "\n".join(_reward_lines(g, rewards)) + "\n"
 
 
 _STRATEGY_SECTIONS = ("memory", "init", "next", "update")
@@ -317,10 +325,7 @@ _STRATEGY_SECTIONS = ("memory", "init", "next", "update")
 
 def parse_strategy(text: str, g: Pomdp) -> FiniteMemoryStrategy:
     """Parse a finite-memory strategy against a model's names."""
-    sec = _split_sections(text, _STRATEGY_SECTIONS)
-    for required in _STRATEGY_SECTIONS:
-        if required not in sec or not sec[required]:
-            raise ParseError(f"missing or empty section {required + ':'!r}", 0)
+    sec = _split_sections(text, _STRATEGY_SECTIONS, _STRATEGY_SECTIONS)
     memories = _names(sec["memory"], "memory")
     mid = {n: i for i, n in enumerate(memories)}
     aid = {n: i for i, n in enumerate(g.actions)}
@@ -393,10 +398,7 @@ _PFA_SECTIONS = ("states", "alphabet", "final", "init", "trans")
 
 
 def parse_pfa(text: str) -> Pfa:
-    sec = _split_sections(text, _PFA_SECTIONS)
-    for required in ("states", "alphabet", "init", "trans"):
-        if required not in sec or not sec[required]:
-            raise ParseError(f"missing or empty section {required + ':'!r}", 0)
+    sec = _split_sections(text, _PFA_SECTIONS, ("states", "alphabet", "init", "trans"))
     states = _names(sec["states"], "state")
     alphabet = _names(sec["alphabet"], "letter")
     sid = {n: i for i, n in enumerate(states)}
@@ -406,22 +408,12 @@ def parse_pfa(text: str) -> Pfa:
         for col, tok in toks:
             final.append(_lookup(sid, tok, "state", ln, col))
     initial = _single(sec["init"], "initial state", sid)
-    rows: dict[tuple[int, int], Distr] = {}
-    for ln, toks in sec["trans"]:
-        head, rest = _arrow_line(toks, ln, 2)
-        q = _lookup(sid, head[0][1], "state", ln, head[0][0])
-        x = _lookup(xid, head[1][1], "letter", ln, head[1][0])
-        if (q, x) in rows:
-            raise ParseError(
-                f"duplicate row for {head[0][1]!r} {head[1][1]!r}", ln, head[0][0]
-            )
-        rows[(q, x)] = _distr_tokens(rest, ln, sid, "state")
     p = Pfa(
         states=states,
         alphabet=alphabet,
         final=final,
         initial=initial,
-        rows=rows,
+        rows=_parse_trans(sec["trans"], sid, xid, "letter"),
     )
     problems = validate_pfa(p)
     if problems:
@@ -438,8 +430,5 @@ def emit_pfa(p: Pfa) -> str:
     out += [p.states[q] for q in sorted(p.final)]
     out.append("init:")
     out.append(p.states[p.initial])
-    out.append("trans:")
-    for q, x in sorted(p.rows):
-        row = " ".join(f"{p.states[t]}:{pr}" for t, pr in p.rows[(q, x)].items())
-        out.append(f"{p.states[q]} {p.alphabet[x]} -> {row}")
+    out += _trans_lines(p.rows, p.states, p.alphabet)
     return "\n".join(out) + "\n"

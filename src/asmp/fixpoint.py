@@ -2,9 +2,10 @@
 
 Everything here works on observation sets rather than belief supports; the
 models these run on are belief-observation POMDPs, where the two coincide.
-The fixpoints are duck-typed: plain POMDPs and reduced ones both expose the
-row table ``supports``, where ``supports[s][i]`` is the support of state s
-under the i-th action of ``avail(obs(s))``, so the same solver drives both.
+Plain POMDPs and reduced ones share the observation read side of
+``model.ObservedModel``, and both expose the row table ``supports``, where
+``supports[s][i]`` is the support of state s under the i-th action of
+``avail(obs(s))``, so the same solver drives both.
 The restriction to the safe core takes the reduced model only, and builds
 the restricted table from the allowed positions of each observation.
 

@@ -111,7 +111,68 @@ class Distr:
         return problems
 
 
-class Pomdp:
+class ObservedModel:
+    """The read side that the observation-level fixpoints, the
+    belief-observation check and the chain builders share: states grouped
+    by a deterministic observation, and the actions each observation allows.
+
+    `Pomdp` and the reduction's `BeliefObsPomdp` both derive from it. A
+    subclass sets whatever its ``state_name`` reads before calling
+    ``__init__``, which groups the states by observation.
+    """
+
+    def __init__(
+        self,
+        obs_of: list[int],
+        n_observations: int,
+        availability: Mapping[int, tuple[int, ...]],
+    ):
+        self.obs_of = obs_of
+        self.availability = availability
+        by_obs: list[list[int]] = [[] for _ in range(n_observations)]
+        for s, o in enumerate(obs_of):
+            if not 0 <= o < n_observations:
+                raise ModelError(
+                    f"state {self.state_name(s)!r} has observation id {o} out of range"
+                )
+            by_obs[o].append(s)
+        self._obs_states = [tuple(ss) for ss in by_obs]
+
+    def state_name(self, s: int) -> str:
+        raise NotImplementedError
+
+    @property
+    def n_states(self) -> int:
+        return len(self.obs_of)
+
+    @property
+    def n_observations(self) -> int:
+        return len(self._obs_states)
+
+    def obs(self, s: int) -> int:
+        return self.obs_of[s]
+
+    def obs_states(self, o: int) -> tuple[int, ...]:
+        return self._obs_states[o]
+
+    def avail(self, o: int) -> tuple[int, ...]:
+        return self.availability[o]
+
+    def available_pairs(self) -> Iterator[tuple[int, int]]:
+        """Yield every (state, action) pair the model can actually play, sorted."""
+        for s in range(self.n_states):
+            for a in self.avail(self.obs(s)):
+                yield s, a
+
+
+def _id_of(names: list[str], name: str, kind: str) -> int:
+    try:
+        return names.index(name)
+    except ValueError:
+        raise ModelError(f"unknown {kind} {name!r}") from None
+
+
+class Pomdp(ObservedModel):
     """Finite POMDP with deterministic observations and per-observation availability.
 
     ``rows[(s, a)]`` is the successor distribution for playing action ``a`` in
@@ -141,7 +202,6 @@ class Pomdp:
         self.states = list(states)
         self.actions = list(actions)
         self.observations = list(observations)
-        self.obs_of = list(obs_of)
         self.rows = dict(rows)
         self.initial = initial
         self.name = name
@@ -150,34 +210,11 @@ class Pomdp:
         if availability is not None:
             for o, acts in availability.items():
                 avail[o] = tuple(sorted(set(acts)))
-        self.availability = avail
-        by_obs: dict[int, list[int]] = {o: [] for o in range(len(observations))}
-        for s, o in enumerate(self.obs_of):
-            if not 0 <= o < len(observations):
-                raise ModelError(f"state {states[s]!r} has observation id {o} out of range")
-            by_obs[o].append(s)
-        self._obs_states = {o: tuple(ss) for o, ss in by_obs.items()}
-
-    @property
-    def n_states(self) -> int:
-        return len(self.states)
+        super().__init__(list(obs_of), len(observations), avail)
 
     @property
     def n_actions(self) -> int:
         return len(self.actions)
-
-    @property
-    def n_observations(self) -> int:
-        return len(self.observations)
-
-    def obs(self, s: int) -> int:
-        return self.obs_of[s]
-
-    def obs_states(self, o: int) -> tuple[int, ...]:
-        return self._obs_states[o]
-
-    def avail(self, o: int) -> tuple[int, ...]:
-        return self.availability[o]
 
     def row(self, s: int, a: int) -> Distr:
         try:
@@ -211,28 +248,37 @@ class Pomdp:
         return self.observations[o]
 
     def state_id(self, name: str) -> int:
-        try:
-            return self.states.index(name)
-        except ValueError:
-            raise ModelError(f"unknown state {name!r}") from None
+        return _id_of(self.states, name, "state")
 
     def action_id(self, name: str) -> int:
-        try:
-            return self.actions.index(name)
-        except ValueError:
-            raise ModelError(f"unknown action {name!r}") from None
+        return _id_of(self.actions, name, "action")
 
     def obs_id(self, name: str) -> int:
-        try:
-            return self.observations.index(name)
-        except ValueError:
-            raise ModelError(f"unknown observation {name!r}") from None
+        return _id_of(self.observations, name, "observation")
 
-    def available_pairs(self) -> Iterator[tuple[int, int]]:
-        """Yield every (state, action) pair the model can actually play, sorted."""
-        for s in range(self.n_states):
-            for a in self.avail(self.obs(s)):
-                yield s, a
+
+def _duplicate_names(*named: tuple[str, list[str]]) -> list[str]:
+    """One problem per repeated name, for each (kind, names) pair."""
+    problems = []
+    for kind, names in named:
+        seen: set[str] = set()
+        for n in names:
+            if n in seen:
+                problems.append(f"duplicate {kind} name {n!r}")
+            seen.add(n)
+    return problems
+
+
+def _row_problems(d: Distr | None, where: str, n_states: int) -> list[str]:
+    """Problems of the transition row at ``where``: missing, not a proper
+    distribution, or leading outside the ``n_states`` states."""
+    if d is None:
+        return [f"missing transition row for {where}"]
+    problems = [f"{where}: {p}" for p in d.check()]
+    for t in d.support():
+        if not 0 <= t < n_states:
+            problems.append(f"{where}: successor id {t} out of range")
+    return problems
 
 
 def validate(g: Pomdp, require_unique_initial_obs: bool = True) -> list[str]:
@@ -245,17 +291,9 @@ def validate(g: Pomdp, require_unique_initial_obs: bool = True) -> list[str]:
     automaton reductions fail only that last point, so consumers that accept
     them validate with ``require_unique_initial_obs=False``.
     """
-    problems = []
-    for kind, names in (
-        ("state", g.states),
-        ("action", g.actions),
-        ("observation", g.observations),
-    ):
-        seen: set[str] = set()
-        for n in names:
-            if n in seen:
-                problems.append(f"duplicate {kind} name {n!r}")
-            seen.add(n)
+    problems = _duplicate_names(
+        ("state", g.states), ("action", g.actions), ("observation", g.observations)
+    )
     for o in range(g.n_observations):
         acts = g.avail(o)
         if not acts:
@@ -266,15 +304,7 @@ def validate(g: Pomdp, require_unique_initial_obs: bool = True) -> list[str]:
     available = set(g.available_pairs())
     for s, a in sorted(available):
         where = f"state {g.state_name(s)!r}, action {g.action_name(a)!r}"
-        d = g.rows.get((s, a))
-        if d is None:
-            problems.append(f"missing transition row for {where}")
-            continue
-        for p in d.check():
-            problems.append(f"{where}: {p}")
-        for t in d.support():
-            if not 0 <= t < g.n_states:
-                problems.append(f"{where}: successor id {t} out of range")
+        problems += _row_problems(g.rows.get((s, a)), where, g.n_states)
     for s, a in sorted(g.rows):
         if (s, a) not in available:
             problems.append(
@@ -422,36 +452,19 @@ class Pfa:
             ) from None
 
     def letter_id(self, name: str) -> int:
-        try:
-            return self.alphabet.index(name)
-        except ValueError:
-            raise ModelError(f"unknown letter {name!r}") from None
+        return _id_of(self.alphabet, name, "letter")
 
 
 def validate_pfa(p: Pfa) -> list[str]:
     """Check automaton invariants: unique names, total rows, proper distributions."""
-    problems = []
-    for kind, names in (("state", p.states), ("letter", p.alphabet)):
-        seen: set[str] = set()
-        for n in names:
-            if n in seen:
-                problems.append(f"duplicate {kind} name {n!r}")
-            seen.add(n)
+    problems = _duplicate_names(("state", p.states), ("letter", p.alphabet))
     for q in p.final:
         if not 0 <= q < p.n_states:
             problems.append(f"final state id {q} out of range")
     for q in range(p.n_states):
         for x in range(len(p.alphabet)):
             where = f"state {p.states[q]!r}, letter {p.alphabet[x]!r}"
-            d = p.rows.get((q, x))
-            if d is None:
-                problems.append(f"missing transition row for {where}")
-                continue
-            for msg in d.check():
-                problems.append(f"{where}: {msg}")
-            for t in d.support():
-                if not 0 <= t < p.n_states:
-                    problems.append(f"{where}: successor id {t} out of range")
+            problems += _row_problems(p.rows.get((q, x)), where, p.n_states)
     for q, x in sorted(p.rows):
         if not (0 <= q < p.n_states and 0 <= x < len(p.alphabet)):
             problems.append(f"transition row at out-of-range pair ({q}, {x})")

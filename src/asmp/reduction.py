@@ -39,13 +39,13 @@ finds a's position by bisection; the fixpoints read the table directly.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterator
 
 from .bits import bits, mask_of, submasks, supermasks_within
 from .collapse import CollapsedMemory, MemoryFingerprint
 from .model import (
     CapacityError,
     ModelError,
+    ObservedModel,
     Pomdp,
     RewardFn,
     belief_obs,
@@ -73,12 +73,12 @@ def enabled_action(cm: CollapsedMemory, a: int, reward1_mask: int) -> bool:
     return critical & ~reward1_mask == 0
 
 
-class BeliefObsPomdp:
+class BeliefObsPomdp(ObservedModel):
     """Reduced POMDP over action-selection and memory-selection states.
 
-    Presents the part of Pomdp's read interface that the fixpoints, the
-    belief-observation checker and support-only chain construction read:
-    ids, names, availability, ``support`` and the row table ``supports``,
+    Shares Pomdp's observation read side, and adds the rest of what the
+    fixpoints, the belief-observation checker and support-only chain
+    construction read: names, ``support`` and the row table ``supports``,
     which holds, at ``supports[s][i]``, the support of state s under the
     i-th action of ``avail(obs(s))``. There are no ``rows``: the reduction
     is a support graph and carries no probabilities or rewards. State 0 is
@@ -104,42 +104,20 @@ class BeliefObsPomdp:
         self.base = base
         self.state_payloads = state_payloads
         self.obs_payloads = obs_payloads
-        self.obs_of = obs_of
         self.supports = supports
-        self.availability = availability
         self.memory_actions = memory_actions
         self.initial = 0
         # Safety restriction prunes the sink together with its observation.
         self.sink = 1 if len(state_payloads) > 1 and state_payloads[1] == SINK else None
-        by_obs: dict[int, list[int]] = {o: [] for o in range(len(obs_payloads))}
-        for s, o in enumerate(obs_of):
-            by_obs[o].append(s)
-        self._obs_states = {o: tuple(ss) for o, ss in by_obs.items()}
-
-    @property
-    def n_states(self) -> int:
-        return len(self.state_payloads)
+        super().__init__(obs_of, len(obs_payloads), availability)
 
     @property
     def n_actions(self) -> int:
         return self.base.n_actions + 1 + len(self.memory_actions)
 
     @property
-    def n_observations(self) -> int:
-        return len(self.obs_payloads)
-
-    @property
     def abort_action(self) -> int:
         return self.base.n_actions
-
-    def obs(self, s: int) -> int:
-        return self.obs_of[s]
-
-    def obs_states(self, o: int) -> tuple[int, ...]:
-        return self._obs_states[o]
-
-    def avail(self, o: int) -> tuple[int, ...]:
-        return self.availability[o]
 
     def support(self, s: int, a: int) -> tuple[int, ...]:
         acts = self.availability[self.obs_of[s]]
@@ -164,12 +142,7 @@ class BeliefObsPomdp:
         if p[0] == "act":
             cm = self.memory(p[2])
             return f"{self.base.state_name(p[1])}·{cm.pretty(self.base)}"
-        _, s2, ymask, a, aid = p
-        names = ",".join(self.base.state_name(t) for t in bits(ymask))
-        return (
-            f"{self.base.state_name(s2)}·upd[{names}|{self.base.action_name(a)}"
-            f"|{self.memory(aid).pretty(self.base)}]"
-        )
+        return f"{self.base.state_name(p[1])}·{self.obs_name(self.obs_of[s])}"
 
     def action_name(self, a: int) -> str:
         if a < self.base.n_actions:
@@ -205,11 +178,6 @@ class BeliefObsPomdp:
                     out.append(s)
         return out
 
-    def available_pairs(self) -> Iterator[tuple[int, int]]:
-        for s in range(self.n_states):
-            for a in self.avail(self.obs(s)):
-                yield s, a
-
     def stats(self) -> dict[str, int]:
         return {
             "states": self.n_states,
@@ -225,13 +193,16 @@ def reduce_pomdp(
     """Build the reachable fragment of the belief-observation reduction.
 
     Breadth-first from the initial state; exceeding ``max_states`` raises
-    CapacityError with the partial counters, never a truncated model.
+    CapacityError with the partial counters, never a truncated model, and a
+    cap below 1 is a ModelError.
     Enumeration order is fixed (lexicographic on bit patterns), so state
     numbering is reproducible.
 
     Lookups use integer keys only: a memory action by its four masks, and
     a state or observation by its payload.
     """
+    if max_states < 1:
+        raise ModelError(f"max_states must be at least 1, not {max_states}")
     n_base = g.n_actions
     abort = n_base
     reward1 = [0] * n_base
@@ -259,14 +230,6 @@ def reduce_pomdp(
     state_rows: dict[StatePayload, tuple[int]] = {}
     obs_ids: dict[ObsPayload, int] = {}
 
-    def stats() -> dict[str, int]:
-        return {
-            "states": len(state_payloads),
-            "observations": len(obs_payloads),
-            "rows": sum(map(len, supports)),
-            "memory_actions": len(memory_actions),
-        }
-
     def intern_memory_action(belief: int, win: int, rec: int, acts: int) -> int:
         key = (belief, win, rec, acts)
         got = mid_by_masks.get(key)
@@ -286,8 +249,17 @@ def reduce_pomdp(
             o = obs_ids[obs_payload] = len(obs_payloads)
             obs_payloads.append(obs_payload)
         if len(state_payloads) >= max_states:
+            built = BeliefObsPomdp(
+                g,
+                state_payloads,
+                obs_payloads,
+                obs_of,
+                supports,
+                availability,
+                memory_actions,
+            )
             raise CapacityError(
-                f"reduction exceeded the cap of {max_states} states", stats()
+                f"reduction exceeded the cap of {max_states} states", built.stats()
             )
         got = state_rows[payload] = (len(state_payloads),)
         state_payloads.append(payload)

@@ -150,6 +150,14 @@ class TestSolve:
         assert out == ""
         assert err.startswith("capacity: ")
 
+    @pytest.mark.parametrize("cap", ["-5", "0"])
+    def test_cap_below_one_is_invalid_input(self, files, capsys, cap):
+        argv = ["solve", files["ring.txt"], "--max-states", cap]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"input error: max_states must be at least 1, not {cap}")
+
     def test_missing_rewards_exit_two(self, files, capsys):
         code, _, err = run(capsys, ["solve", files["ring-bare.txt"]])
         assert code == 2
@@ -174,6 +182,23 @@ class TestSolve:
         )
         assert code == 2
         assert "input error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["analyze-chain", "--threshold", "1"], ["collapse"], ["simulate"]],
+    ids=lambda argv: argv[0],
+)
+def test_strategy_commands_reject_rewards_above_one(files, capsys, tmp_path, argv):
+    text = (files["dir"] / "ring.txt").read_text()
+    over = tmp_path / "over.txt"
+    over.write_text(text.replace("X a = 1\n", "X a = 3/2\n"))
+    code, out, err = run(
+        capsys, [argv[0], str(over), "--strategy", files["sigma4.txt"], *argv[1:]]
+    )
+    assert code == 2
+    assert out == ""
+    assert "input error: state 'X', action 'a': reward 3/2 outside [0, 1]\n" in err
 
 
 class TestValidate:

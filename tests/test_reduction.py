@@ -302,6 +302,12 @@ class TestReductionStructure:
                 bg.support(s, a)
             assert str(err.value) == f"no transition row for {text}"
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_is_a_model_error(self, cap):
+        with pytest.raises(ModelError) as err:
+            reduce_pomdp(*ring_pomdp(), max_states=cap)
+        assert str(err.value) == f"max_states must be at least 1, not {cap}"
+
     def test_capacity_error_reports_progress(self):
         """Message and counters frozen from the reduction that stored its
         rows in a dict, so rows are counted one at a time mid-expansion."""
