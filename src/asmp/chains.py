@@ -14,7 +14,6 @@ distributions of the recurrent classes.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -78,27 +77,6 @@ class MemorylessStrategy:
         except KeyError:
             raise StrategyError(f"no action choice for observation id {o}") from None
 
-    def as_finite_memory(self, g: Pomdp) -> FiniteMemoryStrategy:
-        """Lift to one memory per covered observation, tracking the last one seen."""
-        obs_ids = sorted(self.choice)
-        mem_of = {o: i for i, o in enumerate(obs_ids)}
-        o0 = g.obs(g.initial)
-        if o0 not in mem_of:
-            raise StrategyError(
-                f"no action choice for the initial observation {g.obs_name(o0)!r}"
-            )
-        update = {}
-        for o, m in mem_of.items():
-            for o2, m2 in mem_of.items():
-                for a in self.choice[o].support():
-                    update[(m, o2, a)] = Distr.dirac(m2)
-        return FiniteMemoryStrategy(
-            memories=[g.obs_name(o) for o in obs_ids],
-            next_action=[self.choice[o] for o in obs_ids],
-            update=update,
-            initial=mem_of[o0],
-        )
-
 
 def constant_strategy(g: Pomdp, a: int) -> FiniteMemoryStrategy:
     """Always play action ``a``, regardless of history."""
@@ -153,6 +131,17 @@ class _ObservationMemory:
         return row
 
 
+def _playable(
+    g: Pomdp, sigma: FiniteMemoryStrategy | MemorylessStrategy
+) -> FiniteMemoryStrategy | _ObservationMemory:
+    """``sigma`` as a strategy with memory, the one form that the chain
+    builder and the simulator play: a memoryless strategy keeps the current
+    observation as its memory."""
+    if isinstance(sigma, MemorylessStrategy):
+        return _ObservationMemory(g, sigma)
+    return sigma
+
+
 class MarkovChain:
     """Finite Markov chain arising from a strategy played on a POMDP.
 
@@ -199,15 +188,8 @@ class MarkovChain:
         return self._succ[i]
 
     def reachable(self) -> list[int]:
-        seen = {self.start}
-        queue = deque(seen)
-        while queue:
-            i = queue.popleft()
-            for j in self._succ[i]:
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        return sorted(seen)
+        """Every node, in id order: the chain holds only reachable nodes."""
+        return list(range(self.n_nodes))
 
     @cached_property
     def recurrent(self) -> list[list[int]]:
@@ -278,8 +260,7 @@ def product_chain(
     unavailable at the current observation or reaches a missing
     memory-update row, and ModelError when a played pair has no reward.
     """
-    if isinstance(sigma, MemorylessStrategy):
-        sigma = _ObservationMemory(g, sigma)
+    sigma = _playable(g, sigma)
     start = (g.initial, sigma.initial)
     labels = [start]
     index = {start: 0}
@@ -313,13 +294,20 @@ def product_chain(
     return MarkovChain(g, rewards, sigma, labels, index, succ, below_one)
 
 
-def _sccs(succ: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative to survive deep chains."""
+def _sccs(succ: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Tarjan's algorithm, iterative to survive deep chains.
+
+    Returns the strongly connected components of the graph with successor
+    lists ``succ``, each sorted, and ``comp_of[i]``, the index of node i's
+    component. Components come sinks first: each after every component it
+    reaches.
+    """
     n = len(succ)
     UNSEEN = -1
     order = [UNSEEN] * n
     low = [0] * n
     on_stack = [False] * n
+    comp_of = [0] * n
     stack: list[int] = []
     counter = 0
     out: list[list[int]] = []
@@ -351,6 +339,7 @@ def _sccs(succ: Sequence[Sequence[int]]) -> list[list[int]]:
                 while True:
                     w = stack.pop()
                     on_stack[w] = False
+                    comp_of[w] = len(out)
                     comp.append(w)
                     if w == v:
                         break
@@ -359,18 +348,14 @@ def _sccs(succ: Sequence[Sequence[int]]) -> list[list[int]]:
             if work:
                 u = work[-1][0]
                 low[u] = min(low[u], low[v])
-    return out
+    return out, comp_of
 
 
 def bottom_classes(succ: Sequence[Sequence[int]]) -> list[list[int]]:
     """Bottom strongly connected components of the graph with successor
     lists ``succ`` over nodes 0..n-1: each class sorted, the classes
     ordered by smallest node."""
-    comp_of = [0] * len(succ)
-    comps = _sccs(succ)
-    for c, comp in enumerate(comps):
-        for i in comp:
-            comp_of[i] = c
+    comps, comp_of = _sccs(succ)
     bottoms = [
         comp
         for c, comp in enumerate(comps)

@@ -22,7 +22,7 @@ from .chains import (
     product_chain,
     recurrent_classes,
 )
-from .collapse import collapse, fingerprints, projection_graph
+from .collapse import _quotient, fingerprints, projection_graph
 from .dot import chain_dot, projection_dot
 from .fileformat import (
     emit_model,
@@ -125,7 +125,8 @@ def cmd_simulate(args) -> int:
 def cmd_collapse(args) -> int:
     g, rewards = _need_rewards(args)
     sigma = _load_strategy(args, g)
-    collapsed = collapse(g, rewards, sigma)
+    pg = projection_graph(g, sigma, fingerprints(g, rewards, sigma))
+    collapsed = _quotient(g, pg)
     ok, diagnosis = validate_strategy(g, rewards, collapsed)
     print(f"memories: {sigma.n_memories} -> {collapsed.n_memories}")
     if ok:
@@ -135,7 +136,6 @@ def cmd_collapse(args) -> int:
     if args.strategy_out:
         _write(args.strategy_out, emit_strategy(collapsed, g))
     if args.dot:
-        pg = projection_graph(g, sigma, fingerprints(g, rewards, sigma))
         _write(args.dot, projection_dot(pg, g))
     return 0 if ok else 1
 

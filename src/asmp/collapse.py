@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .bits import bits, mask_of
-from .chains import FiniteMemoryStrategy, product_chain, recurrent_classes
+from .chains import FiniteMemoryStrategy, _sccs, product_chain
 from .model import (
     Distr,
     ModelError,
@@ -65,36 +65,29 @@ def fingerprints(
 ) -> list[MemoryFingerprint]:
     """Summarize every memory of ``sigma`` from one product-chain analysis.
 
-    A node of the chain is winning exactly when no recurrent class containing
-    a reward-below-1 play is reachable from it, so one backward sweep from
-    the offending classes settles the win bits of all nodes at once.
+    The components of the chain come sinks first, so one walk over them
+    settles every node. A component with no exit is a recurrent class, lost
+    when it plays a reward below 1; any other component is lost when it
+    exits into a lost one. A node is winning exactly when its component is
+    not lost.
     """
     mc = product_chain(g, rewards, sigma)
-    rec = [0] * sigma.n_memories
-    bad_nodes: list[int] = []
-    for cls in recurrent_classes(mc):
-        for i in cls:
-            s, m = mc.labels[i]
-            rec[m] |= 1 << s
-        if any(mc.below_one[i] is not None for i in cls):
-            bad_nodes.extend(cls)
-    backward: list[list[int]] = [[] for _ in range(mc.n_nodes)]
-    for i in range(mc.n_nodes):
-        for j in mc.successors(i):
-            backward[j].append(i)
-    tainted = set(bad_nodes)
-    stack = list(bad_nodes)
-    while stack:
-        j = stack.pop()
-        for i in backward[j]:
-            if i not in tainted:
-                tainted.add(i)
-                stack.append(i)
+    comps, comp_of = _sccs([mc.successors(i) for i in range(mc.n_nodes)])
     win = [0] * sigma.n_memories
-    for i in range(mc.n_nodes):
-        if i not in tainted:
+    rec = [0] * sigma.n_memories
+    lost: list[bool] = []
+    for c, comp in enumerate(comps):
+        exits = {comp_of[j] for i in comp for j in mc.successors(i)} - {c}
+        if exits:
+            lost.append(any(lost[d] for d in exits))
+        else:
+            lost.append(any(mc.below_one[i] is not None for i in comp))
+        for i in comp:
             s, m = mc.labels[i]
-            win[m] |= 1 << s
+            if not exits:
+                rec[m] |= 1 << s
+            if not lost[c]:
+                win[m] |= 1 << s
     return [
         MemoryFingerprint(win[m], rec[m], mask_of(sigma.next_action[m].support()))
         for m in range(sigma.n_memories)
@@ -183,7 +176,12 @@ def collapse(
     uniformly over the edge targets whose belief carries the observation just
     seen. Preserves the almost-sure mean-payoff-1 verdict of the input.
     """
-    pg = projection_graph(g, sigma, fingerprints(g, rewards, sigma))
+    return _quotient(g, projection_graph(g, sigma, fingerprints(g, rewards, sigma)))
+
+
+def _quotient(g: Pomdp, pg: ProjectionGraph) -> FiniteMemoryStrategy:
+    """The strategy ``collapse`` plays on the projection graph ``pg`` of
+    ``g``, once the graph is checked against its memory bound."""
     bound = 2 ** (3 * g.n_states + g.n_actions)
     if pg.n_vertices > bound:
         raise ModelError(

@@ -301,7 +301,8 @@ def validate(g: Pomdp, require_unique_initial_obs: bool = True) -> list[str]:
         for a in acts:
             if not 0 <= a < g.n_actions:
                 problems.append(f"availability of {g.obs_name(o)!r} names bad action id {a}")
-    available = set(g.available_pairs())
+    # Bad action ids are reported above and play no part in the row checks.
+    available = {(s, a) for s, a in g.available_pairs() if 0 <= a < g.n_actions}
     for s, a in sorted(available):
         where = f"state {g.state_name(s)!r}, action {g.action_name(a)!r}"
         problems += _row_problems(g.rows.get((s, a)), where, g.n_states)

@@ -13,7 +13,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .chains import FiniteMemoryStrategy, MemorylessStrategy
+from .chains import FiniteMemoryStrategy, MemorylessStrategy, _playable
 from .model import ModelError, Pomdp, RewardFn
 
 
@@ -102,11 +102,10 @@ def simulate(
     burn-in prefix; the result collects the per-run averages. Illegal moves
     surface as the same errors the chain construction would raise.
     """
-    if isinstance(sigma, MemorylessStrategy):
-        sigma = sigma.as_finite_memory(g)
+    sigma = _playable(g, sigma)
     burn = config.resolved_burn_in()
 
-    act_of = [_Sampler(d) for d in sigma.next_action]
+    act_of: dict[int, _Sampler] = {}
     row_of: dict[tuple[int, int], _Sampler] = {}
     mem_of: dict[tuple[int, int, int], _Sampler] = {}
     reward_of: dict[tuple[int, int], float] = {}
@@ -118,7 +117,10 @@ def simulate(
         s, m = g.initial, sigma.initial
         total = 0.0
         for step in range(config.steps):
-            a = act_of[m].draw(rng)
+            chooser = act_of.get(m)
+            if chooser is None:
+                chooser = act_of[m] = _Sampler(sigma.action_distr(m))
+            a = chooser.draw(rng)
             key = (s, a)
             r = reward_of.get(key)
             if r is None:

@@ -243,8 +243,7 @@ def decide_limavg1(
 ) -> SolveReport:
     """Decide whether some finite-memory strategy achieves long-run average
     reward 1 almost surely, and construct one when the answer is YES."""
-    validate(g, require_unique_initial_obs=False)
-    problems = rewards.check(g)
+    problems = validate(g, require_unique_initial_obs=False) or rewards.check(g)
     if problems:
         raise ModelError("; ".join(problems))
 

@@ -7,8 +7,9 @@ The references are code the library replaced or never needed at run time:
 the pair-keyed fixpoints and the product-chain certification, the
 frozenset belief check, the projection of a collapsed strategy onto the
 reduction (the completeness direction of the construction) with the
-canonical form of a collapsed memory, and the dump of a reduced model as a
-plain POMDP with rewards.
+canonical form of a collapsed memory, the dump of a reduced model as a
+plain POMDP with rewards, and the lift of a memoryless strategy to a
+finite-memory one with its update table written out.
 """
 
 from __future__ import annotations
@@ -527,6 +528,29 @@ def finite_memory_to_memoryless(
 
 # ------------------------------------------------------- chain judgments
 
+def as_finite_memory(sigma: MemorylessStrategy, g: Pomdp) -> FiniteMemoryStrategy:
+    """Lift ``sigma`` to one memory per covered observation, tracking the
+    last one seen, with its whole update table written out."""
+    obs_ids = sorted(sigma.choice)
+    mem_of = {o: i for i, o in enumerate(obs_ids)}
+    o0 = g.obs(g.initial)
+    if o0 not in mem_of:
+        raise StrategyError(
+            f"no action choice for the initial observation {g.obs_name(o0)!r}"
+        )
+    update = {}
+    for o, m in mem_of.items():
+        for o2, m2 in mem_of.items():
+            for a in sigma.choice[o].support():
+                update[(m, o2, a)] = Distr.dirac(m2)
+    return FiniteMemoryStrategy(
+        memories=[g.obs_name(o) for o in obs_ids],
+        next_action=[sigma.choice[o] for o in obs_ids],
+        update=update,
+        initial=mem_of[o0],
+    )
+
+
 def oracle_node_wins(mc: MarkovChain, i: int) -> bool:
     """Does every recurrent class reachable from node i pay 1 on every play?"""
     succ = {n: mc.successors(n) for n in range(mc.n_nodes)}
@@ -609,6 +633,32 @@ def random_belief_obs_pomdp(rng: random.Random) -> tuple[Pomdp, RewardFn]:
         (s, a): Fraction(rng.randint(0, 1)) for (s, a) in g.available_pairs()
     }
     return g, RewardFn(table)
+
+
+def random_tagged_strategy(
+    rng: random.Random, g: Pomdp, randomized: bool
+) -> FiniteMemoryStrategy:
+    """Random finite-memory strategy that only makes legal moves.
+
+    Each memory is tagged with the observation it is entered on, plays
+    actions available there, and updates to memories tagged with the
+    observation just seen.
+    """
+    tags = [o for o in range(g.n_observations) for _ in range(rng.randint(1, 2))]
+
+    def pick(options):
+        return Distr.uniform(rng.sample(options, rng.randint(1, len(options)) if randomized else 1))
+
+    next_action = [pick(list(g.avail(o))) for o in tags]
+    update = {}
+    for m, o in enumerate(tags):
+        for a in next_action[m].support():
+            for o2 in range(g.n_observations):
+                update[(m, o2, a)] = pick([m2 for m2, t in enumerate(tags) if t == o2])
+    starts = [m for m, t in enumerate(tags) if t == g.obs(g.initial)]
+    return FiniteMemoryStrategy(
+        [f"m{m}" for m in range(len(tags))], next_action, update, rng.choice(starts)
+    )
 
 
 def random_pomdp(rng: random.Random) -> Pomdp:

@@ -25,7 +25,14 @@ from asmp import (
 from asmp import chains
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp
 
-from helpers import bsccs, oracle_node_wins, random_belief_obs_pomdp, reach_set
+from helpers import (
+    as_finite_memory,
+    bsccs,
+    oracle_node_wins,
+    random_belief_obs_pomdp,
+    random_tagged_strategy,
+    reach_set,
+)
 
 
 def class_names(mc, cls):
@@ -95,7 +102,7 @@ class TestProductChain:
         g, r = trap_ring_pomdp()
         sigma = uniform_strategy(g)
         direct = product_chain(g, r, sigma)
-        lifted = product_chain(g, r, sigma.as_finite_memory(g))
+        lifted = product_chain(g, r, as_finite_memory(sigma, g))
         lifted_states = {
             frozenset(t.split("·")[0] for t in class_names(lifted, c))
             for c in recurrent_classes(lifted)
@@ -109,29 +116,14 @@ class TestProductChain:
             limavg1_diagnosis(lifted) is None
         )
 
-
-def random_tagged_strategy(rng, g, randomized):
-    """Random finite-memory strategy that only makes legal moves.
-
-    Each memory is tagged with the observation it is entered on, plays
-    actions available there, and updates to memories tagged with the
-    observation just seen.
-    """
-    tags = [o for o in range(g.n_observations) for _ in range(rng.randint(1, 2))]
-
-    def pick(options):
-        return Distr.uniform(rng.sample(options, rng.randint(1, len(options)) if randomized else 1))
-
-    next_action = [pick(list(g.avail(o))) for o in tags]
-    update = {}
-    for m, o in enumerate(tags):
-        for a in next_action[m].support():
-            for o2 in range(g.n_observations):
-                update[(m, o2, a)] = pick([m2 for m2, t in enumerate(tags) if t == o2])
-    starts = [m for m, t in enumerate(tags) if t == g.obs(g.initial)]
-    return FiniteMemoryStrategy(
-        [f"m{m}" for m in range(len(tags))], next_action, update, rng.choice(starts)
-    )
+    def test_reachable_lists_every_node_the_search_finds(self):
+        rng = random.Random(4444)
+        for k in range(60):
+            g, r = random_belief_obs_pomdp(rng)
+            sigma = random_tagged_strategy(rng, g, randomized=k % 2 == 1)
+            mc = product_chain(g, r, sigma)
+            succ = {i: mc.successors(i) for i in range(mc.n_nodes)}
+            assert mc.reachable() == sorted(reach_set(succ, 0))
 
 
 def weights_read(mc):
@@ -184,7 +176,7 @@ class TestSupportChain:
                 }
             )
             direct, _ = validate_strategy(g, r, ml)
-            lifted, _ = validate_strategy(g, r, ml.as_finite_memory(g))
+            lifted, _ = validate_strategy(g, r, as_finite_memory(ml, g))
             assert direct == lifted
 
 

@@ -1,11 +1,14 @@
 """Fingerprints, the quotient-memory graph, and verdict preservation."""
 
+import importlib
 import random
 
 import pytest
 
 from asmp import (
     CollapsedMemory,
+    Distr,
+    FiniteMemoryStrategy,
     MemoryFingerprint,
     StrategyError,
     alternating_strategy,
@@ -17,10 +20,22 @@ from asmp import (
     uniform_strategy,
     validate_strategy,
 )
+from asmp import chains
 from asmp.bits import bits, mask_of
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp
 
-from helpers import bsccs, canonical, oracle_node_wins, random_belief_obs_pomdp
+from helpers import (
+    as_finite_memory,
+    bsccs,
+    canonical,
+    oracle_node_wins,
+    random_belief_obs_pomdp,
+    random_tagged_strategy,
+    reach_set,
+)
+
+# The package exports a function named ``collapse``, which hides the module.
+collapse_module = importlib.import_module("asmp.collapse")
 
 
 def oracle_fingerprints(g, rewards, sigma):
@@ -41,6 +56,52 @@ def oracle_fingerprints(g, rewards, sigma):
         MemoryFingerprint(win[m], rec[m], mask_of(sigma.next_action[m].support()))
         for m in range(sigma.n_memories)
     ]
+
+
+def forked_strategy(rng, g, n_threads=3):
+    """Random strategy whose start memory forks, on its first update, into
+    independent deterministic threads with one memory per observation. The
+    threads never meet, and their recurrent classes often disagree."""
+    n_obs = g.n_observations
+    o0 = g.obs(g.initial)
+
+    def mem(k, o):
+        return 1 + k * n_obs + o
+
+    memories = ["start"] + [f"t{k}.{g.obs_name(o)}" for k in range(n_threads) for o in range(n_obs)]
+    next_action = [Distr.uniform(sorted(g.avail(o0)))]
+    next_action += [
+        Distr.dirac(rng.choice(sorted(g.avail(o)))) for _ in range(n_threads) for o in range(n_obs)
+    ]
+    update = {}
+    for o2 in range(n_obs):
+        for a in g.avail(o0):
+            update[(0, o2, a)] = Distr.uniform([mem(k, o2) for k in range(n_threads)])
+        for k in range(n_threads):
+            for o in range(n_obs):
+                for a in next_action[mem(k, o)].support():
+                    update[(mem(k, o), o2, a)] = Distr.dirac(mem(k, o2))
+    return FiniteMemoryStrategy(memories, next_action, update, 0)
+
+
+def feeds_winning_and_losing_classes(mc):
+    """Does some transient node reach both a recurrent class that pays 1 on
+    every play and one that does not?"""
+    succ = {n: mc.successors(n) for n in range(mc.n_nodes)}
+    classes = bsccs(succ)
+    recurrent = frozenset().union(*classes)
+    for i in range(mc.n_nodes):
+        if i in recurrent:
+            continue
+        reached = reach_set(succ, i)
+        pays_one = {
+            all(r == 1 for n in cls for _, r in mc.plays[n].values())
+            for cls in classes
+            if cls & reached
+        }
+        if pays_one == {True, False}:
+            return True
+    return False
 
 
 def oracle_edges(g, sigma, fps, pg):
@@ -93,8 +154,38 @@ class TestFingerprints:
         rng = random.Random(2024)
         for _ in range(40):
             g, r = random_belief_obs_pomdp(rng)
-            sigma = uniform_strategy(g).as_finite_memory(g)
+            sigma = as_finite_memory(uniform_strategy(g), g)
             assert fingerprints(g, r, sigma) == oracle_fingerprints(g, r, sigma)
+
+    def test_random_strategies_match_the_oracle(self):
+        rng = random.Random(2025)
+        mixed = 0
+        for k in range(240):
+            g, r = random_belief_obs_pomdp(rng)
+            if k % 2:
+                sigma = forked_strategy(rng, g)
+            else:
+                sigma = random_tagged_strategy(rng, g, randomized=k % 4 == 2)
+            assert fingerprints(g, r, sigma) == oracle_fingerprints(g, r, sigma)
+            mixed += feeds_winning_and_losing_classes(product_chain(g, r, sigma))
+        # The corpus reaches the case the sinks-first walk must get right:
+        # transient nodes that lead both to won and to lost classes.
+        assert mixed >= 10
+
+    def test_one_component_pass_per_chain(self, monkeypatch):
+        passes = []
+
+        def counting_sccs(succ):
+            passes.append(len(succ))
+            return real_sccs(succ)
+
+        real_sccs = chains._sccs
+        monkeypatch.setattr(chains, "_sccs", counting_sccs)
+        monkeypatch.setattr(collapse_module, "_sccs", counting_sccs)
+        g, r = trap_ring_pomdp()
+        sigma = alternating_strategy(g, 0, 1)
+        fingerprints(g, r, sigma)
+        assert passes == [product_chain(g, r, sigma).n_nodes]
 
     def test_alternation_wins_from_the_cycles(self):
         g, r = ring_pomdp()
@@ -158,7 +249,7 @@ class TestCollapse:
         rng = random.Random(99)
         for _ in range(30):
             g, r = random_belief_obs_pomdp(rng)
-            sigma = uniform_strategy(g).as_finite_memory(g)
+            sigma = as_finite_memory(uniform_strategy(g), g)
             before, _ = validate_strategy(g, r, sigma)
             try:
                 collapsed = collapse(g, r, sigma)

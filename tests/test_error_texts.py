@@ -382,6 +382,7 @@ VALIDATE_CASES = {
     ),
     "no-available-action": (pomdp(availability={1: []}), True),
     "bad-action-id": (pomdp(availability={0: [-1]}), True),
+    "bad-action-id-high": (pomdp(availability={0: [5]}), True),
     "missing-row": (pomdp(rows=WITHOUT_LAST_ROW), True),
     "bad-weights": (pomdp(rows={**ROWS, **BAD_WEIGHTS}), True),
     "successor-out-of-range": (pomdp(rows={**ROWS, (1, 1): Distr({2: 1})}), True),
@@ -393,7 +394,11 @@ VALIDATE_CASES = {
 VALIDATE_EXPECTED = {
     "bad-action-id": [
         "availability of 'o' names bad action id -1",
-        "missing transition row for state 's', action 'b'",
+        "transition row for state 's' under unavailable action 'a'",
+        "transition row for state 's' under unavailable action 'b'",
+    ],
+    "bad-action-id-high": [
+        "availability of 'o' names bad action id 5",
         "transition row for state 's' under unavailable action 'a'",
         "transition row for state 's' under unavailable action 'b'",
     ],

@@ -32,7 +32,7 @@ from asmp import (
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp, two_state_pfa
 from asmp.reduction import reduce_pomdp
 
-from helpers import all_words, reduced_pomdp
+from helpers import all_words, as_finite_memory, reduced_pomdp
 from test_simulate import restricted_pomdp
 
 TINY_CANONICAL = """states:
@@ -274,7 +274,7 @@ class TestStrategies:
 
     def test_fractional_rows_round_trip(self):
         g, r = trap_ring_pomdp()
-        sigma = uniform_strategy(g).as_finite_memory(g)
+        sigma = as_finite_memory(uniform_strategy(g), g)
         text = emit_strategy(sigma, g)
         assert "1/2" in text
         back = parse_strategy(text, g)

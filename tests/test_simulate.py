@@ -1,6 +1,7 @@
 """Monte Carlo runs: reproducibility, burn-in handling, and agreement
 with the exact chain analysis."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from asmp import (
     Pomdp,
     RewardFn,
     SimConfig,
+    StrategyError,
     alternating_strategy,
     bscc_mean_payoff,
     interleaved_word_strategy,
@@ -23,6 +25,7 @@ from asmp import (
 )
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp, two_state_pfa
 
+from helpers import as_finite_memory, random_belief_obs_pomdp
 from test_pfa import coin_pfa
 
 
@@ -67,6 +70,31 @@ class TestDeterminism:
         one = simulate(g, r, sigma, SimConfig(steps=500, runs=5, seed=0))
         two = simulate(g, r, sigma, SimConfig(steps=500, runs=5, seed=1))
         assert one.averages != two.averages
+
+
+class TestMemorylessPlay:
+    def test_observation_memory_matches_the_lifted_strategy(self):
+        rng = random.Random(5151)
+        for k in range(40):
+            g, r = random_belief_obs_pomdp(rng)
+            sigma = MemorylessStrategy(
+                {
+                    o: Distr.uniform(rng.sample(sorted(g.avail(o)), rng.randint(1, len(g.avail(o)))))
+                    for o in range(g.n_observations)
+                }
+            )
+            cfg = SimConfig(steps=200, runs=3, seed=k)
+            assert simulate(g, r, sigma, cfg).averages == simulate(
+                g, r, as_finite_memory(sigma, g), cfg
+            ).averages
+
+    def test_uncovered_observation_is_named(self):
+        g = restricted_pomdp()
+        r = RewardFn.from_state_rewards(g, {0: 1, 1: 1})
+        only_a = MemorylessStrategy({0: Distr.dirac(0)})
+        with pytest.raises(StrategyError) as e:
+            simulate(g, r, only_a, SimConfig(steps=10, runs=1))
+        assert str(e.value) == "no action choice for observation id 1"
 
 
 class TestAgreementWithExactAnalysis:

@@ -16,6 +16,7 @@ from asmp import (
     FiniteMemoryStrategy,
     MemorylessStrategy,
     ModelError,
+    Pomdp,
     RewardFn,
     StrategyError,
     alternating_strategy,
@@ -105,6 +106,20 @@ class TestVerdicts:
         g, _ = ring_pomdp()
         with pytest.raises(ModelError, match="missing reward"):
             decide_limavg1(g, RewardFn({(0, 0): Fraction(1)}))
+
+    def test_malformed_model_is_rejected_up_front(self):
+        g = Pomdp(
+            states=["s", "t"],
+            actions=["a"],
+            observations=["o", "p"],
+            obs_of=[0, 1],
+            rows={(0, 0): Distr({1: Fraction(1, 2)}), (1, 0): Distr.dirac(1)},
+            initial=0,
+        )
+        r = RewardFn.from_state_rewards(g, {0: 1, 1: 1})
+        with pytest.raises(ModelError) as e:
+            decide_limavg1(g, r)
+        assert str(e.value) == "state 's', action 'a': weights sum to 1/2, not 1"
 
 
 class TestValidateStrategy:
