@@ -131,6 +131,16 @@ class _ObservationMemory:
         return row
 
 
+def _unavailable_play(g: Pomdp, s: int, a: int) -> StrategyError:
+    """The error for a strategy that plays ``a`` at state s, whose
+    observation does not allow it: one text for the chain builder and the
+    simulator."""
+    return StrategyError(
+        f"strategy plays {g.action_name(a)!r} at state {g.state_name(s)!r},"
+        f" unavailable at observation {g.obs_name(g.obs(s))!r}"
+    )
+
+
 def _playable(
     g: Pomdp, sigma: FiniteMemoryStrategy | MemorylessStrategy
 ) -> FiniteMemoryStrategy | _ObservationMemory:
@@ -274,11 +284,7 @@ def product_chain(
         low = None
         for a in sigma.action_distr(m).support():
             if a not in avail:
-                raise StrategyError(
-                    f"strategy plays {g.action_name(a)!r} at state"
-                    f" {g.state_name(s)!r}, unavailable at"
-                    f" observation {g.obs_name(o)!r}"
-                )
+                raise _unavailable_play(g, s, a)
             if rewards.get(s, a) != 1 and low is None:
                 low = a
             for t in g.support(s, a):
@@ -314,40 +320,41 @@ def _sccs(succ: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     for root in range(n):
         if order[root] != UNSEEN:
             continue
-        work = [(root, 0)]
+        order[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        # Each frame resumes its node's successor iterator where the last
+        # descent left it.
+        work = [(root, iter(succ[root]))]
         while work:
-            v, edge = work[-1]
-            if edge == 0:
-                order[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            for k in range(edge, len(succ[v])):
-                w = succ[v][k]
+            v, edges = work[-1]
+            for w in edges:
                 if order[w] == UNSEEN:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    descended = True
+                    order[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], order[w])
-            if descended:
-                continue
-            if low[v] == order[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp_of[w] = len(out)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(sorted(comp))
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
+                if on_stack[w] and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if low[v] == order[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp_of[w] = len(out)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    out.append(sorted(comp))
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
     return out, comp_of
 
 

@@ -3,17 +3,23 @@
 Everything here works on observation sets rather than belief supports; the
 models these run on are belief-observation POMDPs, where the two coincide.
 Plain POMDPs and reduced ones share the observation read side of
-``model.ObservedModel``, and both expose the row table ``supports``, where
-``supports[s][i]`` is the support of state s under the i-th action of
-``avail(obs(s))``, so the same solver drives both.
-The restriction to the safe core takes the reduced model only, and builds
-the restricted table from the allowed positions of each observation.
+``model.ObservedModel``, and with it the two successor tables: the
+explicit rows ``supports[s]``, for the first actions of ``avail(obs(s))``,
+and the memory edges ``memory_edges[o]``, for the rest, which move each
+state of o to the state at the same place in the target observation's
+class. A plain POMDP has only explicit rows; in a reduction the memory
+edges stand for the memory-selection rows, nearly all of its rows. The
+same solver drives both. The restriction to the safe core takes the
+reduced model only, and builds the restricted tables from the allowed
+positions of each observation.
 
-Both fixpoints first number the rows once, state by state from the table,
-and then work on row ids: each state keeps the ids of the rows that can
-enter it, and each row knows its (observation, action) group. Flags per
-group replace dicts keyed by pairs. The iterates are sets, so the order of
-the numbering does not show in any result.
+Both fixpoints first number the explicit rows once, observation by
+observation, and then work on row ids: each state keeps the ids of the
+rows that can enter it, and each row knows its (observation, action)
+group. A memory group has no rows: each observation lists the memory
+groups that lead into it. Flags per group replace dicts keyed by pairs.
+The iterates are sets, so the order of the numbering does not show in any
+result.
 
 Safety is a greatest fixpoint over the allowed-action predicate, computed
 with a worklist that removes observations level by level; the levels agree
@@ -23,17 +29,20 @@ target) inside a greatest one (observations that never lose the ability),
 computed on a copy where the target is absorbing. The inner fixpoint is a
 worklist too: a pass only visits the rows entering the states that joined
 in the previous pass, which gives the same levels as rescanning every
-pending state. Allowed actions are updated when observations leave the
-outer set. Reachability results are certified before being returned, on
-the allowed rows themselves: the states the witness reaches from the
-initial state, with the target absorbing, must stay in the winning
-observations, and every bottom class of that graph must meet the target.
+pending state; the memory predecessors of a state are the states at its
+place in the observations whose memory groups lead into its own. Allowed
+actions are updated when observations leave the outer set. Reachability
+results are certified before being returned, on the allowed rows
+themselves: the states the witness reaches from the initial state, with
+the target absorbing, must stay in the winning observations, and every
+bottom class of that graph must meet the target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import compress
+from typing import Iterable, Sequence
 
 from .model import ModelError
 from .chains import bottom_classes
@@ -56,30 +65,54 @@ class ReachResult:
 
 
 def _numbered_rows(g, skip: frozenset[int] = frozenset()):
-    """Number the rows of ``g`` state by state from ``g.supports``, leaving
-    out the rows of the states in ``skip``.
+    """Number the explicit rows of ``g`` observation by observation,
+    leaving out the rows of the states in ``skip``, and index the memory
+    groups by target.
 
-    Returns the ids of the rows entering each state, the state of each row,
-    the group of each row, and the first group of each observation: the
-    group of (o, a) is ``first[o] + i`` for the i-th action of
-    ``g.avail(o)``, and ``first[n_observations]`` counts the groups.
+    Returns ``pred``, ``row_state``, ``row_group``, ``first``, ``into``,
+    ``users`` and ``mem_first``. ``pred[t]`` holds the ids of the rows
+    entering state t, and row r belongs to state ``row_state[r]`` and group
+    ``row_group[r]``. The group of (o, a) is ``first[o] + i`` for the i-th
+    action of ``g.avail(o)``, and ``first[n_observations]`` counts the
+    groups. Observations with one tuple of memory-edge targets share its
+    entry u: ``users[u]`` lists them, and ``into[o2]`` holds (u, j) when
+    position j of the tuple is o2. The memory group of o at position j is
+    ``mem_first[o] + j``. An observation's memory groups are indexed when
+    it has a state outside ``skip``, the states whose rows they stand for.
     """
+    n_obs = g.n_observations
     first = [0]
-    for o in range(g.n_observations):
+    for o in range(n_obs):
         first.append(first[-1] + len(g.avail(o)))
+    edges = g.memory_edges
+    mem_first = [first[o + 1] - len(edges.get(o, ())) for o in range(n_obs)]
     pred: list[list[int]] = [[] for _ in range(g.n_states)]
     row_state: list[int] = []
     row_group: list[int] = []
-    for s, rows in enumerate(g.supports):
-        if s in skip:
+    for o in range(n_obs):
+        groups = range(first[o], mem_first[o])
+        for s in g.obs_states(o):
+            if s in skip:
+                continue
+            for r, ts in enumerate(g.supports[s], len(row_state)):
+                for t in ts:
+                    pred[t].append(r)
+            row_state += [s] * len(groups)
+            row_group += groups
+    shared: dict[tuple[int, ...], int] = {}
+    users: list[list[int]] = []
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n_obs)]
+    for o, targets in edges.items():
+        if all(s in skip for s in g.obs_states(o)):
             continue
-        for r, ts in enumerate(rows, len(row_state)):
-            for t in ts:
-                pred[t].append(r)
-        k = first[g.obs(s)]
-        row_state += [s] * len(rows)
-        row_group += range(k, k + len(rows))
-    return pred, row_state, row_group, first
+        u = shared.get(targets)
+        if u is None:
+            u = shared[targets] = len(users)
+            users.append([])
+            for j, o2 in enumerate(targets):
+                into[o2].append((u, j))
+        users[u].append(o)
+    return pred, row_state, row_group, first, into, users, mem_first
 
 
 def almost_safe(g, safe_states: Iterable[int]) -> SafetyResult:
@@ -89,13 +122,15 @@ def almost_safe(g, safe_states: Iterable[int]) -> SafetyResult:
     Worklist formulation: start from the observations fully covered by the
     safe states and repeatedly drop observations with no allowed action
     left. An action breaks at an observation once a row of the pair has a
-    successor that left. Each level of removals equals one synchronous
-    iteration, recorded in ``iterates`` for tracing.
+    successor that left; a memory group breaks when its target observation
+    leaves. Each level of removals equals one synchronous iteration,
+    recorded in ``iterates`` for tracing.
     """
     safe = frozenset(safe_states)
     n_obs = g.n_observations
-    pred, row_state, row_group, first = _numbered_rows(g)
-    broken = bytearray(first[n_obs])
+    obs_of = g.obs_of
+    pred, row_state, row_group, first, into, users, mem_first = _numbered_rows(g)
+    allowed = bytearray(b"\x01") * first[n_obs]
     allowed_count = [first[o + 1] - first[o] for o in range(n_obs)]
 
     in_y = [True] * n_obs
@@ -113,16 +148,19 @@ def almost_safe(g, safe_states: Iterable[int]) -> SafetyResult:
                 continue
             in_y[o] = False
             y.discard(o)
-            for gone in g.obs_states(o):
-                for r in pred[gone]:
-                    k = row_group[r]
-                    if broken[k]:
-                        continue
-                    broken[k] = 1
-                    o2 = g.obs(row_state[r])
-                    allowed_count[o2] -= 1
-                    if allowed_count[o2] == 0:
-                        next_level.append(o2)
+            hits = [
+                (row_group[r], obs_of[row_state[r]])
+                for gone in g.obs_states(o)
+                for r in pred[gone]
+            ]
+            hits += [(mem_first[o2] + j, o2) for u, j in into[o] for o2 in users[u]]
+            for k, o2 in hits:
+                if not allowed[k]:
+                    continue
+                allowed[k] = 0
+                allowed_count[o2] -= 1
+                if allowed_count[o2] == 0:
+                    next_level.append(o2)
         iterates.append(frozenset(y))
         if not next_level:
             break
@@ -130,17 +168,34 @@ def almost_safe(g, safe_states: Iterable[int]) -> SafetyResult:
 
     y_star = frozenset(y)
     allow_map = {
-        o: tuple(a for k, a in enumerate(g.avail(o), first[o]) if not broken[k])
+        o: tuple(compress(g.avail(o), allowed[first[o] : first[o + 1]]))
         for o in y_star
     }
     return SafetyResult(y_star, allow_map, iterates)
 
 
-def _allowed_positions(g, o: int, acts: Iterable[int]) -> list[int]:
-    """Positions in ``g.avail(o)``, and so in each row list of o's states,
-    of the actions in ``acts``."""
-    allowed = set(acts)
-    return [i for i, a in enumerate(g.avail(o)) if a in allowed]
+def _allowed_shape(
+    g, o: int, acts: Iterable[int], cache: dict
+) -> tuple[list[int], tuple[int, ...], tuple[int, ...]]:
+    """The actions of ``acts`` at observation o, in the order of
+    ``g.avail(o)``: the positions of the explicit ones in the rows of o's
+    states, all of them, and the target observations of the memory edges
+    among them. Observations with equal actions, memory edges and allowed
+    actions share one shape, which ``cache`` keeps."""
+    key = (g.avail(o), g.memory_edges.get(o, ()), tuple(acts))
+    shape = cache.get(key)
+    if shape is None:
+        avail, targets, acts = key
+        allowed = set(acts)
+        pos = [i for i, a in enumerate(avail) if a in allowed]
+        # The memory edges follow the explicit actions.
+        n = len(avail) - len(targets)
+        shape = cache[key] = (
+            [i for i in pos if i < n],
+            tuple([avail[i] for i in pos]),
+            tuple([targets[i - n] for i in pos if i >= n]),
+        )
+    return shape
 
 
 def _certify_reach(
@@ -154,38 +209,43 @@ def _certify_reach(
     reached graph must contain a target: then the play stays in those
     observations and reaches the target with probability one.
     """
-    supports = g.supports
-    positions: dict[int, list[int]] = {}
+    # By observation: the allowed explicit positions, and the classes the
+    # allowed memory edges lead to.
+    moves: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
+    shapes: dict = {}
     # index[s]: s's node in the reached graph, -1 until s is reached.
     index = [-1] * g.n_states
     index[g.initial] = 0
     order = [g.initial]
-    succ: list[tuple[int, ...]] = []
+    succ: list[Sequence[int]] = []
     # order grows during the walk, so states are expanded in discovery order.
     for s in order:
         o = g.obs(s)
-        pos = positions.get(o)
-        if pos is None:
+        got = moves.get(o)
+        if got is None:
             if o not in allow_map:
                 raise ModelError(
                     "reachability witness failed certification: its chain"
                     f" reaches observation {g.obs_name(o)!r} outside the"
                     " winning set"
                 )
-            pos = positions[o] = _allowed_positions(g, o, allow_map[o])
+            pos, _, moved = _allowed_shape(g, o, allow_map[o], shapes)
+            got = moves[o] = (pos, [g.obs_states(o2) for o2 in moved])
         if s in targets:
             succ.append((index[s],))
             continue
-        row = supports[s]
-        nxt: set[int] = set()
-        for i in pos:
-            for t in row[i]:
-                j = index[t]
-                if j < 0:
-                    j = index[t] = len(order)
-                    order.append(t)
-                nxt.add(j)
-        succ.append(tuple(nxt))
+        pos, classes = got
+        row = g.supports[s]
+        place = g.obs_index[s]
+        ts = [t for i in pos for t in row[i]]
+        ts += [cls[place] for cls in classes]
+        for t in ts:
+            if index[t] < 0:
+                index[t] = len(order)
+                order.append(t)
+        # Repeated successors are harmless to the component search.
+        ts[:] = map(index.__getitem__, ts)
+        succ.append(ts)
     for cls in bottom_classes(succ):
         if not any(order[i] in targets for i in cls):
             raise ModelError(
@@ -208,7 +268,12 @@ def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
     certified on its allowed rows before returning (see ``_certify_reach``).
     """
     targets = frozenset(target_states)
-    pred, row_state, row_group, first = _numbered_rows(g, skip=targets)
+    pred, row_state, row_group, first, into, users, mem_first = _numbered_rows(
+        g, skip=targets
+    )
+    obs_of = g.obs_of
+    obs_index = g.obs_index
+    classes = [g.obs_states(o) for o in range(g.n_observations)]
     allowed = bytearray(b"\x01") * first[g.n_observations]
     z = frozenset(range(g.n_observations))
     z_iterates = [z]
@@ -232,6 +297,14 @@ def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
                         if not in_x[s]:
                             in_x[s] = 1
                             entered.append(s)
+                i = obs_index[t]
+                for u, j in into[obs_of[t]]:
+                    for o in users[u]:
+                        if allowed[mem_first[o] + j]:
+                            s = classes[o][i]
+                            if not in_x[s]:
+                                in_x[s] = 1
+                                entered.append(s)
             sizes.append(sizes[-1] + len(entered))
             if not entered:
                 break
@@ -250,10 +323,13 @@ def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
             for t in g.obs_states(o):
                 for r in pred[t]:
                     allowed[row_group[r]] = 0
+            for u, j in into[o]:
+                for o2 in users[u]:
+                    allowed[mem_first[o2] + j] = 0
         z = new_z
         z_iterates.append(z)
     allow_map = {
-        o: tuple(a for k, a in enumerate(g.avail(o), first[o]) if allowed[k])
+        o: tuple(compress(g.avail(o), allowed[first[o] : first[o + 1]]))
         for o in z
     }
     if g.obs(g.initial) in z:
@@ -278,9 +354,24 @@ def restrict_safe(
     kept_states = sorted(s for o in kept_obs for s in g.obs_states(o))
     obs_map = {o: i for i, o in enumerate(kept_obs)}
     state_map = {s: i for i, s in enumerate(kept_states)}
+    # Observations of one shape share their restricted availability and
+    # memory edges, as observations of the reduction share theirs.
+    shapes: dict = {}
+    renamed: dict[tuple[int, ...], tuple[int, ...]] = {}
+    positions = {}
+    availability = {}
+    memory_edges = {}
+    for o in kept_obs:
+        pos, acts, targets = _allowed_shape(g, o, allow_map[o], shapes)
+        positions[o] = pos
+        availability[obs_map[o]] = acts
+        if targets:
+            kept = renamed.get(targets)
+            if kept is None:
+                kept = renamed[targets] = tuple([obs_map[o2] for o2 in targets])
+            memory_edges[obs_map[o]] = kept
     # Most rows are single successors: share one tuple per kept state.
     single = {s: (i,) for s, i in state_map.items()}
-    positions = {o: _allowed_positions(g, o, allow_map[o]) for o in kept_obs}
     supports = []
     for s in kept_states:
         row = g.supports[s]
@@ -291,16 +382,14 @@ def restrict_safe(
                 packed.append(single[ts[0]])
             else:
                 packed.append(tuple([state_map[t] for t in ts]))
-        supports.append(packed)
+        supports.append(tuple(packed))
     return BeliefObsPomdp(
         base=g.base,
         state_payloads=[g.state_payloads[s] for s in kept_states],
         obs_payloads=[g.obs_payloads[o] for o in kept_obs],
         obs_of=[obs_map[g.obs(s)] for s in kept_states],
         supports=supports,
-        availability={
-            obs_map[o]: tuple(g.avail(o)[i] for i in positions[o])
-            for o in kept_obs
-        },
+        memory_edges=memory_edges,
+        availability=availability,
         memory_actions=g.memory_actions,
     )

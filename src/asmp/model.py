@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .bits import bits, mask_of
@@ -118,24 +119,41 @@ class ObservedModel:
 
     `Pomdp` and the reduction's `BeliefObsPomdp` both derive from it. A
     subclass sets whatever its ``state_name`` reads before calling
-    ``__init__``, which groups the states by observation.
+    ``__init__``, which groups the states by observation, in id order
+    unless ``order`` lists the states otherwise; ``obs_index[s]`` is the
+    place of s in ``obs_states(obs(s))``.
+
+    A subclass also provides the successor sets the fixpoints read, in two
+    tables. ``supports[s][i]`` is the support of state s under the i-th
+    action of ``avail(obs(s))``, for the explicit actions, which come
+    first. ``memory_edges[o]`` lists, for the actions of ``avail(o)`` after
+    those, the observation each one leads to: under such an action the
+    state at place i of ``obs_states(o)`` moves to the state at place i of
+    the target's class. A plain POMDP has no memory edges.
     """
+
+    memory_edges: Mapping[int, tuple[int, ...]] = MappingProxyType({})
 
     def __init__(
         self,
         obs_of: list[int],
         n_observations: int,
         availability: Mapping[int, tuple[int, ...]],
+        order: Iterable[int] | None = None,
     ):
         self.obs_of = obs_of
         self.availability = availability
-        by_obs: list[list[int]] = [[] for _ in range(n_observations)]
         for s, o in enumerate(obs_of):
             if not 0 <= o < n_observations:
                 raise ModelError(
                     f"state {self.state_name(s)!r} has observation id {o} out of range"
                 )
-            by_obs[o].append(s)
+        by_obs: list[list[int]] = [[] for _ in range(n_observations)]
+        self.obs_index = [0] * len(obs_of)
+        for s in range(len(obs_of)) if order is None else order:
+            ss = by_obs[obs_of[s]]
+            self.obs_index[s] = len(ss)
+            ss.append(s)
         self._obs_states = [tuple(ss) for ss in by_obs]
 
     def state_name(self, s: int) -> str:
@@ -231,8 +249,9 @@ class Pomdp(ObservedModel):
     @cached_property
     def supports(self) -> list[list[tuple[int, ...]]]:
         """``supports[s][i]``: the support of state s under the i-th action
-        of ``avail(obs(s))``, the row table the fixpoints read. Derived on
-        first read; a missing row raises ModelError as ``support`` does."""
+        of ``avail(obs(s))``, the row table the fixpoints read; every
+        action of a plain POMDP is explicit. Derived on first read; a
+        missing row raises ModelError as ``support`` does."""
         return [
             [self.support(s, a) for a in self.avail(self.obs(s))]
             for s in range(self.n_states)

@@ -30,15 +30,25 @@ their (belief, win, rec, acts) masks; ``BeliefObsPomdp.memory(aid)`` reads
 them back. The breadth-first walk fixes the order in which payloads are
 first met, and with it every id.
 
-The successors are one table per state, filled as the walk expands the
-state: ``supports[s][i]`` is the support of state s under the i-th action
-of ``avail(obs(s))``. Availability tuples are sorted, so ``support(s, a)``
-finds a's position by bisection; the fixpoints read the table directly.
+Successors come in two tables, as ``model.ObservedModel`` describes. A
+memory-selection state (t, Y', a, aid) under memory action ``aid2`` moves
+to the action-selection state (t, aid2), whose observation ``("act",
+aid2)`` does not depend on t; the initial state, whose hidden state is the
+initial one, moves the same way. These rows are nearly all of the
+reduction's rows, and none is stored: ``memory_edges[o]`` names the
+observation each memory action of o leads to, and since both classes hold
+one state per state of the same belief, ordering each class by hidden
+state pairs the states up. The explicit table ``supports`` keeps the rest,
+filled as the walk expands each state: an action-selection state's row
+per base action, a memory-selection state's abort row, and the sink's
+self-loops. ``support(s, a)`` finds a's position by bisection in the
+sorted availability tuple and reads either table.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from typing import Sequence
 
 from .bits import bits, mask_of, submasks, supermasks_within
 from .collapse import CollapsedMemory, MemoryFingerprint
@@ -58,6 +68,8 @@ ObsPayload = tuple
 INIT = ("init",)
 SINK = ("sink",)
 SINK_ROW = (1,)  # the losing sink is state 1
+# The explicit rows of the initial and memory-selection states: abort only.
+ABORT_ROWS = (SINK_ROW,)
 
 
 def enabled_action(cm: CollapsedMemory, a: int, reward1_mask: int) -> bool:
@@ -78,11 +90,13 @@ class BeliefObsPomdp(ObservedModel):
 
     Shares Pomdp's observation read side, and adds the rest of what the
     fixpoints, the belief-observation checker and support-only chain
-    construction read: names, ``support`` and the row table ``supports``,
-    which holds, at ``supports[s][i]``, the support of state s under the
-    i-th action of ``avail(obs(s))``. There are no ``rows``: the reduction
-    is a support graph and carries no probabilities or rewards. State 0 is
-    the initial state, state 1 the losing sink. Base actions keep their ids
+    construction read: names, ``support`` and the two successor tables of
+    the module docstring. ``supports[s]`` holds the explicit rows of state
+    s; ``memory_edges[o]`` the target observations of o's memory actions,
+    which follow abort in its availability. Each observation class lists
+    its states by hidden state. There are no ``rows``: the reduction is a
+    support graph and carries no probabilities or rewards. State 0 is the
+    initial state, state 1 the losing sink. Base actions keep their ids
     from the source POMDP, then comes the abort action, then the interned
     memory actions.
 
@@ -97,7 +111,8 @@ class BeliefObsPomdp(ObservedModel):
         state_payloads: list[StatePayload],
         obs_payloads: list[ObsPayload],
         obs_of: list[int],
-        supports: list[list[tuple[int, ...]]],
+        supports: list[Sequence[tuple[int, ...]]],
+        memory_edges: dict[int, tuple[int, ...]],
         availability: dict[int, tuple[int, ...]],
         memory_actions: list[CollapsedMemory],
     ):
@@ -105,11 +120,22 @@ class BeliefObsPomdp(ObservedModel):
         self.state_payloads = state_payloads
         self.obs_payloads = obs_payloads
         self.supports = supports
+        self.memory_edges = memory_edges
         self.memory_actions = memory_actions
         self.initial = 0
         # Safety restriction prunes the sink together with its observation.
         self.sink = 1 if len(state_payloads) > 1 and state_payloads[1] == SINK else None
-        super().__init__(obs_of, len(obs_payloads), availability)
+        # By hidden state; the initial state and the sink have none and
+        # sit alone in their classes.
+        by_hidden: list[list[int]] = [[] for _ in range(base.n_states + 1)]
+        for s, p in enumerate(state_payloads):
+            by_hidden[p[1] + 1 if len(p) > 1 else 0].append(s)
+        super().__init__(
+            obs_of,
+            len(obs_payloads),
+            availability,
+            order=[s for ss in by_hidden for s in ss],
+        )
 
     @property
     def n_actions(self) -> int:
@@ -120,10 +146,16 @@ class BeliefObsPomdp(ObservedModel):
         return self.base.n_actions
 
     def support(self, s: int, a: int) -> tuple[int, ...]:
-        acts = self.availability[self.obs_of[s]]
+        """An explicit row, or the one state a memory edge moves s to."""
+        o = self.obs_of[s]
+        acts = self.availability[o]
         i = bisect_left(acts, a)
         if i < len(acts) and acts[i] == a:
-            return self.supports[s][i]
+            row = self.supports[s]
+            if i < len(row):
+                return row[i]
+            o2 = self.memory_edges[o][i - len(row)]
+            return (self.obs_states(o2)[self.obs_index[s]],)
         raise ModelError(
             f"no transition row for state {self.state_name(s)!r}"
             f" and action {self.action_name(a)!r}"
@@ -182,7 +214,10 @@ class BeliefObsPomdp(ObservedModel):
         return {
             "states": self.n_states,
             "observations": self.n_observations,
-            "rows": sum(map(len, self.supports)),
+            "rows": sum(
+                len(self.avail(o)) * len(self.obs_states(o))
+                for o in range(self.n_observations)
+            ),
             "memory_actions": len(self.memory_actions),
         }
 
@@ -198,8 +233,9 @@ def reduce_pomdp(
     Enumeration order is fixed (lexicographic on bit patterns), so state
     numbering is reproducible.
 
-    Lookups use integer keys only: a memory action by its four masks, and
-    a state or observation by its payload.
+    Lookups use integer keys only: a memory action by its four masks, a
+    memory-selection state or an observation by its payload, and an
+    action-selection state (t, aid) by whether aid is in ``made[t]``.
     """
     if max_states < 1:
         raise ModelError(f"max_states must be at least 1, not {max_states}")
@@ -216,18 +252,18 @@ def reduce_pomdp(
     state_payloads: list[StatePayload] = [INIT, SINK]
     obs_payloads: list[ObsPayload] = [INIT, SINK]
     obs_of: list[int] = [0, 1]
-    # One row list per state, appended when the state is expanded and
-    # filled in place, so a CapacityError counts the rows built so far.
-    # The losing sink self-loops under the base actions and abort; its rows
-    # for the memory actions are added once those are all known.
-    init_row: list[tuple[int, ...]] = []
-    supports: list[list[tuple[int, ...]]] = [init_row, [SINK_ROW] * (n_base + 1)]
+    # One explicit row table per state, appended when the state is
+    # expanded. The losing sink self-loops under every action; its rows are
+    # added once the memory actions are all known.
+    supports: list[Sequence[tuple[int, ...]]] = [ABORT_ROWS, ()]
     availability: dict[int, tuple[int, ...]] = {}
+    memory_edges: dict[int, tuple[int, ...]] = {}
     memory_actions: list[CollapsedMemory] = []
     mid_by_masks: dict[tuple[int, int, int, int], int] = {}
-    # Each state is kept as the singleton row into it: every row into an
-    # action-selection state is one, and they share it.
-    state_rows: dict[StatePayload, tuple[int]] = {}
+    mem_ids: dict[StatePayload, int] = {}
+    # made[t]: abort and each memory action aid such that the
+    # action-selection state ("act", t, aid) exists.
+    made: list[set[int]] = [{abort} for _ in range(g.n_states)]
     obs_ids: dict[ObsPayload, int] = {}
 
     def intern_memory_action(belief: int, win: int, rec: int, acts: int) -> int:
@@ -240,35 +276,37 @@ def reduce_pomdp(
             )
         return got
 
-    def intern(payload: StatePayload) -> tuple[int]:
+    def intern(payload: StatePayload, rows: int) -> int:
         """Add a state its caller did not find, with its observation when
-        that is new too, and return the singleton row into it."""
+        that is new too, and return its id. ``rows`` counts the rows built
+        so far, for the CapacityError."""
         obs_payload = (payload[0], *payload[2:])
         o = obs_ids.get(obs_payload)
         if o is None:
             o = obs_ids[obs_payload] = len(obs_payloads)
             obs_payloads.append(obs_payload)
         if len(state_payloads) >= max_states:
-            built = BeliefObsPomdp(
-                g,
-                state_payloads,
-                obs_payloads,
-                obs_of,
-                supports,
-                availability,
-                memory_actions,
-            )
             raise CapacityError(
-                f"reduction exceeded the cap of {max_states} states", built.stats()
+                f"reduction exceeded the cap of {max_states} states",
+                {
+                    "states": len(state_payloads),
+                    "observations": len(obs_payloads),
+                    "rows": rows,
+                    "memory_actions": len(memory_actions),
+                },
             )
-        got = state_rows[payload] = (len(state_payloads),)
         state_payloads.append(payload)
         obs_of.append(o)
-        return got
+        return len(state_payloads) - 1
 
-    def memory_candidates(ymask2: int, a: int, cm: CollapsedMemory) -> list[int]:
-        """Ids of the next memories enabled after ``a`` led to ``ymask2``,
-        in CollapsedMemory order."""
+    # Many memory-selection observations force the same win and recurrence
+    # bits on the same belief, and so share their availability.
+    choices_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
+
+    def memory_choices(ymask2: int, a: int, cm: CollapsedMemory) -> tuple[int, ...]:
+        """Availability after ``a`` led ``cm`` to ``ymask2``: abort, then
+        the ids of the enabled next memories, ascending. New memories are
+        interned in CollapsedMemory order."""
         forced_w = 0
         for s in bits(cm.belief & cm.fp.win):
             forced_w |= mask_of(g.support(s, a))
@@ -277,15 +315,28 @@ def reduce_pomdp(
         for s in bits(cm.belief & cm.fp.rec):
             forced_r |= mask_of(g.support(s, a))
         forced_r &= ymask2
-        acts2 = avail_mask[belief_obs(g, ymask2)]
-        found = sorted(
-            (w2, r2, a2)
-            for w2 in supermasks_within(forced_w, ymask2)
-            for r2 in supermasks_within(forced_r, ymask2)
-            for a2 in submasks(acts2)
-            if a2
-        )
-        return [intern_memory_action(ymask2, w2, r2, a2) for w2, r2, a2 in found]
+        key = (ymask2, forced_w, forced_r)
+        got = choices_cache.get(key)
+        if got is None:
+            acts2 = avail_mask[belief_obs(g, ymask2)]
+            found = sorted(
+                (w2, r2, a2)
+                for w2 in supermasks_within(forced_w, ymask2)
+                for r2 in supermasks_within(forced_r, ymask2)
+                for a2 in submasks(acts2)
+                if a2
+            )
+            got = choices_cache[key] = tuple(
+                sorted(
+                    [abort]
+                    + [intern_memory_action(ymask2, w2, r2, a2) for w2, r2, a2 in found]
+                )
+            )
+        return got
+
+    # Target observations by availability: those of ("act", aid2) for each
+    # memory action aid2.
+    edges_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     # Successor beliefs by observation per (belief, action), shared across
     # memories.
@@ -298,7 +349,7 @@ def reduce_pomdp(
         return got
 
     y0 = 1 << g.initial
-    init_actions = []
+    init_actions: list[int] = []
     for r, acts in sorted(
         (r, acts)
         for r in (0, y0)
@@ -306,25 +357,29 @@ def reduce_pomdp(
         if acts
     ):
         aid = intern_memory_action(y0, y0, r, acts)
-        init_row.append(intern(("act", g.initial, aid)))
+        intern(("act", g.initial, aid), len(init_actions) + n_base + 1)
         init_actions.append(aid)
+    made[g.initial].update(init_actions)
     # The initial memory actions are the first interned, so their ids
     # ascend and all exceed abort's.
     availability[0] = (abort, *init_actions)
-    init_row.insert(0, SINK_ROW)
+    memory_edges[0] = tuple(obs_ids[("act", aid)] for aid in init_actions)
 
+    # Rows of the states expanded so far, the sink's base and abort rows
+    # included: the CapacityError counts them as if every row were stored.
+    rows = len(availability[0]) + n_base + 1
     # States are expanded in id order: the next one to expand is the first
-    # without a row list, and its row list lands at its id.
+    # without a row table, and its table lands at its id.
     while len(supports) < len(state_payloads):
         payload = state_payloads[len(supports)]
         o = obs_of[len(supports)]
-        row: list[tuple[int, ...]] = []
-        supports.append(row)
         if payload[0] == "act":
             _, s, aid = payload
             cm = memory_actions[aid - abort - 1]
             if o not in availability:
                 availability[o] = tuple(range(n_base))
+            row: list[tuple[int, ...]] = []
+            supports.append(row)
             for a in range(n_base):
                 if not enabled_action(cm, a, reward1[a]):
                     row.append(SINK_ROW)
@@ -333,25 +388,35 @@ def reduce_pomdp(
                 targets = set()
                 for t in g.support(s, a):
                     key = ("mem", t, grouped[g.obs(t)], a, aid)
-                    got = state_rows.get(key)
+                    got = mem_ids.get(key)
                     if got is None:
-                        got = intern(key)
-                    targets.add(got[0])
+                        got = mem_ids[key] = intern(key, rows + a)
+                    targets.add(got)
                 row.append(tuple(sorted(targets)))
         else:
-            _, s2, ymask2, a, aid = payload
-            if o not in availability:
+            _, t, ymask2, a, aid = payload
+            supports.append(ABORT_ROWS)
+            acts = availability.get(o)
+            new_obs = acts is None
+            if new_obs:
                 cm = memory_actions[aid - abort - 1]
-                acts = [abort] + memory_candidates(ymask2, a, cm)
-                availability[o] = tuple(sorted(acts))
-            # abort sorts first: memory-action ids exceed it.
-            row.append(SINK_ROW)
-            for aid2 in availability[o][1:]:
-                key = ("act", s2, aid2)
-                got = state_rows.get(key)
-                if got is None:
-                    got = intern(key)
-                row.append(got)
+                acts = availability[o] = memory_choices(ymask2, a, cm)
+            # abort sorts first: memory-action ids exceed it. Each missing
+            # (t, aid2) is interned in availability order, at its row.
+            made_t = made[t]
+            if not made_t.issuperset(acts):
+                for i, aid2 in enumerate(acts):
+                    if aid2 not in made_t:
+                        intern(("act", t, aid2), rows + i)
+                        made_t.add(aid2)
+            if new_obs:
+                targets = edges_cache.get(acts)
+                if targets is None:
+                    targets = edges_cache[acts] = tuple(
+                        obs_ids[("act", aid2)] for aid2 in acts[1:]
+                    )
+                memory_edges[o] = targets
+        rows += len(availability[o])
 
     all_actions = tuple(range(n_base + 1 + len(memory_actions)))
     availability[1] = all_actions
@@ -363,6 +428,7 @@ def reduce_pomdp(
         obs_payloads=obs_payloads,
         obs_of=obs_of,
         supports=supports,
+        memory_edges=memory_edges,
         availability=availability,
         memory_actions=memory_actions,
     )

@@ -13,7 +13,12 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .chains import FiniteMemoryStrategy, MemorylessStrategy, _playable
+from .chains import (
+    FiniteMemoryStrategy,
+    MemorylessStrategy,
+    _playable,
+    _unavailable_play,
+)
 from .model import ModelError, Pomdp, RewardFn
 
 
@@ -125,10 +130,7 @@ def simulate(
             r = reward_of.get(key)
             if r is None:
                 if a not in g.avail(g.obs(s)):
-                    raise ModelError(
-                        f"strategy plays {g.action_name(a)!r} at state"
-                        f" {g.state_name(s)!r} where it is unavailable"
-                    )
+                    raise _unavailable_play(g, s, a)
                 r = float(rewards.get(s, a))
                 reward_of[key] = r
                 row_of[key] = _Sampler(g.row(s, a))

@@ -661,6 +661,31 @@ def random_tagged_strategy(
     )
 
 
+def hidden_model(n: int, seed: int) -> tuple[Pomdp, RewardFn]:
+    """The hidden-n family of the benchmark: n states, every state after
+    the initial one sharing one observation, 3 actions, 2 uniform
+    successors per state and action among the non-initial states, and
+    reward 1 on each pair with probability 0.85. Hidden-n uses seed 100+n."""
+    rng = random.Random(seed)
+    rest = range(1, n)
+    rows = {
+        (s, a): Distr.uniform(rng.sample(rest, 2)) for s in range(n) for a in range(3)
+    }
+    table = {
+        (s, a): 1 if rng.random() < 0.85 else 0 for s in range(n) for a in range(3)
+    }
+    g = Pomdp(
+        states=[f"s{i}" for i in range(n)],
+        actions=["a", "b", "c"],
+        observations=["init", "h"],
+        obs_of=[0] + [1] * (n - 1),
+        rows=rows,
+        initial=0,
+        name=f"hidden-{n}",
+    )
+    return g, RewardFn(table)
+
+
 def random_pomdp(rng: random.Random) -> Pomdp:
     """Unconstrained small instance for exercising the set primitives."""
     n_states = rng.randint(2, 6)

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from asmp import (
+    Distr,
+    MemorylessStrategy,
+    RewardFn,
     alternating_strategy,
     constant_strategy,
     emit_model,
@@ -21,6 +24,9 @@ from asmp.gadgets import (
     two_state_pfa,
     unavoidable_zero_pomdp,
 )
+
+from helpers import as_finite_memory
+from test_simulate import restricted_pomdp
 
 
 @pytest.fixture
@@ -281,6 +287,22 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert f"{flag[2:]} must be at least 1, not {value}" in err
+
+    def test_unavailable_action_is_invalid_input(self, files, capsys, tmp_path):
+        g = restricted_pomdp()
+        model = tmp_path / "one-sided.txt"
+        model.write_text(emit_model(g, RewardFn.from_state_rewards(g, {0: 1, 1: 1})))
+        stay_go = MemorylessStrategy({0: Distr.dirac(1), 1: Distr.dirac(0)})
+        strategy = tmp_path / "stay-go.txt"
+        strategy.write_text(emit_strategy(as_finite_memory(stay_go, g), g))
+        argv = ["simulate", str(model), "--strategy", str(strategy), "--runs", "1"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(
+            "input error: strategy plays 'stay' at state 'A',"
+            " unavailable at observation 'oA'\n"
+        )
 
 
 class TestCollapse:

@@ -3,6 +3,7 @@ plain reference fixpoints of the helpers."""
 
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -18,6 +19,7 @@ from asmp.fixpoint import _certify_reach
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp
 
 from helpers import (
+    hidden_model,
     oracle_allow,
     oracle_reach_obs,
     oracle_safe_obs,
@@ -157,21 +159,48 @@ class TestAgainstTheReferenceFixpoints:
             )
 
     @pytest.mark.parametrize(
-        "make", [ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp]
+        "make",
+        [ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp]
+        + [
+            pytest.param(partial(hidden_model, n, 100 + n), id=f"hidden-{n}")
+            for n in (5, 6)
+        ]
+        + [
+            pytest.param(
+                partial(random_belief_obs_pomdp, random.Random(seed)),
+                id=f"random-{seed}",
+            )
+            for seed in range(30)
+        ],
     )
     def test_gadget_reductions(self, make):
+        """On reductions, whose memory-selection rows the library reads as
+        memory edges and the references derive one by one from
+        ``support``: safety on the reduction and on its restriction,
+        reachability on both."""
         bg = reduce_pomdp(*make())
         safe = [s for s in range(bg.n_states) if s != bg.sink]
         safety = almost_safe(bg, safe)
         assert safety_fields(safety) == safety_fields(
             reference_almost_safe(bg, safe)
         )
-        restricted = restrict_safe(bg, safety.y_star, safety.allow_map)
-        for g in (bg, restricted):
-            wcs = g.wcs_state_ids()
-            assert reach_fields(almost_reach, g, wcs) == reach_fields(
-                reference_almost_reach, g, wcs
+        models = [bg]
+        if bg.obs(bg.initial) in safety.y_star:
+            restricted = restrict_safe(bg, safety.y_star, safety.allow_map)
+            models.append(restricted)
+            everything = range(restricted.n_states)
+            assert safety_fields(almost_safe(restricted, everything)) == (
+                safety_fields(reference_almost_safe(restricted, everything))
             )
+        for g in models:
+            # The solver's target, and whole observations of every kind:
+            # absorbing memory-selection states stand for no memory edge.
+            wcs = g.wcs_state_ids()
+            classes = [s for o in range(0, g.n_observations, 3) for s in g.obs_states(o)]
+            for targets in (wcs, classes):
+                assert reach_fields(almost_reach, g, targets) == reach_fields(
+                    reference_almost_reach, g, targets
+                )
 
 
 def certification(certify, g, targets, allow_map):

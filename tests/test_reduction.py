@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -11,8 +12,10 @@ from asmp import (
     CollapsedMemory,
     MemoryFingerprint,
     ModelError,
+    almost_safe,
     is_belief_observation,
     reduce_pomdp,
+    restrict_safe,
     validate,
 )
 from asmp.bits import bits, mask_of
@@ -130,6 +133,30 @@ class TestReductionStructure:
             "rows": 30964,
             "memory_actions": 198,
         }
+
+    @pytest.mark.parametrize(
+        "make",
+        [ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp]
+        + [
+            pytest.param(
+                partial(random_belief_obs_pomdp, random.Random(seed)),
+                id=f"random-{seed}",
+            )
+            for seed in range(10)
+        ],
+    )
+    def test_rows_are_counted_from_availability(self, make):
+        """Memory-selection rows are not stored, but each available pair
+        still counts as one row, in the reduction and in its restriction."""
+        bg = reduce_pomdp(*make())
+        safety = almost_safe(bg, [s for s in range(bg.n_states) if s != bg.sink])
+        models = [bg]
+        if bg.obs(bg.initial) in safety.y_star:
+            models.append(restrict_safe(bg, safety.y_star, safety.allow_map))
+        for g in models:
+            rows = g.stats()["rows"]
+            assert rows == sum(len(g.avail(g.obs(s))) for s in range(g.n_states))
+            assert rows == len(rows_of(g))
 
     def test_start_and_sink_are_pinned(self):
         g, rewards = unavoidable_zero_pomdp()

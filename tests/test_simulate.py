@@ -170,6 +170,23 @@ class TestConfigAndErrors:
         with pytest.raises(ModelError, match="'stay' at state 'A'"):
             simulate(g, r, greedy, SimConfig(steps=10, runs=1))
 
+    def test_unavailable_action_raises_what_the_chain_raises(self):
+        g = restricted_pomdp()
+        r = RewardFn.from_state_rewards(g, {0: 1, 1: 1})
+        stay_go = MemorylessStrategy({0: Distr.dirac(1), 1: Distr.dirac(0)})
+        errors = []
+        for play in (
+            lambda: simulate(g, r, stay_go, SimConfig(steps=10, runs=1)),
+            lambda: product_chain(g, r, stay_go),
+        ):
+            with pytest.raises(ModelError) as err:
+                play()
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1] == (
+            StrategyError,
+            "strategy plays 'stay' at state 'A', unavailable at observation 'oA'",
+        )
+
     def test_result_carries_its_configuration(self):
         g, r = ring_pomdp()
         cfg = SimConfig(steps=120, runs=4, seed=11, burn_in=20)

@@ -7,7 +7,10 @@ A change in any of them means the construction changed, not just an
 internal detail.
 """
 
+import hashlib
+import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -23,6 +26,7 @@ from asmp import (
     collapse,
     constant_strategy,
     decide_limavg1,
+    emit_strategy,
     limavg1_diagnosis,
     memoryless_to_finite_memory,
     product_chain,
@@ -33,7 +37,12 @@ from asmp import (
 from asmp.collapse import CollapsedMemory
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp
 
-from helpers import finite_memory_to_memoryless, reduced_pomdp
+from helpers import (
+    finite_memory_to_memoryless,
+    hidden_model,
+    random_belief_obs_pomdp,
+    reduced_pomdp,
+)
 
 
 class TestVerdicts:
@@ -120,6 +129,68 @@ class TestVerdicts:
         with pytest.raises(ModelError) as e:
             decide_limavg1(g, r)
         assert str(e.value) == "state 's', action 'a': weights sum to 1/2, not 1"
+
+
+def solver_output(g, rewards) -> str:
+    """The traced report, followed by the witness as a strategy file."""
+    report = decide_limavg1(g, rewards)
+    text = report.render(trace=True)
+    if report.witness is not None:
+        text += emit_strategy(report.witness, g)
+    return text
+
+
+class TestFrozenOutputs:
+    """Digests of the traced report and the witness file, frozen from the
+    solver that stored every memory-selection row of the reduction."""
+
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (
+                ring_pomdp,
+                "178f89b0ada24c29b3745c4e26746729adb8e79b533886a2fe7fc66d74705193",
+            ),
+            (
+                trap_ring_pomdp,
+                "b218edf8ce45a61f2c00a8e650f5b58dc02ff19f9990e564792fcd67d5d713f5",
+            ),
+            (
+                unavoidable_zero_pomdp,
+                "058dfd39fb464281c3c74e439927072a4271c3803a37409004336d87724f1d03",
+            ),
+            pytest.param(
+                partial(hidden_model, 5, 105),
+                "5d642db376be1b23dd1fa136fc72ac43f8cd0da91bfcc881c94642138489a35c",
+                id="hidden-5",
+            ),
+            pytest.param(
+                partial(hidden_model, 6, 106),
+                "18fb6e8515bbe4104e1ff53cd7a9d6b8c88c8e992603ea97ed222944f6ee2b62",
+                id="hidden-6",
+            ),
+            pytest.param(
+                partial(hidden_model, 7, 107),
+                "f007ec061962992296a75ceef0d52f8ae6f253650add53891a31a15996812730",
+                id="hidden-7",
+            ),
+        ],
+    )
+    def test_frozen_digest_of_the_solver_output(self, make, digest):
+        text = solver_output(*make())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_frozen_digest_of_300_seeded_models(self):
+        h = hashlib.sha256()
+        yes = 0
+        for seed in range(300):
+            text = solver_output(*random_belief_obs_pomdp(random.Random(seed)))
+            yes += text.startswith("verdict: YES")
+            h.update(text.encode())
+        assert yes == 103
+        assert h.hexdigest() == (
+            "b2fdfefb38977758bc7deec76ab6bf9eb767fec1d6025c996b83433c70012306"
+        )
 
 
 class TestValidateStrategy:
