@@ -29,13 +29,15 @@ target) inside a greatest one (observations that never lose the ability),
 computed on a copy where the target is absorbing. The inner fixpoint is a
 worklist too: a pass only visits the rows entering the states that joined
 in the previous pass, which gives the same levels as rescanning every
-pending state; the memory predecessors of a state are the states at its
-place in the observations whose memory groups lead into its own. Allowed
+pending state. The memory predecessors of a state are the states at its
+place in the observations whose memory groups lead into its own, and the
+observations of one target tuple let theirs join together. Allowed
 actions are updated when observations leave the outer set. Reachability
 results are certified before being returned, on the allowed rows
 themselves: the states the witness reaches from the initial state, with
 the target absorbing, must stay in the winning observations, and every
-bottom class of that graph must meet the target.
+bottom class of that graph must meet the target. States with the same
+memory successors reach them through one shared node.
 """
 
 from __future__ import annotations
@@ -209,42 +211,63 @@ def _certify_reach(
     reached graph must contain a target: then the play stays in those
     observations and reaches the target with probability one.
     """
-    # By observation: the allowed explicit positions, and the classes the
-    # allowed memory edges lead to.
-    moves: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
+    # By observation: the allowed explicit positions, the observations the
+    # allowed memory edges lead to, and their classes.
+    moves: dict[int, tuple[list[int], tuple[int, ...], list[tuple[int, ...]]]] = {}
     shapes: dict = {}
+    # The states at place i of observations whose allowed memory edges lead
+    # to the same observations share their memory successors, the states at
+    # place i of those classes. The walk routes them through one hub node
+    # per (targets, place), which keeps the graph observation-sized. A hub
+    # is no target, and a path through one is a path between states, so the
+    # bottom classes keep their states and their targets.
+    hub_ids: dict[tuple[tuple[int, ...], int], int] = {}
+    hubs: dict[int, tuple[list[tuple[int, ...]], int]] = {}
     # index[s]: s's node in the reached graph, -1 until s is reached.
     index = [-1] * g.n_states
     index[g.initial] = 0
+    # The state of each node, -1 for a hub.
     order = [g.initial]
     succ: list[Sequence[int]] = []
-    # order grows during the walk, so states are expanded in discovery order.
-    for s in order:
-        o = g.obs(s)
-        got = moves.get(o)
-        if got is None:
-            if o not in allow_map:
-                raise ModelError(
-                    "reachability witness failed certification: its chain"
-                    f" reaches observation {g.obs_name(o)!r} outside the"
-                    " winning set"
-                )
-            pos, _, moved = _allowed_shape(g, o, allow_map[o], shapes)
-            got = moves[o] = (pos, [g.obs_states(o2) for o2 in moved])
-        if s in targets:
-            succ.append((index[s],))
-            continue
-        pos, classes = got
-        row = g.supports[s]
-        place = g.obs_index[s]
-        ts = [t for i in pos for t in row[i]]
-        ts += [cls[place] for cls in classes]
+    # order grows during the walk, so nodes are expanded in discovery order.
+    for v, s in enumerate(order):
+        hub = None
+        if s < 0:
+            classes, place = hubs[v]
+            ts = [cls[place] for cls in classes]
+        else:
+            o = g.obs(s)
+            got = moves.get(o)
+            if got is None:
+                if o not in allow_map:
+                    raise ModelError(
+                        "reachability witness failed certification: its chain"
+                        f" reaches observation {g.obs_name(o)!r} outside the"
+                        " winning set"
+                    )
+                pos, _, moved = _allowed_shape(g, o, allow_map[o], shapes)
+                got = moves[o] = (pos, moved, [g.obs_states(o2) for o2 in moved])
+            if s in targets:
+                succ.append((v,))
+                continue
+            pos, moved, classes = got
+            row = g.supports[s]
+            ts = [t for i in pos for t in row[i]]
+            if moved:
+                hub = (moved, g.obs_index[s])
         for t in ts:
             if index[t] < 0:
                 index[t] = len(order)
                 order.append(t)
         # Repeated successors are harmless to the component search.
         ts[:] = map(index.__getitem__, ts)
+        if hub is not None:
+            h = hub_ids.get(hub)
+            if h is None:
+                h = hub_ids[hub] = len(order)
+                hubs[h] = (classes, hub[1])
+                order.append(-1)
+            ts.append(h)
         succ.append(ts)
     for cls in bottom_classes(succ):
         if not any(order[i] in targets for i in cls):
@@ -280,6 +303,7 @@ def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
     x_rounds: list[list[int]] = []
     while True:
         in_x = bytearray(g.n_states)
+        fired: set[tuple[int, int]] = set()
         level = [s for s in targets if g.obs(s) in z]
         for s in level:
             in_x[s] = 1
@@ -297,14 +321,20 @@ def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
                         if not in_x[s]:
                             in_x[s] = 1
                             entered.append(s)
+                # The observations of one target tuple share their memory
+                # successors place by place, and the flags of their groups
+                # (an outer round clears them together), so their states
+                # at t's place join together, once per round.
                 i = obs_index[t]
                 for u, j in into[obs_of[t]]:
+                    if (u, i) in fired or not allowed[mem_first[users[u][0]] + j]:
+                        continue
+                    fired.add((u, i))
                     for o in users[u]:
-                        if allowed[mem_first[o] + j]:
-                            s = classes[o][i]
-                            if not in_x[s]:
-                                in_x[s] = 1
-                                entered.append(s)
+                        s = classes[o][i]
+                        if not in_x[s]:
+                            in_x[s] = 1
+                            entered.append(s)
             sizes.append(sizes[-1] + len(entered))
             if not entered:
                 break

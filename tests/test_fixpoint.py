@@ -241,15 +241,50 @@ class TestCertification:
                 z = {o0} | {
                     o for o in range(g.n_observations) if rng.random() < 0.6
                 }
-                allow_map = {}
-                for o in sorted(z):
-                    acts = g.avail(o)
-                    allow_map[o] = tuple(
-                        sorted(rng.sample(acts, rng.randint(1, len(acts))))
-                    )
+                allow_map = random_allow_map(rng, g, z)
             got = certification(_certify_reach, g, targets, allow_map)
             assert got == certification(
                 reference_certify_reach, g, targets, allow_map
             )
             outcomes[got] += 1
         assert set(outcomes) == {None, "leaves", "avoids"}
+
+    def test_agrees_on_reductions(self):
+        """Where memory edges stand for most rows, and the walk routes the
+        states of one shape through a shared hub."""
+        rng = random.Random(46)
+        outcomes = Counter()
+        for k in range(60):
+            bg = reduce_pomdp(*random_belief_obs_pomdp(rng))
+            safe = [s for s in range(bg.n_states) if s != bg.sink]
+            safety = almost_safe(bg, safe)
+            g = bg
+            if bg.obs(bg.initial) in safety.y_star:
+                g = restrict_safe(bg, safety.y_star, safety.allow_map)
+            targets = frozenset(g.wcs_state_ids())
+            res = almost_reach(g, targets)
+            if k % 3 == 0 and g.obs(g.initial) in res.z_star:
+                allow_map = res.allow_map
+            else:
+                # Every observation, or most of them, with random actions.
+                z = {
+                    o
+                    for o in range(g.n_observations)
+                    if k % 3 == 1 or rng.random() < 0.9
+                }
+                allow_map = random_allow_map(rng, g, z | {g.obs(g.initial)})
+            got = certification(_certify_reach, g, targets, allow_map)
+            assert got == certification(
+                reference_certify_reach, g, targets, allow_map
+            )
+            outcomes[got] += 1
+        assert min(outcomes[got] for got in (None, "leaves", "avoids")) >= 5, outcomes
+
+
+def random_allow_map(rng, g, z):
+    """A non-empty random set of available actions at each observation of z."""
+    allow_map = {}
+    for o in sorted(z):
+        acts = g.avail(o)
+        allow_map[o] = tuple(sorted(rng.sample(acts, rng.randint(1, len(acts)))))
+    return allow_map
