@@ -10,6 +10,16 @@ mean-payoff 1 holds exactly when every reachable recurrent class pays reward
 chain is built over supports and its exact weights are derived only when a
 quantitative question reads them: thresholds come from exact stationary
 distributions of the recurrent classes.
+
+A strategy often repeats one memory update many times, and an update that
+can move to several memories would give every node that plays into it an
+edge to each of them. The support graph instead routes such a move through
+one hub node per (state, update support), which leads on to those memories.
+Hubs only shorten the edge lists: they play nothing, always have an exit,
+and a path through one is a path between nodes, so the recurrent classes
+and the reachability of every node are those of the chain itself. An
+update to one or two memories keeps direct edges: a hub would save at most
+one edge per move and costs a node and two edges of its own.
 """
 
 from __future__ import annotations
@@ -157,8 +167,12 @@ class MarkovChain:
 
     Nodes are (state, memory) pairs in discovery order, node 0 the start,
     and every node is reachable from the start. ``product_chain`` records
-    supports only: ``successors(i)`` is the sorted tuple of node i's
-    successors, and ``below_one[i]`` the smallest action node i plays for
+    supports only. ``graph`` is the support graph: ``graph[i]`` for node
+    i < n_nodes lists its successors, where a move into an update with
+    three or more memories leads to a hub, numbered n_nodes and up, whose
+    own list holds the nodes it routes to. ``successors(i)``, the sorted
+    tuple of node i's successors with the hubs passed through, is derived
+    on demand. ``below_one[i]`` is the smallest action node i plays for
     reward below 1, or None when it pays 1 on every play. The qualitative
     questions read only these and the recurrent classes.
 
@@ -176,7 +190,7 @@ class MarkovChain:
         sigma: FiniteMemoryStrategy | _ObservationMemory,
         labels: list[tuple[int, int]],
         index: dict[tuple[int, int], int],
-        succ: list[tuple[int, ...]],
+        graph: list[Sequence[int]],
         below_one: list[int | None],
     ):
         self._g = g
@@ -184,7 +198,7 @@ class MarkovChain:
         self._sigma = sigma
         self.labels = labels
         self.index = index
-        self._succ = succ
+        self.graph = graph
         self.below_one = below_one
         self.start = 0
         # Exact mean of each recurrent class, by class index, once solved.
@@ -195,7 +209,14 @@ class MarkovChain:
         return len(self.labels)
 
     def successors(self, i: int) -> tuple[int, ...]:
-        return self._succ[i]
+        out = self.graph[i]
+        n = self.n_nodes
+        # A node's list is sorted, so any hubs in it come last.
+        if not out or out[-1] < n:
+            return out
+        return tuple(
+            sorted({j for h in out for j in (self.graph[h] if h >= n else (h,))})
+        )
 
     def reachable(self) -> list[int]:
         """Every node, in id order: the chain holds only reachable nodes."""
@@ -204,7 +225,13 @@ class MarkovChain:
     @cached_property
     def recurrent(self) -> list[list[int]]:
         """Bottom strongly connected components, sorted by smallest node id."""
-        return bottom_classes(self._succ)
+        classes = bottom_classes(self.graph)
+        n = self.n_nodes
+        if len(self.graph) == n:
+            return classes
+        # A hub has an exit, so every bottom class holds nodes; its hubs
+        # sort last and are dropped.
+        return [[i for i in cls if i < n] for cls in classes]
 
     @cached_property
     def label_texts(self) -> list[str]:
@@ -266,21 +293,39 @@ def product_chain(
     """Build the reachable chain of ``sigma`` played on ``g``, over supports.
 
     A memoryless strategy is played with the current observation as its
-    memory. Raises StrategyError when the strategy plays an action
-    unavailable at the current observation or reaches a missing
-    memory-update row, and ModelError when a played pair has no reward.
+    memory. A move into an update with one or two memories is a direct
+    edge; one into an update with more goes through the hub of its state
+    and support (see ``MarkovChain``). Raises StrategyError when the strategy
+    plays an action unavailable at the current observation or reaches a
+    missing memory-update row, and ModelError when a played pair has no
+    reward.
     """
     sigma = _playable(g, sigma)
     start = (g.initial, sigma.initial)
     labels = [start]
     index = {start: 0}
-    succ: list[tuple[int, ...]] = []
+    graph: list[Sequence[int]] = []
     below_one: list[int | None] = []
+    # By id of an update row: its support, the number of that support
+    # among those that get hubs or -1, and the row, which keeps the id
+    # taken. moves holds the same by (memory, observation, action).
+    shapes: dict[int, tuple[tuple[int, ...], int, Distr]] = {}
+    moves: dict[tuple[int, int, int], tuple[tuple[int, ...], int, Distr]] = {}
+    support_ids: dict[tuple[int, ...], int] = {}
+    # Hub k by (state, support number), and the nodes it leads to.
+    hub_ids: dict[tuple[int, int], int] = {}
+    hubs: list[list[int]] = []
+    # Nodes whose lists name hubs, as ~k until the node count is known.
+    hubbed: list[int] = []
     # labels grows during the walk, so nodes are expanded in discovery order.
+    # A hub is expanded where it is first met, which discovers its nodes in
+    # the order the direct edges would.
     for s, m in labels:
         o = g.obs(s)
         avail = g.avail(o)
         nxt: set[int] = set()
+        add = nxt.add
+        via_hub = False
         low = None
         for a in sigma.action_distr(m).support():
             if a not in avail:
@@ -288,16 +333,49 @@ def product_chain(
             if rewards.get(s, a) != 1 and low is None:
                 low = a
             for t in g.support(s, a):
-                for m2 in sigma.update_row(m, g.obs(t), a).support():
+                key = (m, g.obs(t), a)
+                shape = moves.get(key)
+                if shape is None:
+                    row = sigma.update_row(*key)
+                    shape = shapes.get(id(row))
+                    if shape is None:
+                        ms = row.support()
+                        k = -1
+                        if len(ms) > 2:
+                            k = support_ids.setdefault(ms, len(support_ids))
+                        shape = shapes[id(row)] = (ms, k, row)
+                    moves[key] = shape
+                ms, k, _ = shape
+                if k < 0:
+                    put = add
+                else:
+                    via_hub = True
+                    h = hub_ids.get((t, k))
+                    if h is not None:
+                        add(~h)
+                        continue
+                    h = hub_ids[(t, k)] = len(hubs)
+                    add(~h)
+                    hubs.append([])
+                    put = hubs[h].append
+                for m2 in ms:
                     node = (t, m2)
                     j = index.get(node)
                     if j is None:
                         j = index[node] = len(labels)
                         labels.append(node)
-                    nxt.add(j)
-        succ.append(tuple(sorted(nxt)))
+                    put(j)
+        if via_hub:
+            hubbed.append(len(graph))
+            graph.append(nxt)
+        else:
+            graph.append(tuple(sorted(nxt)))
         below_one.append(low)
-    return MarkovChain(g, rewards, sigma, labels, index, succ, below_one)
+    n = len(labels)
+    for i in hubbed:
+        graph[i] = tuple(sorted(j if j >= 0 else n + ~j for j in graph[i]))
+    graph += hubs
+    return MarkovChain(g, rewards, sigma, labels, index, graph, below_one)
 
 
 def _sccs(succ: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:

@@ -65,24 +65,29 @@ def fingerprints(
 ) -> list[MemoryFingerprint]:
     """Summarize every memory of ``sigma`` from one product-chain analysis.
 
-    The components of the chain come sinks first, so one walk over them
-    settles every node. A component with no exit is a recurrent class, lost
-    when it plays a reward below 1; any other component is lost when it
-    exits into a lost one. A node is winning exactly when its component is
-    not lost.
+    The components of the chain's support graph come sinks first, so one
+    walk over them settles every node. A component with no exit is a
+    recurrent class, lost when it plays a reward below 1; any other
+    component is lost when it exits into a lost one. A node is winning
+    exactly when its component is not lost.
     """
     mc = product_chain(g, rewards, sigma)
-    comps, comp_of = _sccs([mc.successors(i) for i in range(mc.n_nodes)])
+    graph, n = mc.graph, mc.n_nodes
+    comps, comp_of = _sccs(graph)
     win = [0] * sigma.n_memories
     rec = [0] * sigma.n_memories
     lost: list[bool] = []
     for c, comp in enumerate(comps):
-        exits = {comp_of[j] for i in comp for j in mc.successors(i)} - {c}
+        exits = {comp_of[j] for i in comp for j in graph[i]} - {c}
+        # A hub plays nothing, and every component without an exit holds
+        # nodes: the hubs of a component sort last and are passed over.
         if exits:
             lost.append(any(lost[d] for d in exits))
         else:
-            lost.append(any(mc.below_one[i] is not None for i in comp))
+            lost.append(any(i < n and mc.below_one[i] is not None for i in comp))
         for i in comp:
+            if i >= n:
+                break
             s, m = mc.labels[i]
             if not exits:
                 rec[m] |= 1 << s

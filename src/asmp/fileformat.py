@@ -386,10 +386,14 @@ def emit_strategy(sigma: FiniteMemoryStrategy, g: Pomdp) -> str:
         row = " ".join(f"{g.actions[a]}:{p}" for a, p in d.items())
         out.append(f"{names[m]} -> {row}")
     out.append("update:")
-    for (m, o, a) in sorted(sigma.update):
-        row = " ".join(
-            f"{names[m2]}:{p}" for m2, p in sigma.update[(m, o, a)].items()
-        )
+    # Each row's text by the row's id: strategies share rows among many
+    # triples, and sigma.update keeps every row, so no id is reused here.
+    texts: dict[int, str] = {}
+    for m, o, a in sorted(sigma.update):
+        d = sigma.update[(m, o, a)]
+        row = texts.get(id(d))
+        if row is None:
+            row = texts[id(d)] = " ".join(f"{names[m2]}:{p}" for m2, p in d.items())
         out.append(f"{names[m]} {g.observations[o]} {g.actions[a]} -> {row}")
     return "\n".join(out) + "\n"
 

@@ -183,6 +183,11 @@ def memoryless_to_finite_memory(
             next_action.append(act_choice(aid))
         return got
 
+    # Each row of sigma converted once, by the row's id: rows are often
+    # shared among many observations, comparing them by value would hash
+    # every weight, and sigma keeps every row, so no id is reused here.
+    converted: dict[int, Distr] = {}
+
     def mem_choice(aid: int, ymask2: int, a: int) -> Distr:
         o = obs_id.get(("mem", ymask2, a, aid))
         if o is None:
@@ -190,15 +195,20 @@ def memoryless_to_finite_memory(
                 f"reduction strategy plays {bg.action_name(a)!r} at observation"
                 f" {bg.obs_name(obs_id[('act', aid)])!r} into the losing sink"
             )
-        row = sigma.action_distr(o).items()
-        if any(aid2 <= abort for aid2, _ in row):
-            raise StrategyError(
-                f"reduction strategy chooses no memory action at observation"
-                f" {bg.obs_name(o)!r}"
-            )
-        # Memory actions and their memories correspond one to one, so no
-        # two weights of the row fall on the same memory.
-        return Distr({intern(aid2): p for aid2, p in row})
+        row = sigma.action_distr(o)
+        got = converted.get(id(row))
+        if got is None:
+            items = row.items()
+            if any(aid2 <= abort for aid2, _ in items):
+                raise StrategyError(
+                    f"reduction strategy chooses no memory action at observation"
+                    f" {bg.obs_name(o)!r}"
+                )
+            # Memory actions and their memories correspond one to one, so
+            # no two weights of the row fall on the same memory; interning
+            # them here, where the row is first met, keeps the memory order.
+            got = converted[id(row)] = Distr({intern(aid2): p for aid2, p in items})
+        return got
 
     # Start memory: mix the first action over the initial memory choices,
     # then update by the posterior of that choice given the action.
@@ -281,6 +291,9 @@ def decide_limavg1(
 
     restricted = restrict_safe(bg, safety.y_star, safety.allow_map)
     lap("restrict_s")
+    # The report holds what it needs of both; reach and the witness read
+    # only the restriction.
+    del bg, safety
     wcs = restricted.wcs_state_ids()
     reach = almost_reach(restricted, wcs)
     lap("reach_s")
@@ -298,8 +311,11 @@ def decide_limavg1(
         return report
 
     # Certification has checked that this play never leaves Z*, so the
-    # unfolding reads no observation outside it.
-    choice = {o: Distr.uniform(acts) for o, acts in reach.allow_map.items()}
+    # unfolding reads no observation outside it. Observations with equal
+    # allowed tuples share one distribution, which the unfolding converts
+    # once.
+    uniform = {acts: Distr.uniform(acts) for acts in set(reach.allow_map.values())}
+    choice = {o: uniform[acts] for o, acts in reach.allow_map.items()}
     witness = memoryless_to_finite_memory(restricted, MemorylessStrategy(choice))
     lap("unfold_s")
     ok, diag = validate_strategy(g, rewards, witness)

@@ -4,7 +4,8 @@ Everything here re-derives the quantity under test from first principles:
 explicit enumeration, path expansion, graph sweeps. Slower and dumber than
 the library on purpose, so a shared bug would have to be invented twice.
 The references are code the library replaced or never needed at run time:
-the pair-keyed fixpoints and the product-chain certification, the
+the product chain with every edge spelled out (no hubs), the pair-keyed
+fixpoints and the product-chain certification, the
 frozenset belief check, the projection of a collapsed strategy onto the
 reduction (the completeness direction of the construction) with the
 canonical form of a collapsed memory, the dump of a reduced model as a
@@ -34,10 +35,10 @@ from asmp import (
     RewardFn,
     SafetyResult,
     StrategyError,
-    product_chain,
     recurrent_classes,
 )
 from asmp.bits import bits, mask_of
+from asmp.chains import _playable, _unavailable_play
 from asmp.model import belief_obs
 from asmp.reduction import INIT, SINK
 
@@ -106,6 +107,41 @@ def reach_set(succ: dict[int, tuple[int, ...]], start: int) -> set[int]:
                 seen.add(t)
                 frontier.append(t)
     return seen
+
+
+# --------------------------------------------------------- product chain
+
+def reference_product_chain(g: Pomdp, rewards: RewardFn, sigma) -> MarkovChain:
+    """The product chain with an edge from each node to each of its
+    successors, no hubs: nodes in the same discovery order, the same
+    errors, and ``graph[i]`` equal to ``successors(i)``."""
+    sigma = _playable(g, sigma)
+    start = (g.initial, sigma.initial)
+    labels = [start]
+    index = {start: 0}
+    succ: list[tuple[int, ...]] = []
+    below_one: list[int | None] = []
+    for s, m in labels:
+        o = g.obs(s)
+        avail = g.avail(o)
+        nxt: set[int] = set()
+        low = None
+        for a in sigma.action_distr(m).support():
+            if a not in avail:
+                raise _unavailable_play(g, s, a)
+            if rewards.get(s, a) != 1 and low is None:
+                low = a
+            for t in g.support(s, a):
+                for m2 in sigma.update_row(m, g.obs(t), a).support():
+                    node = (t, m2)
+                    j = index.get(node)
+                    if j is None:
+                        j = index[node] = len(labels)
+                        labels.append(node)
+                    nxt.add(j)
+        succ.append(tuple(sorted(nxt)))
+        below_one.append(low)
+    return MarkovChain(g, rewards, sigma, labels, index, succ, below_one)
 
 
 # ------------------------------------------------- observation strategies
@@ -335,7 +371,7 @@ def reference_certify_reach(g, targets, allow_map) -> MemorylessStrategy:
     witness = MemorylessStrategy(
         {o: Distr.uniform(acts) for o, acts in allow_map.items()}
     )
-    mc = product_chain(AbsorbingView(g, targets), PaysOne(), witness)
+    mc = reference_product_chain(AbsorbingView(g, targets), PaysOne(), witness)
     for cls in recurrent_classes(mc):
         if not any(mc.labels[i][0] in targets for i in cls):
             raise ModelError(
@@ -636,15 +672,15 @@ def random_belief_obs_pomdp(rng: random.Random) -> tuple[Pomdp, RewardFn]:
 
 
 def random_tagged_strategy(
-    rng: random.Random, g: Pomdp, randomized: bool
+    rng: random.Random, g: Pomdp, randomized: bool, max_tags: int = 2
 ) -> FiniteMemoryStrategy:
     """Random finite-memory strategy that only makes legal moves.
 
     Each memory is tagged with the observation it is entered on, plays
     actions available there, and updates to memories tagged with the
-    observation just seen.
+    observation just seen. Each observation tags 1 to ``max_tags`` memories.
     """
-    tags = [o for o in range(g.n_observations) for _ in range(rng.randint(1, 2))]
+    tags = [o for o in range(g.n_observations) for _ in range(rng.randint(1, max_tags))]
 
     def pick(options):
         return Distr.uniform(rng.sample(options, rng.randint(1, len(options)) if randomized else 1))

@@ -1,5 +1,6 @@
 """Product chains, recurrent classes, exact mean payoffs."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from asmp import (
     alternating_strategy,
     bscc_mean_payoff,
     constant_strategy,
+    decide_limavg1,
     fingerprints,
     limavg1_diagnosis,
     product_chain,
@@ -28,11 +30,16 @@ from asmp.gadgets import ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp
 from helpers import (
     as_finite_memory,
     bsccs,
+    hidden_model,
     oracle_node_wins,
     random_belief_obs_pomdp,
     random_tagged_strategy,
     reach_set,
+    reference_product_chain,
 )
+
+# The package exports a function named ``collapse``, which hides the module.
+collapse_module = importlib.import_module("asmp.collapse")
 
 
 def class_names(mc, cls):
@@ -124,6 +131,67 @@ class TestProductChain:
             mc = product_chain(g, r, sigma)
             succ = {i: mc.successors(i) for i in range(mc.n_nodes)}
             assert mc.reachable() == sorted(reach_set(succ, 0))
+
+
+def hub_corpus():
+    """The solver's witnesses for hidden-5 and hidden-6, whose update rows
+    repeat a few supports many times, then seeded random strategies whose
+    updates often move to three or four memories, each row its own
+    object."""
+    for n in (5, 6):
+        g, r = hidden_model(n, 100 + n)
+        yield g, r, decide_limavg1(g, r).witness
+    rng = random.Random(4646)
+    for _ in range(150):
+        g, r = random_belief_obs_pomdp(rng)
+        yield g, r, random_tagged_strategy(rng, g, randomized=True, max_tags=4)
+
+
+class TestHubRouting:
+    """The hub-routed chain against the builder that spells out every edge."""
+
+    def test_chain_questions_match_the_reference_builder(self, monkeypatch):
+        hubbed = 0
+        for g, r, sigma in hub_corpus():
+            mc = product_chain(g, r, sigma)
+            ref = reference_product_chain(g, r, sigma)
+            assert mc.labels == ref.labels
+            assert mc.below_one == ref.below_one
+            assert [mc.successors(i) for i in range(mc.n_nodes)] == ref.graph
+            assert mc.recurrent == ref.recurrent
+            assert limavg1_diagnosis(mc) == limavg1_diagnosis(ref)
+            with monkeypatch.context() as patch:
+                patch.setattr(collapse_module, "product_chain", reference_product_chain)
+                want = fingerprints(g, r, sigma)
+            assert fingerprints(g, r, sigma) == want
+            hubbed += len(mc.graph) > mc.n_nodes
+        # Over half of the chains route some move through a hub.
+        assert hubbed >= 80
+
+    def test_updates_to_one_or_two_memories_keep_direct_edges(self):
+        g, r = trap_ring_pomdp()
+        cases = [(g, r, uniform_strategy(g)), (g, r, alternating_strategy(g, 0, 1))]
+        rng = random.Random(4747)
+        for _ in range(40):
+            g, r = random_belief_obs_pomdp(rng)
+            cases.append((g, r, random_tagged_strategy(rng, g, randomized=True)))
+        for g, r, sigma in cases:
+            mc = product_chain(g, r, sigma)
+            assert len(mc.graph) == mc.n_nodes
+            assert all(mc.graph[i] == mc.successors(i) for i in range(mc.n_nodes))
+
+    def test_one_hub_per_state_and_support(self):
+        # The random strategies give every update triple its own row, so
+        # rows with equal supports must still share their hubs.
+        for g, r, sigma in hub_corpus():
+            mc = product_chain(g, r, sigma)
+            routes = [
+                frozenset(mc.labels[j] for j in mc.graph[h])
+                for h in range(mc.n_nodes, len(mc.graph))
+            ]
+            assert len(set(routes)) == len(routes)
+            for route in routes:
+                assert len({t for t, _ in route}) == 1 and len(route) > 2
 
 
 def weights_read(mc):

@@ -13,6 +13,7 @@ from asmp import (
     alternating_strategy,
     almost_sure_limavg_gt,
     collapse,
+    decide_limavg1,
     emit_model,
     emit_pfa,
     emit_rewards,
@@ -32,7 +33,14 @@ from asmp import (
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp, two_state_pfa
 from asmp.reduction import reduce_pomdp
 
-from helpers import all_words, as_finite_memory, reduced_pomdp
+from helpers import (
+    all_words,
+    as_finite_memory,
+    hidden_model,
+    random_belief_obs_pomdp,
+    random_tagged_strategy,
+    reduced_pomdp,
+)
 from test_simulate import restricted_pomdp
 
 TINY_CANONICAL = """states:
@@ -261,7 +269,33 @@ class TestRewards:
             parse_rewards("states:\ns\n", g)
 
 
+def reference_emit_strategy(sigma, g) -> str:
+    """The strategy text with every update row formatted on its own."""
+    names = strategy_memory_names(sigma)
+    out = ["memory:", *names, "init:", names[sigma.initial], "next:"]
+    for m, d in enumerate(sigma.next_action):
+        row = " ".join(f"{g.actions[a]}:{p}" for a, p in d.items())
+        out.append(f"{names[m]} -> {row}")
+    out.append("update:")
+    for (m, o, a) in sorted(sigma.update):
+        row = " ".join(f"{names[m2]}:{p}" for m2, p in sigma.update[(m, o, a)].items())
+        out.append(f"{names[m]} {g.observations[o]} {g.actions[a]} -> {row}")
+    return "\n".join(out) + "\n"
+
+
 class TestStrategies:
+    def test_emit_matches_the_per_row_reference(self):
+        cases = []
+        for g, r in (ring_pomdp(), trap_ring_pomdp(), hidden_model(5, 105)):
+            witness = decide_limavg1(g, r).witness
+            cases += [(witness, g), (collapse(g, r, witness), g)]
+        rng = random.Random(5151)
+        for k in range(60):
+            g, _ = random_belief_obs_pomdp(rng)
+            cases.append((random_tagged_strategy(rng, g, randomized=k % 2 == 1), g))
+        for sigma, g in cases:
+            assert emit_strategy(sigma, g) == reference_emit_strategy(sigma, g)
+
     def test_alternation_round_trips(self):
         g, r = ring_pomdp()
         sigma = alternating_strategy(g, 0, 1)

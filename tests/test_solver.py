@@ -22,6 +22,8 @@ from asmp import (
     Pomdp,
     RewardFn,
     StrategyError,
+    almost_reach,
+    almost_safe,
     alternating_strategy,
     collapse,
     constant_strategy,
@@ -31,6 +33,7 @@ from asmp import (
     memoryless_to_finite_memory,
     product_chain,
     reduce_pomdp,
+    restrict_safe,
     uniform_strategy,
     validate_strategy,
 )
@@ -282,6 +285,51 @@ class TestReportRendering:
         assert text.splitlines()[0] == "verdict: NO"
         assert "witness" not in text
         assert "trace" not in text
+
+
+def reach_allow_map(g, r):
+    """The restricted reduction and the allowed tuples of its almost-sure
+    reach set, as ``decide_limavg1`` computes them."""
+    bg = reduce_pomdp(g, r)
+    safety = almost_safe(bg, [s for s in range(bg.n_states) if s != bg.sink])
+    restricted = restrict_safe(bg, safety.y_star, safety.allow_map)
+    return restricted, almost_reach(restricted, restricted.wcs_state_ids()).allow_map
+
+
+class TestSharedRows:
+    """The witness is unfolded on shared rows: each distinct row of the
+    reduction strategy is converted once, and the text does not depend on
+    which rows are shared."""
+
+    def test_witness_keeps_one_update_row_per_support(self):
+        g, r = hidden_model(6, 106)
+        rows = decide_limavg1(g, r).witness.update.values()
+        supports = {d.support() for d in rows}
+        assert len(rows) > 10 * len(supports)
+        assert len({id(d) for d in rows}) <= len(supports)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            ring_pomdp,
+            trap_ring_pomdp,
+            pytest.param(partial(hidden_model, 5, 105), id="hidden-5"),
+        ],
+    )
+    def test_unshared_rows_unfold_to_the_same_text(self, make):
+        g, r = make()
+        restricted, allow_map = reach_allow_map(g, r)
+        uniform = {acts: Distr.uniform(acts) for acts in allow_map.values()}
+        shared = {o: uniform[acts] for o, acts in allow_map.items()}
+        unshared = {o: Distr.uniform(acts) for o, acts in allow_map.items()}
+        texts = [
+            emit_strategy(
+                memoryless_to_finite_memory(restricted, MemorylessStrategy(choice)), g
+            )
+            for choice in (shared, unshared)
+        ]
+        assert texts[0] == texts[1]
+        assert texts[0] == emit_strategy(decide_limavg1(g, r).witness, g)
 
 
 class TestStrategyBridges:
