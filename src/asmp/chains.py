@@ -38,7 +38,9 @@ class FiniteMemoryStrategy:
     ``update[(m, o, a)]`` is the next-memory distribution after playing ``a``
     and then observing ``o``. The update table may be partial: triples that no
     play ever reaches can be omitted, and reaching one is an error. Memory
-    labels are arbitrary hashable values used only for display.
+    labels are arbitrary hashable values used only for display. An empty
+    row, or an update to a memory id outside ``range(len(memories))``,
+    raises StrategyError.
     """
 
     def __init__(
@@ -50,12 +52,32 @@ class FiniteMemoryStrategy:
     ):
         if len(next_action) != len(memories):
             raise StrategyError("one action distribution needed per memory")
-        if not 0 <= initial < len(memories):
+        n = len(memories)
+        if not 0 <= initial < n:
             raise StrategyError(f"initial memory id {initial} out of range")
+        for m, row in enumerate(next_action):
+            if not row.p:
+                raise StrategyError(f"memory id {m} has an empty action distribution")
         self.memories = list(memories)
         self.next_action = list(next_action)
         self.update = dict(update)
         self.initial = initial
+        # Solver witnesses share their update rows, so each row object is
+        # checked once. Distr keys are sorted, so the first and the last
+        # memory id of a row bound the others.
+        rows = {id(row): row.p for row in self.update.values()}.values()
+        if not (
+            all(rows)
+            and min(map(next, map(iter, rows)), default=0) >= 0
+            and max(map(next, map(reversed, rows)), default=0) < n
+        ):
+            for (m, o, a), row in self.update.items():
+                head = f"memory update for memory id {m}, observation id {o}, action id {a}"
+                if not row.p:
+                    raise StrategyError(f"{head} is empty")
+                k = min(row.p) if min(row.p) < 0 else max(row.p)
+                if not 0 <= k < n:
+                    raise StrategyError(f"{head} names memory id {k}, out of range")
 
     @property
     def n_memories(self) -> int:
@@ -80,6 +102,9 @@ class MemorylessStrategy:
 
     def __init__(self, choice: Mapping[int, Distr]):
         self.choice = dict(choice)
+        for o, row in self.choice.items():
+            if not row.p:
+                raise StrategyError(f"empty action choice for observation id {o}")
 
     def action_distr(self, o: int) -> Distr:
         try:

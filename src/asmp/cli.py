@@ -35,6 +35,7 @@ from .fileformat import (
 )
 from .model import CapacityError, ModelError, is_belief_observation, validate
 from .pfa import reduce_quantitative, reduce_value1
+from .reduction import DEFAULT_MAX_STATES
 from .simulate import SimConfig, simulate
 from .solver import decide_limavg1, validate_strategy
 
@@ -214,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-states",
         type=int,
-        default=250_000,
+        default=DEFAULT_MAX_STATES,
         metavar="N",
         help="cap on constructed states before giving up (exit 3)",
     )

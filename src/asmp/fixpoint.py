@@ -13,13 +13,13 @@ same solver drives both. The restriction to the safe core takes the
 reduced model only, and builds the restricted tables from the allowed
 positions of each observation.
 
-Both fixpoints first number the explicit rows once, observation by
-observation, and then work on row ids: each state keeps the ids of the
-rows that can enter it, and each row knows its (observation, action)
-group. A memory group has no rows: each observation lists the memory
-groups that lead into it. Flags per group replace dicts keyed by pairs.
-The iterates are sets, so the order of the numbering does not show in any
-result.
+Both fixpoints keep their bookkeeping in one store of (observation,
+action) groups, one allowed flag each. Each state lists the explicit rows
+that can enter it as (state, group) pairs. A memory group has no rows:
+each observation lists the memory groups that lead into it. One rule
+serves both fixpoints: when observations leave, every group that can lead
+into one of them is disallowed. The iterates are sets, so the order of the
+groups does not show in any result.
 
 Safety is a greatest fixpoint over the allowed-action predicate, computed
 with a worklist that removes observations level by level; the levels agree
@@ -43,7 +43,7 @@ memory successors reach them through one shared node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Iterable, Sequence
 
 from .model import ModelError
@@ -66,55 +66,92 @@ class ReachResult:
     x_rounds: list[list[int]]
 
 
-def _numbered_rows(g, skip: frozenset[int] = frozenset()):
-    """Number the explicit rows of ``g`` observation by observation,
-    leaving out the rows of the states in ``skip``, and index the memory
-    groups by target.
+class _Groups:
+    """The (observation, action) groups of ``g`` with their ``allowed``
+    flags, which only ``remove`` clears, indexed by the states they can
+    enter. The rows of the states in ``skip`` are left out; a state whose
+    rows do not match its observation's explicit actions raises ValueError.
 
-    Returns ``pred``, ``row_state``, ``row_group``, ``first``, ``into``,
-    ``users`` and ``mem_first``. ``pred[t]`` holds the ids of the rows
-    entering state t, and row r belongs to state ``row_state[r]`` and group
-    ``row_group[r]``. The group of (o, a) is ``first[o] + i`` for the i-th
-    action of ``g.avail(o)``, and ``first[n_observations]`` counts the
-    groups. Observations with one tuple of memory-edge targets share its
-    entry u: ``users[u]`` lists them, and ``into[o2]`` holds (u, j) when
-    position j of the tuple is o2. The memory group of o at position j is
+    The group of (o, a) is ``first[o] + i`` for the i-th action of
+    ``g.avail(o)``. ``pred[t]`` lists the explicit rows entering state t
+    flat, as ``s0, k0, s1, k1, ...``: a row of state s in group k.
+    Observations with one tuple of memory-edge targets share its entry u:
+    ``users[u]`` lists them, and ``into[o2]`` holds (u, j) when position j
+    of the tuple is o2. The memory group of o at position j is
     ``mem_first[o] + j``. An observation's memory groups are indexed when
     it has a state outside ``skip``, the states whose rows they stand for.
     """
-    n_obs = g.n_observations
-    first = [0]
-    for o in range(n_obs):
-        first.append(first[-1] + len(g.avail(o)))
-    edges = g.memory_edges
-    mem_first = [first[o + 1] - len(edges.get(o, ())) for o in range(n_obs)]
-    pred: list[list[int]] = [[] for _ in range(g.n_states)]
-    row_state: list[int] = []
-    row_group: list[int] = []
-    for o in range(n_obs):
-        groups = range(first[o], mem_first[o])
-        for s in g.obs_states(o):
-            if s in skip:
+
+    def __init__(self, g, skip: frozenset[int] = frozenset()):
+        self.g = g
+        n_obs = g.n_observations
+        first = self.first = [0, *accumulate(len(g.avail(o)) for o in range(n_obs))]
+        edges = g.memory_edges
+        mem_first = self.mem_first = [
+            first[o + 1] - len(edges.get(o, ())) for o in range(n_obs)
+        ]
+        pred = self.pred = [[] for _ in range(g.n_states)]
+        for o in range(n_obs):
+            # One int object per group, shared by the entries of o's states.
+            groups = list(range(first[o], mem_first[o]))
+            for s in g.obs_states(o):
+                if s in skip:
+                    continue
+                for k, ts in zip(groups, g.supports[s], strict=True):
+                    for t in ts:
+                        p = pred[t]
+                        p.append(s)
+                        p.append(k)
+        shared: dict[tuple[int, ...], int] = {}
+        users = self.users = []
+        into = self.into = [[] for _ in range(n_obs)]
+        for o, targets in edges.items():
+            if all(s in skip for s in g.obs_states(o)):
                 continue
-            for r, ts in enumerate(g.supports[s], len(row_state)):
-                for t in ts:
-                    pred[t].append(r)
-            row_state += [s] * len(groups)
-            row_group += groups
-    shared: dict[tuple[int, ...], int] = {}
-    users: list[list[int]] = []
-    into: list[list[tuple[int, int]]] = [[] for _ in range(n_obs)]
-    for o, targets in edges.items():
-        if all(s in skip for s in g.obs_states(o)):
-            continue
-        u = shared.get(targets)
-        if u is None:
-            u = shared[targets] = len(users)
-            users.append([])
-            for j, o2 in enumerate(targets):
-                into[o2].append((u, j))
-        users[u].append(o)
-    return pred, row_state, row_group, first, into, users, mem_first
+            u = shared.get(targets)
+            if u is None:
+                u = shared[targets] = len(users)
+                users.append([])
+                for j, o2 in enumerate(targets):
+                    into[o2].append((u, j))
+            users[u].append(o)
+        self.allowed = bytearray(b"\x01") * first[n_obs]
+        self.count = [first[o + 1] - first[o] for o in range(n_obs)]
+
+    def remove(self, leaving: Iterable[int]) -> list[int]:
+        """Disallow every group that can lead into an observation of ``leaving``;
+        return the observations left with none allowed, in the order they emptied."""
+        allowed, count, pred = self.allowed, self.count, self.pred
+        obs_of, states = self.g.obs_of, self.g.obs_states
+        into, users, mem_first = self.into, self.users, self.mem_first
+        emptied = []
+        def drop(k: int, o2: int) -> None:
+            allowed[k] = 0
+            count[o2] -= 1
+            if not count[o2]:
+                emptied.append(o2)
+
+        for o in leaving:
+            for t in states(o):
+                # pred[t] alternates states and groups: next(it) is s's group.
+                it = iter(pred[t])
+                for s in it:
+                    k = next(it)
+                    if allowed[k]:
+                        drop(k, obs_of[s])
+            for u, j in into[o]:
+                for o2 in users[u]:
+                    if allowed[mem_first[o2] + j]:
+                        drop(mem_first[o2] + j, o2)
+        return emptied
+
+    def allow_map(self, obs: Iterable[int]) -> dict[int, tuple[int, ...]]:
+        """The allowed actions of each observation of ``obs``, keyed in order."""
+        first, avail = self.first, self.g.avail
+        return {
+            o: tuple(compress(avail(o), self.allowed[first[o] : first[o + 1]]))
+            for o in obs
+        }
 
 
 def almost_safe(g, safe_states: Iterable[int]) -> SafetyResult:
@@ -129,51 +166,23 @@ def almost_safe(g, safe_states: Iterable[int]) -> SafetyResult:
     recorded in ``iterates`` for tracing.
     """
     safe = frozenset(safe_states)
+    groups = _Groups(g)
     n_obs = g.n_observations
-    obs_of = g.obs_of
-    pred, row_state, row_group, first, into, users, mem_first = _numbered_rows(g)
-    allowed = bytearray(b"\x01") * first[n_obs]
-    allowed_count = [first[o + 1] - first[o] for o in range(n_obs)]
-
-    in_y = [True] * n_obs
     y = set(range(n_obs))
-    level = [
-        o
-        for o in range(n_obs)
-        if any(s not in safe for s in g.obs_states(o))
-    ]
+    level = [o for o in range(n_obs) if any(s not in safe for s in g.obs_states(o))]
     iterates: list[frozenset[int]] = []
     while True:
-        next_level: list[int] = []
+        # An observation can empty after it left, through its own rows.
+        level = [o for o in level if o in y]
+        # One by one: a bulk removal can resize y and reorder the allow map.
         for o in level:
-            if not in_y[o]:
-                continue
-            in_y[o] = False
             y.discard(o)
-            hits = [
-                (row_group[r], obs_of[row_state[r]])
-                for gone in g.obs_states(o)
-                for r in pred[gone]
-            ]
-            hits += [(mem_first[o2] + j, o2) for u, j in into[o] for o2 in users[u]]
-            for k, o2 in hits:
-                if not allowed[k]:
-                    continue
-                allowed[k] = 0
-                allowed_count[o2] -= 1
-                if allowed_count[o2] == 0:
-                    next_level.append(o2)
+        level = groups.remove(level)
         iterates.append(frozenset(y))
-        if not next_level:
+        if not level:
             break
-        level = next_level
-
     y_star = frozenset(y)
-    allow_map = {
-        o: tuple(compress(g.avail(o), allowed[first[o] : first[o + 1]]))
-        for o in y_star
-    }
-    return SafetyResult(y_star, allow_map, iterates)
+    return SafetyResult(y_star, groups.allow_map(y_star), iterates)
 
 
 def _allowed_shape(
@@ -285,19 +294,18 @@ def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
     the states that can be forced toward the target while staying in Z,
     one level per pass. An action is allowed at an observation of Z while
     every successor of every state of its class stays in Z; the absorbing
-    target rows never leave, so they are not numbered. Z stabilizes once it
+    target rows never leave, so they are not indexed. Z stabilizes once it
     is exactly the cover of the inner fixpoint. When Z holds the initial
     observation, the uniform play over the allowed actions at Z is
     certified on its allowed rows before returning (see ``_certify_reach``).
     """
     targets = frozenset(target_states)
-    pred, row_state, row_group, first, into, users, mem_first = _numbered_rows(
-        g, skip=targets
-    )
+    groups = _Groups(g, skip=targets)
+    pred, into, users = groups.pred, groups.into, groups.users
+    mem_first, allowed = groups.mem_first, groups.allowed
     obs_of = g.obs_of
     obs_index = g.obs_index
     classes = [g.obs_states(o) for o in range(g.n_observations)]
-    allowed = bytearray(b"\x01") * first[g.n_observations]
     z = frozenset(range(g.n_observations))
     z_iterates = [z]
     x_rounds: list[list[int]] = []
@@ -315,16 +323,16 @@ def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
         while True:
             entered = []
             for t in level:
-                for r in pred[t]:
-                    if allowed[row_group[r]]:
-                        s = row_state[r]
-                        if not in_x[s]:
-                            in_x[s] = 1
-                            entered.append(s)
+                # A state of pred[t], then the group of its row.
+                it = iter(pred[t])
+                for s in it:
+                    if allowed[next(it)] and not in_x[s]:
+                        in_x[s] = 1
+                        entered.append(s)
                 # The observations of one target tuple share their memory
                 # successors place by place, and the flags of their groups
-                # (an outer round clears them together), so their states
-                # at t's place join together, once per round.
+                # (``remove`` clears them together), so their states at t's
+                # place join together, once per round.
                 i = obs_index[t]
                 for u, j in into[obs_of[t]]:
                     if (u, i) in fired or not allowed[mem_first[users[u][0]] + j]:
@@ -349,19 +357,10 @@ def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
         # That covers the leaving observation's own actions: its state
         # outside X has, under each allowed action, successors only in
         # leaving observations, since every state of a staying one is in X.
-        for o in z - new_z:
-            for t in g.obs_states(o):
-                for r in pred[t]:
-                    allowed[row_group[r]] = 0
-            for u, j in into[o]:
-                for o2 in users[u]:
-                    allowed[mem_first[o2] + j] = 0
+        groups.remove(z - new_z)
         z = new_z
         z_iterates.append(z)
-    allow_map = {
-        o: tuple(compress(g.avail(o), allowed[first[o] : first[o + 1]]))
-        for o in z
-    }
+    allow_map = groups.allow_map(z)
     if g.obs(g.initial) in z:
         _certify_reach(g, targets, allow_map)
     return ReachResult(z, allow_map, z_iterates, x_rounds)

@@ -70,6 +70,8 @@ SINK = ("sink",)
 SINK_ROW = (1,)  # the losing sink is state 1
 # The explicit rows of the initial and memory-selection states: abort only.
 ABORT_ROWS = (SINK_ROW,)
+# Reduced states built before the reduction gives up, unless told otherwise.
+DEFAULT_MAX_STATES = 250_000
 
 
 def enabled_action(cm: CollapsedMemory, a: int, reward1_mask: int) -> bool:
@@ -223,7 +225,7 @@ class BeliefObsPomdp(ObservedModel):
 
 
 def reduce_pomdp(
-    g: Pomdp, rewards: RewardFn, max_states: int = 250_000
+    g: Pomdp, rewards: RewardFn, max_states: int = DEFAULT_MAX_STATES
 ) -> BeliefObsPomdp:
     """Build the reachable fragment of the belief-observation reduction.
 

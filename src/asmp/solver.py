@@ -34,7 +34,7 @@ from .model import (
     belief_successors,
     validate,
 )
-from .reduction import INIT, BeliefObsPomdp, reduce_pomdp
+from .reduction import DEFAULT_MAX_STATES, INIT, BeliefObsPomdp, reduce_pomdp
 
 INIT_MEMORY = "init"
 
@@ -249,7 +249,7 @@ def memoryless_to_finite_memory(
 def decide_limavg1(
     g: Pomdp,
     rewards: RewardFn,
-    max_states: int = 250_000,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> SolveReport:
     """Decide whether some finite-memory strategy achieves long-run average
     reward 1 almost surely, and construct one when the answer is YES."""

@@ -254,7 +254,7 @@ class AbsorbingView:
 def reference_almost_safe(g, safe_states) -> SafetyResult:
     """The safety fixpoint on dicts keyed by pairs: a worklist with
     per-(state, action) exit counts and per-(observation, action) breakage
-    counts. The library's row-numbered version must give the same
+    counts. The library's group-indexed version must give the same
     iterates and the same ``allow_map``, key order included."""
     safe = frozenset(safe_states)
     n_obs = g.n_observations

@@ -105,6 +105,33 @@ class TestProductChain:
         with pytest.raises(StrategyError):
             product_chain(g, r, sigma)
 
+    @pytest.mark.parametrize(
+        "next_action, row",
+        [
+            # An empty action row would play nothing and pass as winning.
+            (Distr({0: 0}), Distr.dirac(0)),
+            # An empty update row would move nowhere and pass as winning.
+            (Distr.dirac(0), Distr({})),
+            # List indexing would play memory -1 as the last memory.
+            (Distr.dirac(0), Distr.dirac(-1)),
+            # Memory 1 does not exist.
+            (Distr.dirac(0), Distr({0: Fraction(1, 2), 1: Fraction(1, 2)})),
+        ],
+        ids=["empty-action", "empty-update", "negative-memory", "memory-past-end"],
+    )
+    def test_rows_the_chain_would_misread_are_rejected(self, next_action, row):
+        g, _ = ring_pomdp()
+        update = {(0, o, a): row for o in range(g.n_observations) for a in (0, 1)}
+        with pytest.raises(StrategyError):
+            FiniteMemoryStrategy(["only"], [next_action], update, 0)
+
+    def test_a_shared_bad_row_is_named_by_its_first_triple(self):
+        g, _ = ring_pomdp()
+        bad = Distr.dirac(3)
+        update = {(0, 0, 0): Distr.dirac(0), (0, 1, 0): bad, (0, 1, 1): bad}
+        with pytest.raises(StrategyError, match="observation id 1, action id 0 "):
+            FiniteMemoryStrategy(["only"], [Distr.dirac(0)], update, 0)
+
     def test_memoryless_chain_agrees_with_the_lifted_build(self):
         g, r = trap_ring_pomdp()
         sigma = uniform_strategy(g)

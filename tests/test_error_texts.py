@@ -1,6 +1,7 @@
 """Frozen diagnostics: the full problem lists of `validate` and
 `validate_pfa`, the text, line and column of each `ParseError` branch of
-the four parsers, and the errors of the `Pomdp` and `Pfa` constructors.
+the four parsers, and the errors of the `Pomdp`, `Pfa` and strategy
+constructors.
 
 Each case is one malformed input aimed at one error branch, and the
 expected values are the whole texts, not substrings, so a refactor of the
@@ -13,6 +14,8 @@ import pytest
 
 from asmp import (
     Distr,
+    FiniteMemoryStrategy,
+    MemorylessStrategy,
     ModelError,
     ParseError,
     Pfa,
@@ -489,12 +492,38 @@ def test_validate_pfa_problem_list(case):
     assert validate_pfa(VALIDATE_PFA_CASES[case]) == VALIDATE_PFA_EXPECTED[case]
 
 
+def strategy_object(**changes) -> FiniteMemoryStrategy:
+    """The strategy of STRATEGY, built directly, with its update rows
+    extended by ``update`` and other fields replaced."""
+    fields = dict(
+        memories=["m", "n"],
+        next_action=[Distr.dirac(0), Distr.dirac(1)],
+        update={(0, 0, 0): Distr.dirac(1), (1, 1, 1): Distr.dirac(0)},
+        initial=0,
+    )
+    update = {**fields["update"], **changes.pop("update", {})}
+    return FiniteMemoryStrategy(**{**fields, **changes, "update": update})
+
+
 CONSTRUCTOR_CASES = {
     "pomdp/obs-of-length": lambda: pomdp(obs_of=[0]),
     "pomdp/initial-out-of-range": lambda: pomdp(initial=2),
     "pomdp/observation-out-of-range": lambda: pomdp(obs_of=[0, 2]),
     "pomdp/negative-observation": lambda: pomdp(obs_of=[-1, 0]),
     "pfa/initial-out-of-range": lambda: pfa(initial=-1),
+    "strategy/empty-action-distribution": lambda: strategy_object(
+        next_action=[Distr.dirac(0), Distr({1: 0})]
+    ),
+    "strategy/empty-update": lambda: strategy_object(update={(1, 1, 1): Distr({})}),
+    "strategy/negative-update-memory": lambda: strategy_object(
+        update={(1, 1, 1): Distr.dirac(-1)}
+    ),
+    "strategy/update-memory-out-of-range": lambda: strategy_object(
+        update={(1, 1, 1): Distr({0: Fraction(1, 2), 2: Fraction(1, 2)})}
+    ),
+    "memoryless/empty-choice": lambda: MemorylessStrategy(
+        {0: Distr.dirac(0), 1: Distr({})}
+    ),
 }
 
 CONSTRUCTOR_EXPECTED = {
@@ -503,6 +532,21 @@ CONSTRUCTOR_EXPECTED = {
     "pomdp/negative-observation": "state 's' has observation id -1 out of range",
     "pomdp/obs-of-length": "obs_of has 1 entries for 2 states",
     "pomdp/observation-out-of-range": "state 't' has observation id 2 out of range",
+    "memoryless/empty-choice": "empty action choice for observation id 1",
+    "strategy/empty-action-distribution": (
+        "memory id 1 has an empty action distribution"
+    ),
+    "strategy/empty-update": (
+        "memory update for memory id 1, observation id 1, action id 1 is empty"
+    ),
+    "strategy/negative-update-memory": (
+        "memory update for memory id 1, observation id 1, action id 1"
+        " names memory id -1, out of range"
+    ),
+    "strategy/update-memory-out-of-range": (
+        "memory update for memory id 1, observation id 1, action id 1"
+        " names memory id 2, out of range"
+    ),
 }
 
 

@@ -17,6 +17,7 @@ from asmp import (
 )
 from asmp.fixpoint import _certify_reach
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp
+from asmp.reduction import BeliefObsPomdp
 
 from helpers import (
     hidden_model,
@@ -108,6 +109,32 @@ class TestAlmostReach:
         assert len(res.z_star) == 39
         for sizes in res.x_rounds:
             assert sizes == sorted(sizes)
+
+
+class TestRowLayout:
+    @pytest.mark.parametrize("extra", [1, -1], ids=["one-row-more", "one-row-less"])
+    def test_a_state_whose_rows_miss_its_actions_is_rejected(self, extra):
+        """Each state's explicit rows are read against its observation's
+        explicit actions one for one. A state with a row too many or too few
+        must stop the fixpoint, not shift the rows of the states after it
+        into the wrong groups."""
+        bg = reduce_pomdp(*ring_pomdp())
+        s = bg.initial
+        supports = list(bg.supports)
+        rows = tuple(supports[s])
+        supports[s] = rows + rows[:1] if extra > 0 else rows[:-1]
+        broken = BeliefObsPomdp(
+            base=bg.base,
+            state_payloads=bg.state_payloads,
+            obs_payloads=bg.obs_payloads,
+            obs_of=bg.obs_of,
+            supports=supports,
+            memory_edges=bg.memory_edges,
+            availability=bg.availability,
+            memory_actions=bg.memory_actions,
+        )
+        with pytest.raises(ValueError):
+            almost_safe(broken, range(broken.n_states))
 
 
 class TestRestrictSafe:

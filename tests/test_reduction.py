@@ -1,6 +1,7 @@
 """The belief-observation reduction: predicates, structure, invariants."""
 
 import hashlib
+import inspect
 import itertools
 import random
 from functools import partial
@@ -13,6 +14,7 @@ from asmp import (
     MemoryFingerprint,
     ModelError,
     almost_safe,
+    decide_limavg1,
     is_belief_observation,
     reduce_pomdp,
     restrict_safe,
@@ -20,7 +22,8 @@ from asmp import (
 )
 from asmp.bits import bits, mask_of
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp
-from asmp.reduction import INIT, SINK, enabled_action
+from asmp.cli import build_parser
+from asmp.reduction import DEFAULT_MAX_STATES, INIT, SINK, enabled_action
 
 from helpers import enabled_memory_action, random_belief_obs_pomdp, reduced_pomdp
 
@@ -334,6 +337,14 @@ class TestReductionStructure:
         with pytest.raises(ModelError) as err:
             reduce_pomdp(*ring_pomdp(), max_states=cap)
         assert str(err.value) == f"max_states must be at least 1, not {cap}"
+
+    def test_one_default_cap_for_the_library_and_the_command_line(self):
+        defaults = [
+            inspect.signature(f).parameters["max_states"].default
+            for f in (reduce_pomdp, decide_limavg1)
+        ]
+        defaults.append(build_parser().parse_args(["solve", "m.txt"]).max_states)
+        assert defaults == [DEFAULT_MAX_STATES] * 3
 
     def test_capacity_error_reports_progress(self):
         """Message and counters frozen from the reduction that stored its
