@@ -3,20 +3,20 @@
 Everything here works on observation sets rather than belief supports; the
 models these run on are belief-observation POMDPs, where the two coincide.
 Plain POMDPs and reduced ones share the observation read side of
-``model.ObservedModel``, and with it the two successor tables: the
-explicit rows ``supports[s]``, for the first actions of ``avail(obs(s))``,
-and the memory edges ``memory_edges[o]``, for the rest, which move each
-state of o to the state at the same place in the target observation's
-class. A plain POMDP has only explicit rows; in a reduction the memory
-edges stand for the memory-selection rows, nearly all of its rows. The
-same solver drives both. The restriction to the safe core takes the
-reduced model only, and builds the restricted tables from the allowed
-positions of each observation.
+``model.ObservedModel``, and with it the one observation-level successor
+table: ``obs_rows[o]`` holds (target observation, place map) pairs for the
+first actions of ``avail(o)``, and the memory edges ``memory_edges[o]``,
+for the rest, move each state of o to the state at the same place in the
+target observation's class. A plain POMDP has no memory edges; in a
+reduction they stand for nearly all of its rows, and one place map serves
+every memory of a belief. The same solver drives both. The restriction to
+the safe core takes the reduced model only: it keeps each observation's
+allowed positions with their place maps, and renames the targets.
 
 Both fixpoints keep their bookkeeping in one store of (observation,
-action) groups, one allowed flag each. Each state lists the explicit rows
-that can enter it as (state, group) pairs. A memory group has no rows:
-each observation lists the memory groups that lead into it. One rule
+action) groups. Each observation lists the explicit groups that can enter
+it, with their place maps reversed; the observations with one tuple of
+memory-edge targets share its groups and their allowed flags. One rule
 serves both fixpoints: when observations leave, every group that can lead
 into one of them is disallowed. The iterates are sets, so the order of the
 groups does not show in any result.
@@ -29,7 +29,8 @@ target) inside a greatest one (observations that never lose the ability),
 computed on a copy where the target is absorbing. The inner fixpoint is a
 worklist too: a pass only visits the rows entering the states that joined
 in the previous pass, which gives the same levels as rescanning every
-pending state. The memory predecessors of a state are the states at its
+pending state. A state's explicit predecessors are read off the reversed
+place maps at its place; its memory predecessors are the states at its
 place in the observations whose memory groups lead into its own, and the
 observations of one target tuple let theirs join together. Allowed
 actions are updated when observations leave the outer set. Reachability
@@ -68,90 +69,134 @@ class ReachResult:
 
 class _Groups:
     """The (observation, action) groups of ``g`` with their ``allowed``
-    flags, which only ``remove`` clears, indexed by the states they can
-    enter. The rows of the states in ``skip`` are left out; a state whose
-    rows do not match its observation's explicit actions raises ValueError.
+    flags, which only ``remove`` clears, indexed by the observations they
+    can enter. The rows of the states in ``skip`` are left out; a table
+    that does not match an observation's explicit actions or class raises
+    ValueError.
 
-    The group of (o, a) is ``first[o] + i`` for the i-th action of
-    ``g.avail(o)``. ``pred[t]`` lists the explicit rows entering state t
-    flat, as ``s0, k0, s1, k1, ...``: a row of state s in group k.
-    Observations with one tuple of memory-edge targets share its entry u:
-    ``users[u]`` lists them, and ``into[o2]`` holds (u, j) when position j
-    of the tuple is o2. The memory group of o at position j is
-    ``mem_first[o] + j``. An observation's memory groups are indexed when
-    it has a state outside ``skip``, the states whose rows they stand for.
+    The explicit group of (o, a) is ``first[o] + i`` for the i-th action of
+    ``g.avail(o)``. ``pred[o2]`` lists the explicit groups entering o2 as
+    (o, k, rev): group k of observation o, and its place map reversed,
+    which lists for each place of o2 the places of o outside ``skip`` that
+    reach it. The observations with one tuple of memory-edge targets,
+    ``users[u]``, share its entry u: the flag of position j is
+    ``mem_first[o] + j`` for each of them, ``into[o2]`` holds (u, that
+    flag) when the position leads to o2, and ``mem_count[u]`` counts the
+    allowed positions. ``entry[o]`` is 0, an entry without positions, for
+    an observation without memory edges. One whose states are all in
+    ``skip`` has memory flags of its own, which stay set.
     """
 
     def __init__(self, g, skip: frozenset[int] = frozenset()):
         self.g = g
         n_obs = g.n_observations
-        first = self.first = [0, *accumulate(len(g.avail(o)) for o in range(n_obs))]
+        classes = [g.obs_states(o) for o in range(n_obs)]
         edges = g.memory_edges
-        mem_first = self.mem_first = [
-            first[o + 1] - len(edges.get(o, ())) for o in range(n_obs)
+        # The places of the states in skip, as a mask per observation.
+        skipped: dict[int, int] = {}
+        for s in skip:
+            o = g.obs_of[s]
+            skipped[o] = skipped.get(o, 0) | 1 << g.obs_index[s]
+        first = self.first = [
+            0,
+            *accumulate(len(g.avail(o)) - len(edges.get(o, ())) for o in range(n_obs)),
         ]
-        pred = self.pred = [[] for _ in range(g.n_states)]
-        for o in range(n_obs):
-            # One int object per group, shared by the entries of o's states.
-            groups = list(range(first[o], mem_first[o]))
-            for s in g.obs_states(o):
-                if s in skip:
-                    continue
-                for k, ts in zip(groups, g.supports[s], strict=True):
-                    for t in ts:
-                        p = pred[t]
-                        p.append(s)
-                        p.append(k)
+        # Observations nothing enters share one empty tuple.
+        pred = self.pred = [()] * n_obs
+        # By place map, target class size and skipped places; () when only
+        # skipped places reach the target.
+        reverse: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
+        for o, table in enumerate(g.obs_rows):
+            n = len(classes[o])
+            gone = skipped.get(o, 0)
+            for k, entries in zip(range(first[o], first[o + 1]), table, strict=True):
+                for o2, m in entries:
+                    if len(m) != n:
+                        raise ValueError(
+                            f"observation {o}: a place map of {len(m)} for {n} states"
+                        )
+                    key = (id(m), len(classes[o2]), gone)
+                    rev = reverse.get(key)
+                    if rev is None:
+                        back = [[] for _ in classes[o2]]
+                        for p, ps in enumerate(m):
+                            if not gone >> p & 1:
+                                for q in ps:
+                                    back[q].append(p)
+                        rev = tuple(map(tuple, back)) if any(back) else ()
+                        reverse[key] = rev
+                    if rev:
+                        if not pred[o2]:
+                            pred[o2] = []
+                        pred[o2].append((o, k, rev))
         shared: dict[tuple[int, ...], int] = {}
-        users = self.users = []
-        into = self.into = [[] for _ in range(n_obs)]
+        users = self.users = [[]]
+        mem_count = self.mem_count = [0]
+        starts = [0]
+        into = self.into = [()] * n_obs
+        entry = self.entry = [0] * n_obs
+        mem_first = self.mem_first = [0] * n_obs
+        size = first[n_obs]
         for o, targets in edges.items():
-            if all(s in skip for s in g.obs_states(o)):
+            if skipped.get(o, 0) == (1 << len(classes[o])) - 1:
+                mem_first[o] = size
+                size += len(targets)
                 continue
             u = shared.get(targets)
             if u is None:
                 u = shared[targets] = len(users)
                 users.append([])
+                mem_count.append(len(targets))
+                starts.append(size)
                 for j, o2 in enumerate(targets):
-                    into[o2].append((u, j))
+                    if not into[o2]:
+                        into[o2] = []
+                    into[o2].append((u, size + j))
+                size += len(targets)
             users[u].append(o)
-        self.allowed = bytearray(b"\x01") * first[n_obs]
+            entry[o] = u
+            mem_first[o] = starts[u]
+        self.allowed = bytearray(b"\x01") * size
         self.count = [first[o + 1] - first[o] for o in range(n_obs)]
 
     def remove(self, leaving: Iterable[int]) -> list[int]:
         """Disallow every group that can lead into an observation of ``leaving``;
         return the observations left with none allowed, in the order they emptied."""
         allowed, count, pred = self.allowed, self.count, self.pred
-        obs_of, states = self.g.obs_of, self.g.obs_states
-        into, users, mem_first = self.into, self.users, self.mem_first
+        into, users = self.into, self.users
+        entry, mem_count = self.entry, self.mem_count
         emptied = []
-        def drop(k: int, o2: int) -> None:
-            allowed[k] = 0
-            count[o2] -= 1
-            if not count[o2]:
-                emptied.append(o2)
-
         for o in leaving:
-            for t in states(o):
-                # pred[t] alternates states and groups: next(it) is s's group.
-                it = iter(pred[t])
-                for s in it:
-                    k = next(it)
-                    if allowed[k]:
-                        drop(k, obs_of[s])
-            for u, j in into[o]:
-                for o2 in users[u]:
-                    if allowed[mem_first[o2] + j]:
-                        drop(mem_first[o2] + j, o2)
+            for o1, k, _ in pred[o]:
+                if allowed[k]:
+                    allowed[k] = 0
+                    count[o1] -= 1
+                    if not count[o1] and not mem_count[entry[o1]]:
+                        emptied.append(o1)
+            for u, f in into[o]:
+                if allowed[f]:
+                    allowed[f] = 0
+                    mem_count[u] -= 1
+                    if not mem_count[u]:
+                        emptied += [o1 for o1 in users[u] if not count[o1]]
         return emptied
 
     def allow_map(self, obs: Iterable[int]) -> dict[int, tuple[int, ...]]:
-        """The allowed actions of each observation of ``obs``, keyed in order."""
-        first, avail = self.first, self.g.avail
-        return {
-            o: tuple(compress(avail(o), self.allowed[first[o] : first[o + 1]]))
-            for o in obs
-        }
+        """The allowed actions of each observation of ``obs``, keyed in
+        order; equal values are one tuple object."""
+        first, mem_first, allowed = self.first, self.mem_first, self.allowed
+        avail = self.g.avail
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        out = {}
+        for o in obs:
+            acts = avail(o)
+            flags = allowed[first[o] : first[o + 1]]
+            n = len(acts) - len(flags)
+            if n:
+                flags += allowed[mem_first[o] : mem_first[o] + n]
+            got = tuple(compress(acts, flags))
+            out[o] = shared.setdefault(got, got)
+        return out
 
 
 def almost_safe(g, safe_states: Iterable[int]) -> SafetyResult:
@@ -167,9 +212,9 @@ def almost_safe(g, safe_states: Iterable[int]) -> SafetyResult:
     """
     safe = frozenset(safe_states)
     groups = _Groups(g)
-    n_obs = g.n_observations
-    y = set(range(n_obs))
-    level = [o for o in range(n_obs) if any(s not in safe for s in g.obs_states(o))]
+    y = set(range(g.n_observations))
+    obs_of = g.obs_of
+    level = {obs_of[s] for s in set(range(g.n_states)) - safe}
     iterates: list[frozenset[int]] = []
     while True:
         # An observation can empty after it left, through its own rows.
@@ -189,9 +234,9 @@ def _allowed_shape(
     g, o: int, acts: Iterable[int], cache: dict
 ) -> tuple[list[int], tuple[int, ...], tuple[int, ...]]:
     """The actions of ``acts`` at observation o, in the order of
-    ``g.avail(o)``: the positions of the explicit ones in the rows of o's
-    states, all of them, and the target observations of the memory edges
-    among them. Observations with equal actions, memory edges and allowed
+    ``g.avail(o)``: the positions of the explicit ones in ``g.obs_rows[o]``,
+    all of them, and the target observations of the memory edges among
+    them. Observations with equal actions, memory edges and allowed
     actions share one shape, which ``cache`` keeps."""
     key = (g.avail(o), g.memory_edges.get(o, ()), tuple(acts))
     shape = cache.get(key)
@@ -220,9 +265,9 @@ def _certify_reach(
     reached graph must contain a target: then the play stays in those
     observations and reaches the target with probability one.
     """
-    # By observation: the allowed explicit positions, the observations the
-    # allowed memory edges lead to, and their classes.
-    moves: dict[int, tuple[list[int], tuple[int, ...], list[tuple[int, ...]]]] = {}
+    # By observation: the allowed explicit positions, and the observations
+    # the allowed memory edges lead to.
+    moves: dict[int, tuple[list[int], tuple[int, ...]]] = {}
     shapes: dict = {}
     # The states at place i of observations whose allowed memory edges lead
     # to the same observations share their memory successors, the states at
@@ -231,7 +276,7 @@ def _certify_reach(
     # is no target, and a path through one is a path between states, so the
     # bottom classes keep their states and their targets.
     hub_ids: dict[tuple[tuple[int, ...], int], int] = {}
-    hubs: dict[int, tuple[list[tuple[int, ...]], int]] = {}
+    hubs: dict[int, tuple[tuple[int, ...], int]] = {}
     # index[s]: s's node in the reached graph, -1 until s is reached.
     index = [-1] * g.n_states
     index[g.initial] = 0
@@ -242,8 +287,8 @@ def _certify_reach(
     for v, s in enumerate(order):
         hub = None
         if s < 0:
-            classes, place = hubs[v]
-            ts = [cls[place] for cls in classes]
+            moved, place = hubs[v]
+            ts = [g.obs_states(o2)[place] for o2 in moved]
         else:
             o = g.obs(s)
             got = moves.get(o)
@@ -255,13 +300,12 @@ def _certify_reach(
                         " winning set"
                     )
                 pos, _, moved = _allowed_shape(g, o, allow_map[o], shapes)
-                got = moves[o] = (pos, moved, [g.obs_states(o2) for o2 in moved])
+                got = moves[o] = (pos, moved)
             if s in targets:
                 succ.append((v,))
                 continue
-            pos, moved, classes = got
-            row = g.supports[s]
-            ts = [t for i in pos for t in row[i]]
+            pos, moved = got
+            ts = [t for i in pos for t in g.successors(s, i)]
             if moved:
                 hub = (moved, g.obs_index[s])
         for t in ts:
@@ -274,7 +318,7 @@ def _certify_reach(
             h = hub_ids.get(hub)
             if h is None:
                 h = hub_ids[hub] = len(order)
-                hubs[h] = (classes, hub[1])
+                hubs[h] = hub
                 order.append(-1)
             ts.append(h)
         succ.append(ts)
@@ -301,8 +345,7 @@ def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
     """
     targets = frozenset(target_states)
     groups = _Groups(g, skip=targets)
-    pred, into, users = groups.pred, groups.into, groups.users
-    mem_first, allowed = groups.mem_first, groups.allowed
+    pred, into, users, allowed = groups.pred, groups.into, groups.users, groups.allowed
     obs_of = g.obs_of
     obs_index = g.obs_index
     classes = [g.obs_states(o) for o in range(g.n_observations)]
@@ -323,19 +366,22 @@ def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
         while True:
             entered = []
             for t in level:
-                # A state of pred[t], then the group of its row.
-                it = iter(pred[t])
-                for s in it:
-                    if allowed[next(it)] and not in_x[s]:
-                        in_x[s] = 1
-                        entered.append(s)
-                # The observations of one target tuple share their memory
-                # successors place by place, and the flags of their groups
-                # (``remove`` clears them together), so their states at t's
-                # place join together, once per round.
+                o2 = obs_of[t]
                 i = obs_index[t]
-                for u, j in into[obs_of[t]]:
-                    if (u, i) in fired or not allowed[mem_first[users[u][0]] + j]:
+                # The states at the places of o whose row in group k enters t.
+                for o, k, rev in pred[o2]:
+                    if allowed[k]:
+                        cls = classes[o]
+                        for p in rev[i]:
+                            s = cls[p]
+                            if not in_x[s]:
+                                in_x[s] = 1
+                                entered.append(s)
+                # The observations of one target tuple share their memory
+                # successors place by place, and the flags of their groups,
+                # so their states at t's place join together, once per round.
+                for u, f in into[o2]:
+                    if (u, i) in fired or not allowed[f]:
                         continue
                     fired.add((u, i))
                     for o in users[u]:
@@ -348,9 +394,7 @@ def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
                 break
             level = entered
         x_rounds.append(sizes)
-        new_z = frozenset(
-            o for o in z if all(in_x[s] for s in g.obs_states(o))
-        )
+        new_z = frozenset(o for o in z if all(in_x[s] for s in classes[o]))
         if new_z == z:
             break
         # Every action that can lead into a leaving observation is lost.
@@ -382,42 +426,32 @@ def restrict_safe(
     kept_obs = sorted(y_star)
     kept_states = sorted(s for o in kept_obs for s in g.obs_states(o))
     obs_map = {o: i for i, o in enumerate(kept_obs)}
-    state_map = {s: i for i, s in enumerate(kept_states)}
     # Observations of one shape share their restricted availability and
-    # memory edges, as observations of the reduction share theirs.
+    # memory edges, as observations of the reduction share theirs. Kept
+    # classes are whole, so the place maps stay as they are.
     shapes: dict = {}
     renamed: dict[tuple[int, ...], tuple[int, ...]] = {}
-    positions = {}
     availability = {}
     memory_edges = {}
+    obs_rows = []
     for o in kept_obs:
         pos, acts, targets = _allowed_shape(g, o, allow_map[o], shapes)
-        positions[o] = pos
         availability[obs_map[o]] = acts
         if targets:
             kept = renamed.get(targets)
             if kept is None:
                 kept = renamed[targets] = tuple([obs_map[o2] for o2 in targets])
             memory_edges[obs_map[o]] = kept
-    # Most rows are single successors: share one tuple per kept state.
-    single = {s: (i,) for s, i in state_map.items()}
-    supports = []
-    for s in kept_states:
-        row = g.supports[s]
-        packed = []
-        for i in positions[g.obs(s)]:
-            ts = row[i]
-            if len(ts) == 1:
-                packed.append(single[ts[0]])
-            else:
-                packed.append(tuple([state_map[t] for t in ts]))
-        supports.append(tuple(packed))
+        table = g.obs_rows[o]
+        obs_rows.append(
+            tuple([tuple([(obs_map[o2], m) for o2, m in table[i]]) for i in pos])
+        )
     return BeliefObsPomdp(
         base=g.base,
         state_payloads=[g.state_payloads[s] for s in kept_states],
         obs_payloads=[g.obs_payloads[o] for o in kept_obs],
         obs_of=[obs_map[g.obs(s)] for s in kept_states],
-        supports=supports,
+        obs_rows=obs_rows,
         memory_edges=memory_edges,
         availability=availability,
         memory_actions=g.memory_actions,

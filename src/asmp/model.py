@@ -124,12 +124,14 @@ class ObservedModel:
     place of s in ``obs_states(obs(s))``.
 
     A subclass also provides the successor sets the fixpoints read, in two
-    tables. ``supports[s][i]`` is the support of state s under the i-th
-    action of ``avail(obs(s))``, for the explicit actions, which come
-    first. ``memory_edges[o]`` lists, for the actions of ``avail(o)`` after
-    those, the observation each one leads to: under such an action the
-    state at place i of ``obs_states(o)`` moves to the state at place i of
-    the target's class. A plain POMDP has no memory edges.
+    observation-level tables. For the i-th action of ``avail(o)``, one of
+    the explicit actions, which come first, ``obs_rows[o][i]`` holds a
+    (target observation o2, place map) pair per observation it leads to;
+    the map lists, for each place of o, the places of o2 that its state
+    reaches. ``memory_edges[o]`` lists, for the actions of ``avail(o)``
+    after those, the observation each one leads to: under such an action
+    the state at place i of ``obs_states(o)`` moves to the state at place i
+    of the target's class. A plain POMDP has no memory edges.
     """
 
     memory_edges: Mapping[int, tuple[int, ...]] = MappingProxyType({})
@@ -181,6 +183,13 @@ class ObservedModel:
         for s in range(self.n_states):
             for a in self.avail(self.obs(s)):
                 yield s, a
+
+    def successors(self, s: int, i: int) -> list[int]:
+        """The states s reaches under its i-th action, an explicit one, ascending."""
+        p, classes = self.obs_index[s], self._obs_states
+        return sorted(
+            [classes[o2][j] for o2, m in self.obs_rows[self.obs_of[s]][i] for j in m[p]]
+        )
 
 
 def _id_of(names: list[str], name: str, kind: str) -> int:
@@ -247,15 +256,25 @@ class Pomdp(ObservedModel):
         return self.row(s, a).support()
 
     @cached_property
-    def supports(self) -> list[list[tuple[int, ...]]]:
-        """``supports[s][i]``: the support of state s under the i-th action
-        of ``avail(obs(s))``, the row table the fixpoints read; every
-        action of a plain POMDP is explicit. Derived on first read; a
+    def obs_rows(self) -> list[tuple]:
+        """The observation-level table of ``ObservedModel``, derived from the
+        rows on first read; every action of a plain POMDP is explicit. A
         missing row raises ModelError as ``support`` does."""
-        return [
-            [self.support(s, a) for a in self.avail(self.obs(s))]
-            for s in range(self.n_states)
-        ]
+        table = []
+        for o in range(self.n_observations):
+            cls = self.obs_states(o)
+            per_action = []
+            for a in self.avail(o):
+                maps: dict[int, list[list[int]]] = {}
+                for p, s in enumerate(cls):
+                    for t in self.support(s, a):
+                        m = maps.setdefault(self.obs_of[t], [[] for _ in cls])
+                        m[p].append(self.obs_index[t])
+                per_action.append(
+                    tuple((o2, tuple(map(tuple, m))) for o2, m in sorted(maps.items()))
+                )
+            table.append(tuple(per_action))
+        return table
 
     def state_name(self, s: int) -> str:
         return self.states[s]

@@ -30,25 +30,28 @@ their (belief, win, rec, acts) masks; ``BeliefObsPomdp.memory(aid)`` reads
 them back. The breadth-first walk fixes the order in which payloads are
 first met, and with it every id.
 
-Successors come in two tables, as ``model.ObservedModel`` describes. A
-memory-selection state (t, Y', a, aid) under memory action ``aid2`` moves
-to the action-selection state (t, aid2), whose observation ``("act",
-aid2)`` does not depend on t; the initial state, whose hidden state is the
-initial one, moves the same way. These rows are nearly all of the
-reduction's rows, and none is stored: ``memory_edges[o]`` names the
-observation each memory action of o leads to, and since both classes hold
-one state per state of the same belief, ordering each class by hidden
-state pairs the states up. The explicit table ``supports`` keeps the rest,
-filled as the walk expands each state: an action-selection state's row
-per base action, a memory-selection state's abort row, and the sink's
-self-loops. ``support(s, a)`` finds a's position by bisection in the
-sorted availability tuple and reads either table.
+Successors come in the two observation-level tables of
+``model.ObservedModel``; no state has a row of its own. A memory-selection
+state (t, Y', a, aid) under memory action ``aid2`` moves to the
+action-selection state (t, aid2), whose observation ``("act", aid2)`` does
+not depend on t; the initial state, whose hidden state is the initial one,
+moves the same way. These rows are nearly all of the reduction's rows:
+``memory_edges[o]`` names the observation each memory action of o leads
+to, and since both classes hold one state per state of the same belief,
+ordering each class by hidden state pairs the states up. ``obs_rows``
+holds the rest. Under an enabled base action a, ``("act", aid)`` leads to
+one observation ``("mem", Y', a, aid)`` per successor belief Y', through a
+place map that depends on (belief, a, Y') alone and is shared by every
+memory of the belief. Abort, the base actions ``enabled_action`` rules
+out and every action of the sink lead to the sink. ``support(s, a)`` finds
+a's position by bisection in the sorted availability tuple and reads
+either table.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Sequence
+from itertools import islice
 
 from .bits import bits, mask_of, submasks, supermasks_within
 from .collapse import CollapsedMemory, MemoryFingerprint
@@ -67,9 +70,6 @@ ObsPayload = tuple
 
 INIT = ("init",)
 SINK = ("sink",)
-SINK_ROW = (1,)  # the losing sink is state 1
-# The explicit rows of the initial and memory-selection states: abort only.
-ABORT_ROWS = (SINK_ROW,)
 # Reduced states built before the reduction gives up, unless told otherwise.
 DEFAULT_MAX_STATES = 250_000
 
@@ -93,14 +93,14 @@ class BeliefObsPomdp(ObservedModel):
     Shares Pomdp's observation read side, and adds the rest of what the
     fixpoints, the belief-observation checker and support-only chain
     construction read: names, ``support`` and the two successor tables of
-    the module docstring. ``supports[s]`` holds the explicit rows of state
-    s; ``memory_edges[o]`` the target observations of o's memory actions,
-    which follow abort in its availability. Each observation class lists
-    its states by hidden state. There are no ``rows``: the reduction is a
-    support graph and carries no probabilities or rewards. State 0 is the
-    initial state, state 1 the losing sink. Base actions keep their ids
-    from the source POMDP, then comes the abort action, then the interned
-    memory actions.
+    the module docstring. ``obs_rows[o]`` holds the (target observation,
+    place map) pairs of o's explicit actions; ``memory_edges[o]`` the
+    target observations of o's memory actions, which follow abort in its
+    availability. Each observation class lists its states by hidden state.
+    There are no ``rows``: the reduction is a support graph and carries no
+    probabilities or rewards. State 0 is the initial state, state 1 the
+    losing sink. Base actions keep their ids from the source POMDP, then
+    comes the abort action, then the interned memory actions.
 
     ``state_payloads`` and ``obs_payloads`` hold the integer payloads of the
     module docstring, which name memories by memory-action id;
@@ -113,7 +113,7 @@ class BeliefObsPomdp(ObservedModel):
         state_payloads: list[StatePayload],
         obs_payloads: list[ObsPayload],
         obs_of: list[int],
-        supports: list[Sequence[tuple[int, ...]]],
+        obs_rows: list[tuple],
         memory_edges: dict[int, tuple[int, ...]],
         availability: dict[int, tuple[int, ...]],
         memory_actions: list[CollapsedMemory],
@@ -121,7 +121,7 @@ class BeliefObsPomdp(ObservedModel):
         self.base = base
         self.state_payloads = state_payloads
         self.obs_payloads = obs_payloads
-        self.supports = supports
+        self.obs_rows = obs_rows
         self.memory_edges = memory_edges
         self.memory_actions = memory_actions
         self.initial = 0
@@ -148,15 +148,16 @@ class BeliefObsPomdp(ObservedModel):
         return self.base.n_actions
 
     def support(self, s: int, a: int) -> tuple[int, ...]:
-        """An explicit row, or the one state a memory edge moves s to."""
+        """The successors of an explicit action, or the one state a memory
+        edge moves s to."""
         o = self.obs_of[s]
         acts = self.availability[o]
         i = bisect_left(acts, a)
         if i < len(acts) and acts[i] == a:
-            row = self.supports[s]
-            if i < len(row):
-                return row[i]
-            o2 = self.memory_edges[o][i - len(row)]
+            n = len(self.obs_rows[o])
+            if i < n:
+                return tuple(self.successors(s, i))
+            o2 = self.memory_edges[o][i - n]
             return (self.obs_states(o2)[self.obs_index[s]],)
         raise ModelError(
             f"no transition row for state {self.state_name(s)!r}"
@@ -235,9 +236,11 @@ def reduce_pomdp(
     Enumeration order is fixed (lexicographic on bit patterns), so state
     numbering is reproducible.
 
-    Lookups use integer keys only: a memory action by its four masks, a
-    memory-selection state or an observation by its payload, and an
-    action-selection state (t, aid) by whether aid is in ``made[t]``.
+    Lookups use integer keys only: a memory action by its four masks, an
+    observation by its payload, and an action-selection state (t, aid) by
+    whether aid is in ``made[t]``. The memory-selection states made from
+    an action-selection observation under each base action are a mask of
+    hidden states.
     """
     if max_states < 1:
         raise ModelError(f"max_states must be at least 1, not {max_states}")
@@ -254,15 +257,13 @@ def reduce_pomdp(
     state_payloads: list[StatePayload] = [INIT, SINK]
     obs_payloads: list[ObsPayload] = [INIT, SINK]
     obs_of: list[int] = [0, 1]
-    # One explicit row table per state, appended when the state is
-    # expanded. The losing sink self-loops under every action; its rows are
-    # added once the memory actions are all known.
-    supports: list[Sequence[tuple[int, ...]]] = [ABORT_ROWS, ()]
+    # Filled once per observation: the initial and memory-selection ones
+    # when met, the action-selection ones and the sink's after the walk.
+    obs_rows: list[tuple] = [(), ()]
     availability: dict[int, tuple[int, ...]] = {}
     memory_edges: dict[int, tuple[int, ...]] = {}
     memory_actions: list[CollapsedMemory] = []
     mid_by_masks: dict[tuple[int, int, int, int], int] = {}
-    mem_ids: dict[StatePayload, int] = {}
     # made[t]: abort and each memory action aid such that the
     # action-selection state ("act", t, aid) exists.
     made: list[set[int]] = [{abort} for _ in range(g.n_states)]
@@ -287,6 +288,7 @@ def reduce_pomdp(
         if o is None:
             o = obs_ids[obs_payload] = len(obs_payloads)
             obs_payloads.append(obs_payload)
+            obs_rows.append(())
         if len(state_payloads) >= max_states:
             raise CapacityError(
                 f"reduction exceeded the cap of {max_states} states",
@@ -301,6 +303,28 @@ def reduce_pomdp(
         obs_of.append(o)
         return len(state_payloads) - 1
 
+    # Per (belief, base action): each state's successors as a mask, the
+    # successor belief holding each state they reach, and each successor
+    # belief with its place map. Equal place maps share one object.
+    maps: dict[tuple, tuple] = {}
+    post_cache: dict[tuple[int, int], tuple[dict, dict, list]] = {}
+
+    def posts(ymask: int, a: int) -> tuple[dict, dict, list]:
+        got = post_cache.get((ymask, a))
+        if got is None:
+            succ = {s: mask_of(g.support(s, a)) for s in bits(ymask)}
+            belief_of, beliefs = {}, []
+            for _, ymask2 in belief_successors(g, ymask, a):
+                place = {t: j for j, t in enumerate(bits(ymask2))}
+                belief_of.update(dict.fromkeys(place, ymask2))
+                m = tuple(
+                    tuple([place[t] for t in bits(succ[s] & ymask2)])
+                    for s in bits(ymask)
+                )
+                beliefs.append((ymask2, maps.setdefault(m, m)))
+            got = post_cache[(ymask, a)] = (succ, belief_of, beliefs)
+        return got
+
     # Many memory-selection observations force the same win and recurrence
     # bits on the same belief, and so share their availability.
     choices_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
@@ -309,13 +333,14 @@ def reduce_pomdp(
         """Availability after ``a`` led ``cm`` to ``ymask2``: abort, then
         the ids of the enabled next memories, ascending. New memories are
         interned in CollapsedMemory order."""
+        succ = posts(cm.belief, a)[0]
         forced_w = 0
         for s in bits(cm.belief & cm.fp.win):
-            forced_w |= mask_of(g.support(s, a))
+            forced_w |= succ[s]
         forced_w &= ymask2
         forced_r = 0
         for s in bits(cm.belief & cm.fp.rec):
-            forced_r |= mask_of(g.support(s, a))
+            forced_r |= succ[s]
         forced_r &= ymask2
         key = (ymask2, forced_w, forced_r)
         got = choices_cache.get(key)
@@ -340,15 +365,17 @@ def reduce_pomdp(
     # memory action aid2.
     edges_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    # Successor beliefs by observation per (belief, action), shared across
-    # memories.
-    post_cache: dict[tuple[int, int], dict[int, int]] = {}
+    # An action into the losing sink, by the size of its source class.
+    sinks: dict[int, tuple] = {}
 
-    def posts(ymask: int, a: int) -> dict[int, int]:
-        got = post_cache.get((ymask, a))
-        if got is None:
-            got = post_cache[(ymask, a)] = dict(belief_successors(g, ymask, a))
-        return got
+    def to_sink(n: int) -> tuple:
+        return sinks.setdefault(n, ((1, ((0,),) * n),))
+
+    # plans[o]: per base action of the action-selection observation o, the
+    # posts of its belief or None for the sink, and the mask of hidden
+    # states t whose memory-selection state after the action exists.
+    plans: dict[int, tuple[list, list[int]]] = {}
+    base_actions = tuple(range(n_base))
 
     y0 = 1 << g.initial
     init_actions: list[int] = []
@@ -366,38 +393,33 @@ def reduce_pomdp(
     # ascend and all exceed abort's.
     availability[0] = (abort, *init_actions)
     memory_edges[0] = tuple(obs_ids[("act", aid)] for aid in init_actions)
+    obs_rows[0] = (to_sink(1),)
 
     # Rows of the states expanded so far, the sink's base and abort rows
     # included: the CapacityError counts them as if every row were stored.
     rows = len(availability[0]) + n_base + 1
-    # States are expanded in id order: the next one to expand is the first
-    # without a row table, and its table lands at its id.
-    while len(supports) < len(state_payloads):
-        payload = state_payloads[len(supports)]
-        o = obs_of[len(supports)]
+    # States are expanded in id order; both lists grow during the walk.
+    for payload, o in islice(zip(state_payloads, obs_of), 2, None):
         if payload[0] == "act":
             _, s, aid = payload
-            cm = memory_actions[aid - abort - 1]
-            if o not in availability:
-                availability[o] = tuple(range(n_base))
-            row: list[tuple[int, ...]] = []
-            supports.append(row)
-            for a in range(n_base):
-                if not enabled_action(cm, a, reward1[a]):
-                    row.append(SINK_ROW)
-                    continue
-                grouped = posts(cm.belief, a)
-                targets = set()
-                for t in g.support(s, a):
-                    key = ("mem", t, grouped[g.obs(t)], a, aid)
-                    got = mem_ids.get(key)
-                    if got is None:
-                        got = mem_ids[key] = intern(key, rows + a)
-                    targets.add(got)
-                row.append(tuple(sorted(targets)))
+            plan = plans.get(o)
+            if plan is None:
+                cm = memory_actions[aid - abort - 1]
+                availability[o] = base_actions
+                enabled = [enabled_action(cm, a, reward1[a]) for a in base_actions]
+                plan = plans[o] = (
+                    [posts(cm.belief, a) if enabled[a] else None for a in base_actions],
+                    [0] * n_base,
+                )
+            made_mem = plan[1]
+            for a, post in enumerate(plan[0]):
+                if post is not None:
+                    new = post[0][s] & ~made_mem[a]
+                    made_mem[a] |= new
+                    for t in bits(new):
+                        intern(("mem", t, post[1][t], a, aid), rows + a)
         else:
             _, t, ymask2, a, aid = payload
-            supports.append(ABORT_ROWS)
             acts = availability.get(o)
             new_obs = acts is None
             if new_obs:
@@ -418,18 +440,29 @@ def reduce_pomdp(
                         obs_ids[("act", aid2)] for aid2 in acts[1:]
                     )
                 memory_edges[o] = targets
+                obs_rows[o] = (to_sink(ymask2.bit_count()),)
         rows += len(availability[o])
 
+    # Every target of an action-selection observation has been met by now.
+    for o, (plan, _) in plans.items():
+        aid = obs_payloads[o][1]
+        n = memory_actions[aid - abort - 1].belief.bit_count()
+        obs_rows[o] = tuple(
+            to_sink(n)
+            if post is None
+            else tuple([(obs_ids[("mem", y2, a, aid)], m) for y2, m in post[2]])
+            for a, post in enumerate(plan)
+        )
     all_actions = tuple(range(n_base + 1 + len(memory_actions)))
     availability[1] = all_actions
-    supports[1] = [SINK_ROW] * len(all_actions)
+    obs_rows[1] = (to_sink(1),) * len(all_actions)
 
     return BeliefObsPomdp(
         base=g,
         state_payloads=state_payloads,
         obs_payloads=obs_payloads,
         obs_of=obs_of,
-        supports=supports,
+        obs_rows=obs_rows,
         memory_edges=memory_edges,
         availability=availability,
         memory_actions=memory_actions,

@@ -8,9 +8,10 @@ the product chain with every edge spelled out (no hubs), the pair-keyed
 fixpoints and the product-chain certification, the
 frozenset belief check, the projection of a collapsed strategy onto the
 reduction (the completeness direction of the construction) with the
-canonical form of a collapsed memory, the dump of a reduced model as a
-plain POMDP with rewards, and the lift of a memoryless strategy to a
-finite-memory one with its update table written out.
+canonical form of a collapsed memory, the per-state row table of a
+reduction, the dump of a reduced model as a plain POMDP with rewards, and
+the lift of a memoryless strategy to a finite-memory one with its update
+table written out.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from asmp import (
 )
 from asmp.bits import bits, mask_of
 from asmp.chains import _playable, _unavailable_play
-from asmp.model import belief_obs
-from asmp.reduction import INIT, SINK
+from asmp.model import belief_obs, belief_successors
+from asmp.reduction import INIT, SINK, enabled_action
 
 
 # ---------------------------------------------------------------- graphs
@@ -459,6 +460,50 @@ def reduced_pomdp(
         name=name,
     )
     return g, RewardFn({(s, a): reward(s, a) for s, a in pairs})
+
+
+def reference_supports(
+    bg: BeliefObsPomdp, rewards: RewardFn
+) -> list[list[tuple[int, ...]]]:
+    """The per-state row table of a reduction or of its restriction, rebuilt
+    from the state payloads the way the reduction built its explicit rows
+    before they moved to the observation level: ``supports[s][i]`` is the
+    support of state s under the i-th action of ``avail(obs(s))``, memory
+    actions included. ``rewards`` are the base model's; they decide which
+    base actions lead to the losing sink."""
+    g = bg.base
+    ids = {p: s for s, p in enumerate(bg.state_payloads)}
+    reward1 = [0] * g.n_actions
+    for s, a in g.available_pairs():
+        if rewards.get(s, a) == 1:
+            reward1[a] |= 1 << s
+    abort = bg.abort_action
+    table = []
+    for s, p in enumerate(bg.state_payloads):
+        row = []
+        for a in bg.avail(bg.obs(s)):
+            if p == SINK or a == abort:
+                row.append((ids[SINK],))
+            elif a > abort:
+                hidden = g.initial if p == INIT else p[1]
+                row.append((ids[("act", hidden, a)],))
+            else:
+                _, t, aid = p
+                cm = bg.memory(aid)
+                if not enabled_action(cm, a, reward1[a]):
+                    row.append((ids[SINK],))
+                    continue
+                grouped = dict(belief_successors(g, cm.belief, a))
+                row.append(
+                    tuple(
+                        sorted(
+                            ids[("mem", u, grouped[g.obs(u)], a, aid)]
+                            for u in g.support(t, a)
+                        )
+                    )
+                )
+        table.append(row)
+    return table
 
 
 def canonical(cm: CollapsedMemory) -> CollapsedMemory:

@@ -111,28 +111,71 @@ class TestAlmostReach:
             assert sizes == sorted(sizes)
 
 
+class TestSharedAllowTuples:
+    @pytest.mark.parametrize(
+        "n, observations, distinct", [(6, 1019, 40), (7, 3048, 113)]
+    )
+    def test_one_tuple_object_per_distinct_value(self, n, observations, distinct):
+        """Both fixpoints hand out one allow tuple object per distinct value,
+        on the reduction and on its restriction."""
+        bg = reduce_pomdp(*hidden_model(n, 100 + n))
+        safety = almost_safe(bg, [s for s in range(bg.n_states) if s != bg.sink])
+        restricted = restrict_safe(bg, safety.y_star, safety.allow_map)
+        reach = almost_reach(restricted, restricted.wcs_state_ids())
+        for res in (safety, reach):
+            values = res.allow_map.values()
+            assert len(values) == observations
+            assert len({id(v) for v in values}) == len(set(values)) == distinct
+
+
+def with_obs_rows(bg, obs_rows):
+    """A copy of the reduction ``bg`` with its observation-level table replaced."""
+    return BeliefObsPomdp(
+        base=bg.base,
+        state_payloads=bg.state_payloads,
+        obs_payloads=bg.obs_payloads,
+        obs_of=bg.obs_of,
+        obs_rows=obs_rows,
+        memory_edges=bg.memory_edges,
+        availability=bg.availability,
+        memory_actions=bg.memory_actions,
+    )
+
+
 class TestRowLayout:
     @pytest.mark.parametrize("extra", [1, -1], ids=["one-row-more", "one-row-less"])
     def test_a_state_whose_rows_miss_its_actions_is_rejected(self, extra):
-        """Each state's explicit rows are read against its observation's
-        explicit actions one for one. A state with a row too many or too few
-        must stop the fixpoint, not shift the rows of the states after it
-        into the wrong groups."""
+        """Each observation's edge rows are read against its explicit
+        actions one for one. The initial state, alone in its observation,
+        with a row too many or too few must stop the fixpoint, not shift the
+        rows of the observations after it into the wrong groups."""
         bg = reduce_pomdp(*ring_pomdp())
-        s = bg.initial
-        supports = list(bg.supports)
-        rows = tuple(supports[s])
-        supports[s] = rows + rows[:1] if extra > 0 else rows[:-1]
-        broken = BeliefObsPomdp(
-            base=bg.base,
-            state_payloads=bg.state_payloads,
-            obs_payloads=bg.obs_payloads,
-            obs_of=bg.obs_of,
-            supports=supports,
-            memory_edges=bg.memory_edges,
-            availability=bg.availability,
-            memory_actions=bg.memory_actions,
+        o = bg.obs(bg.initial)
+        obs_rows = list(bg.obs_rows)
+        rows = obs_rows[o]
+        obs_rows[o] = rows + rows[:1] if extra > 0 else rows[:-1]
+        broken = with_obs_rows(bg, obs_rows)
+        with pytest.raises(ValueError):
+            almost_safe(broken, range(broken.n_states))
+
+    @pytest.mark.parametrize("extra", [1, -1], ids=["one-place-more", "one-place-less"])
+    def test_a_place_map_that_misses_its_class_is_rejected(self, extra):
+        """A place map has one entry per state of its source class. One entry
+        more or less on a shared map must stop the fixpoint, not read the
+        places of another state."""
+        bg = reduce_pomdp(*ring_pomdp())
+        o = next(
+            o
+            for o in range(bg.n_observations)
+            if bg.obs_payloads[o][0] == "act"
+            and len(bg.obs_states(o)) > 1
+            and any(o2 != bg.obs(bg.sink) for o2, _ in bg.obs_rows[o][0])
         )
+        obs_rows = list(bg.obs_rows)
+        (o2, m), *rest = obs_rows[o][0]
+        m = m + m[:1] if extra > 0 else m[:-1]
+        obs_rows[o] = (((o2, m), *rest), *obs_rows[o][1:])
+        broken = with_obs_rows(bg, obs_rows)
         with pytest.raises(ValueError):
             almost_safe(broken, range(broken.n_states))
 

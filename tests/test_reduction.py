@@ -25,7 +25,13 @@ from asmp.gadgets import ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp
 from asmp.cli import build_parser
 from asmp.reduction import DEFAULT_MAX_STATES, INIT, SINK, enabled_action
 
-from helpers import enabled_memory_action, random_belief_obs_pomdp, reduced_pomdp
+from helpers import (
+    enabled_memory_action,
+    hidden_model,
+    random_belief_obs_pomdp,
+    reduced_pomdp,
+    reference_supports,
+)
 
 
 def rows_of(bg):
@@ -361,6 +367,54 @@ class TestReductionStructure:
                     reduce_pomdp(*make(), max_states=cap)
                 assert str(err.value) == f"reduction exceeded the cap of {cap} states"
                 assert err.value.stats == dict(zip(keys, counts))
+
+
+def check_derived_rows(g, rewards):
+    """``support`` of every available pair of the reduction of (g, rewards)
+    and of its restriction against the per-state reference rows, and the
+    error text of an unavailable pair at every state."""
+    bg = reduce_pomdp(g, rewards)
+    safety = almost_safe(bg, [s for s in range(bg.n_states) if s != bg.sink])
+    models = [bg]
+    if bg.obs(bg.initial) in safety.y_star:
+        models.append(restrict_safe(bg, safety.y_star, safety.allow_map))
+    for m in models:
+        want = reference_supports(m, rewards)
+        for s in range(m.n_states):
+            acts = m.avail(m.obs(s))
+            assert [m.support(s, a) for a in acts] == want[s]
+            present = set(acts)
+            every = range(m.n_actions)
+            first = next((a for a in every if a not in present), None)
+            last = next((a for a in reversed(every) if a not in present), None)
+            for a in {first, last} - {None}:
+                with pytest.raises(ModelError) as err:
+                    m.support(s, a)
+                assert str(err.value) == (
+                    f"no transition row for state {m.state_name(s)!r}"
+                    f" and action {m.action_name(a)!r}"
+                )
+
+
+class TestDerivedRows:
+    """``support`` derives each row from the observation-level table: the
+    shared place maps of the explicit actions and the memory edges."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp]
+        + [
+            pytest.param(partial(hidden_model, n, 100 + n), id=f"hidden-{n}")
+            for n in (5, 6, 7)
+        ],
+    )
+    def test_rows_match_the_per_state_reference(self, make):
+        check_derived_rows(*make())
+
+    def test_rows_match_on_seeded_reductions(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            check_derived_rows(*random_belief_obs_pomdp(rng))
 
 
 class TestReducedRewardAdapter:
