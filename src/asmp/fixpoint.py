@@ -414,7 +414,7 @@ def restrict_safe(
     g: BeliefObsPomdp, y_star: frozenset[int], allow_map: dict[int, tuple[int, ...]]
 ) -> BeliefObsPomdp:
     """Restrict a reduced model to the observations of ``y_star`` and their
-    allowed actions. States keep their relative order; ids are re-packed.
+    allowed actions. States keep their relative order and places; ids are re-packed.
 
     Raises ModelError when the initial observation is not almost-safe, since
     the restriction would not contain the initial state.
@@ -424,7 +424,9 @@ def restrict_safe(
             "initial observation is not almost-safe; no safe strategy exists"
         )
     kept_obs = sorted(y_star)
-    kept_states = sorted(s for o in kept_obs for s in g.obs_states(o))
+    new_id = [-1] * g.n_states
+    for i, s in enumerate(sorted(s for o in kept_obs for s in g.obs_states(o))):
+        new_id[s] = i
     obs_map = {o: i for i, o in enumerate(kept_obs)}
     # Observations of one shape share their restricted availability and
     # memory edges, as observations of the reduction share theirs. Kept
@@ -448,9 +450,8 @@ def restrict_safe(
         )
     return BeliefObsPomdp(
         base=g.base,
-        state_payloads=[g.state_payloads[s] for s in kept_states],
         obs_payloads=[g.obs_payloads[o] for o in kept_obs],
-        obs_of=[obs_map[g.obs(s)] for s in kept_states],
+        classes=[tuple(map(new_id.__getitem__, g.obs_states(o))) for o in kept_obs],
         obs_rows=obs_rows,
         memory_edges=memory_edges,
         availability=availability,

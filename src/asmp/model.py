@@ -118,10 +118,10 @@ class ObservedModel:
     by a deterministic observation, and the actions each observation allows.
 
     `Pomdp` and the reduction's `BeliefObsPomdp` both derive from it. A
-    subclass sets whatever its ``state_name`` reads before calling
-    ``__init__``, which groups the states by observation, in id order
-    unless ``order`` lists the states otherwise; ``obs_index[s]`` is the
-    place of s in ``obs_states(obs(s))``.
+    subclass sets whatever its ``state_name`` reads, then calls ``__init__``
+    with its classes, ``classes[o]`` listing the states of observation o;
+    they must list each state id 0..n-1 once. ``obs_of[s]`` and
+    ``obs_index[s]``, the place of s in ``obs_states(obs(s))``, derive from them.
 
     A subclass also provides the successor sets the fixpoints read, in two
     observation-level tables. For the i-th action of ``avail(o)``, one of
@@ -138,25 +138,23 @@ class ObservedModel:
 
     def __init__(
         self,
-        obs_of: list[int],
-        n_observations: int,
+        classes: list[tuple[int, ...]],
         availability: Mapping[int, tuple[int, ...]],
-        order: Iterable[int] | None = None,
     ):
-        self.obs_of = obs_of
+        self._obs_states = classes
         self.availability = availability
-        for s, o in enumerate(obs_of):
-            if not 0 <= o < n_observations:
-                raise ModelError(
-                    f"state {self.state_name(s)!r} has observation id {o} out of range"
-                )
-        by_obs: list[list[int]] = [[] for _ in range(n_observations)]
-        self.obs_index = [0] * len(obs_of)
-        for s in range(len(obs_of)) if order is None else order:
-            ss = by_obs[obs_of[s]]
-            self.obs_index[s] = len(ss)
-            ss.append(s)
-        self._obs_states = [tuple(ss) for ss in by_obs]
+        n = sum(map(len, classes))
+        self.obs_of = obs_of = [-1] * n
+        self.obs_index = obs_index = [0] * n
+        for o, cls in enumerate(classes):
+            for i, s in enumerate(cls):
+                if not 0 <= s < n or obs_of[s] >= 0:
+                    raise ValueError(
+                        f"the classes do not partition states 0..{n - 1}:"
+                        f" state id {s} is out of range or listed twice"
+                    )
+                obs_of[s] = o
+                obs_index[s] = i
 
     def state_name(self, s: int) -> str:
         raise NotImplementedError
@@ -237,7 +235,14 @@ class Pomdp(ObservedModel):
         if availability is not None:
             for o, acts in availability.items():
                 avail[o] = tuple(sorted(set(acts)))
-        super().__init__(list(obs_of), len(observations), avail)
+        by_obs: list[list[int]] = [[] for _ in observations]
+        for s, o in enumerate(obs_of):
+            if not 0 <= o < len(observations):
+                raise ModelError(
+                    f"state {self.state_name(s)!r} has observation id {o} out of range"
+                )
+            by_obs[o].append(s)
+        super().__init__([tuple(ss) for ss in by_obs], avail)
 
     @property
     def n_actions(self) -> int:

@@ -14,8 +14,8 @@ canonicalization quotients the construction by a bisimulation that respects
 observations, availability, and rewards. It is what makes the construction
 feasible: free map bits outside the belief would square the fan-out twice.
 
-Each state and observation is named by its payload, a kind tag followed by
-integers, which is also its lookup key. Memories appear by memory-action id:
+Each state and observation is named by a payload, a kind tag followed by
+integers. Memories appear by memory-action id:
 
 * action-selection state ``("act", s, aid)``, observation ``("act", aid)``;
 * memory-selection state ``("mem", t, ymask2, a, aid)``, observation
@@ -24,11 +24,13 @@ integers, which is also its lookup key. Memories appear by memory-action id:
 * the initial state and the losing sink, ``INIT`` and ``SINK``, which are
   also their own observations.
 
-An observation's payload is its states' payload without the hidden state.
-The CollapsedMemory objects live only in ``memory_actions``, interned by
-their (belief, win, rec, acts) masks; ``BeliefObsPomdp.memory(aid)`` reads
-them back. The breadth-first walk fixes the order in which payloads are
-first met, and with it every id.
+An observation's payload, its lookup key, is its states' payload without
+the hidden state, and the only one stored: a state is its observation and
+its place, the rank of its hidden state in the belief, where the walk
+puts it. The CollapsedMemory objects live only in ``memory_actions``,
+interned by their (belief, win, rec, acts) masks;
+``BeliefObsPomdp.memory(aid)`` reads them back. The breadth-first walk
+fixes the order in which payloads are first met, and with it every id.
 
 Successors come in the two observation-level tables of
 ``model.ObservedModel``; no state has a row of its own. A memory-selection
@@ -96,48 +98,37 @@ class BeliefObsPomdp(ObservedModel):
     the module docstring. ``obs_rows[o]`` holds the (target observation,
     place map) pairs of o's explicit actions; ``memory_edges[o]`` the
     target observations of o's memory actions, which follow abort in its
-    availability. Each observation class lists its states by hidden state.
-    There are no ``rows``: the reduction is a support graph and carries no
-    probabilities or rewards. State 0 is the initial state, state 1 the
-    losing sink. Base actions keep their ids from the source POMDP, then
-    comes the abort action, then the interned memory actions.
+    availability. There are no ``rows``: the reduction is a support graph
+    and carries no probabilities or rewards. State 0 is the initial state,
+    state 1 the losing sink. Base actions keep their ids from the source
+    POMDP, then comes the abort action, then the interned memory actions.
 
-    ``state_payloads`` and ``obs_payloads`` hold the integer payloads of the
-    module docstring, which name memories by memory-action id;
-    ``memory(aid)`` is the CollapsedMemory behind such an id.
+    ``classes[o]`` holds one state per state of o's belief, by hidden state,
+    so a state is named by its observation and place. ``obs_payloads`` holds
+    the integer payloads of the module docstring, which name memories by
+    memory-action id; ``memory(aid)`` is the CollapsedMemory behind such an
+    id. ``state_payload`` derives a state's payload from its observation's.
     """
 
     def __init__(
         self,
         base: Pomdp,
-        state_payloads: list[StatePayload],
         obs_payloads: list[ObsPayload],
-        obs_of: list[int],
+        classes: list[tuple[int, ...]],
         obs_rows: list[tuple],
         memory_edges: dict[int, tuple[int, ...]],
         availability: dict[int, tuple[int, ...]],
         memory_actions: list[CollapsedMemory],
     ):
         self.base = base
-        self.state_payloads = state_payloads
         self.obs_payloads = obs_payloads
         self.obs_rows = obs_rows
         self.memory_edges = memory_edges
         self.memory_actions = memory_actions
         self.initial = 0
         # Safety restriction prunes the sink together with its observation.
-        self.sink = 1 if len(state_payloads) > 1 and state_payloads[1] == SINK else None
-        # By hidden state; the initial state and the sink have none and
-        # sit alone in their classes.
-        by_hidden: list[list[int]] = [[] for _ in range(base.n_states + 1)]
-        for s, p in enumerate(state_payloads):
-            by_hidden[p[1] + 1 if len(p) > 1 else 0].append(s)
-        super().__init__(
-            obs_of,
-            len(obs_payloads),
-            availability,
-            order=[s for ss in by_hidden for s in ss],
-        )
+        self.sink = 1 if len(obs_payloads) > 1 and obs_payloads[1] == SINK else None
+        super().__init__(classes, availability)
 
     @property
     def n_actions(self) -> int:
@@ -168,15 +159,21 @@ class BeliefObsPomdp(ObservedModel):
         """The collapsed memory behind memory action ``aid``."""
         return self.memory_actions[aid - self.base.n_actions - 1]
 
+    def state_payload(self, s: int) -> StatePayload:
+        """The payload of state s, derived from its observation's and its place."""
+        p = self.obs_payloads[self.obs_of[s]]
+        if len(p) == 1:
+            return p
+        belief = p[1] if p[0] == "mem" else self.memory(p[1]).belief
+        t = next(islice(bits(belief), self.obs_index[s], None))
+        return (p[0], t, *p[1:])
+
     def state_name(self, s: int) -> str:
-        p = self.state_payloads[s]
-        if p == INIT:
-            return "init"
-        if p == SINK:
-            return "sink"
+        p = self.state_payload(s)
+        if len(p) == 1:
+            return p[0]
         if p[0] == "act":
-            cm = self.memory(p[2])
-            return f"{self.base.state_name(p[1])}·{cm.pretty(self.base)}"
+            return f"{self.base.state_name(p[1])}·{self.memory(p[2]).pretty(self.base)}"
         return f"{self.base.state_name(p[1])}·{self.obs_name(self.obs_of[s])}"
 
     def action_name(self, a: int) -> str:
@@ -205,13 +202,12 @@ class BeliefObsPomdp(ObservedModel):
         """Action-selection states whose own win and recurrence bits are set:
         the reachability target of the top-level decision procedure."""
         out = []
-        for s, p in enumerate(self.state_payloads):
+        for o, p in enumerate(self.obs_payloads):
             if p[0] == "act":
-                bit = 1 << p[1]
-                fp = self.memory(p[2]).fp
-                if fp.win & bit and fp.rec & bit:
-                    out.append(s)
-        return out
+                cm = self.memory(p[1])
+                both, cls = cm.fp.win & cm.fp.rec, self.obs_states(o)
+                out += [cls[i] for i, t in enumerate(bits(cm.belief)) if both >> t & 1]
+        return sorted(out)
 
     def stats(self) -> dict[str, int]:
         return {
@@ -254,9 +250,11 @@ def reduce_pomdp(
         o: mask_of(g.avail(o)) for o in range(g.n_observations)
     }
 
-    state_payloads: list[StatePayload] = [INIT, SINK]
     obs_payloads: list[ObsPayload] = [INIT, SINK]
-    obs_of: list[int] = [0, 1]
+    # A slot per state of each class's belief, -1 until filled; and for the
+    # walk only, each state's hidden state (none for INIT, SINK) and observation.
+    classes: list[list[int]] = [[0], [1]]
+    hidden, obs_of = [-1, -1], [0, 1]
     # Filled once per observation: the initial and memory-selection ones
     # when met, the action-selection ones and the sink's after the walk.
     obs_rows: list[tuple] = [(), ()]
@@ -279,29 +277,29 @@ def reduce_pomdp(
             )
         return got
 
-    def intern(payload: StatePayload, rows: int) -> int:
-        """Add a state its caller did not find, with its observation when
-        that is new too, and return its id. ``rows`` counts the rows built
-        so far, for the CapacityError."""
-        obs_payload = (payload[0], *payload[2:])
+    def intern(obs_payload: ObsPayload, belief: int, t: int, rows: int) -> None:
+        """Add the state of hidden state t, which its caller did not find, at
+        its place in the observation's class of ``belief``, with the class when
+        new. ``rows`` counts the rows built so far, for the CapacityError."""
         o = obs_ids.get(obs_payload)
         if o is None:
             o = obs_ids[obs_payload] = len(obs_payloads)
             obs_payloads.append(obs_payload)
             obs_rows.append(())
-        if len(state_payloads) >= max_states:
+            classes.append([-1] * belief.bit_count())
+        if len(hidden) >= max_states:
             raise CapacityError(
                 f"reduction exceeded the cap of {max_states} states",
                 {
-                    "states": len(state_payloads),
+                    "states": len(hidden),
                     "observations": len(obs_payloads),
                     "rows": rows,
                     "memory_actions": len(memory_actions),
                 },
             )
-        state_payloads.append(payload)
+        classes[o][(belief & ((1 << t) - 1)).bit_count()] = len(hidden)
+        hidden.append(t)
         obs_of.append(o)
-        return len(state_payloads) - 1
 
     # Per (belief, base action): each state's successors as a mask, the
     # successor belief holding each state they reach, and each successor
@@ -386,7 +384,7 @@ def reduce_pomdp(
         if acts
     ):
         aid = intern_memory_action(y0, y0, r, acts)
-        intern(("act", g.initial, aid), len(init_actions) + n_base + 1)
+        intern(("act", aid), y0, g.initial, len(init_actions) + n_base + 1)
         init_actions.append(aid)
     made[g.initial].update(init_actions)
     # The initial memory actions are the first interned, so their ids
@@ -398,10 +396,11 @@ def reduce_pomdp(
     # Rows of the states expanded so far, the sink's base and abort rows
     # included: the CapacityError counts them as if every row were stored.
     rows = len(availability[0]) + n_base + 1
-    # States are expanded in id order; both lists grow during the walk.
-    for payload, o in islice(zip(state_payloads, obs_of), 2, None):
+    # States are expanded in id order, h their hidden state; both lists grow.
+    for h, o in islice(zip(hidden, obs_of), 2, None):
+        payload = obs_payloads[o]
         if payload[0] == "act":
-            _, s, aid = payload
+            aid = payload[1]
             plan = plans.get(o)
             if plan is None:
                 cm = memory_actions[aid - abort - 1]
@@ -414,25 +413,25 @@ def reduce_pomdp(
             made_mem = plan[1]
             for a, post in enumerate(plan[0]):
                 if post is not None:
-                    new = post[0][s] & ~made_mem[a]
+                    new = post[0][h] & ~made_mem[a]
                     made_mem[a] |= new
                     for t in bits(new):
-                        intern(("mem", t, post[1][t], a, aid), rows + a)
+                        intern(("mem", post[1][t], a, aid), post[1][t], t, rows + a)
         else:
-            _, t, ymask2, a, aid = payload
+            _, ymask2, a, aid = payload
             acts = availability.get(o)
             new_obs = acts is None
             if new_obs:
                 cm = memory_actions[aid - abort - 1]
                 acts = availability[o] = memory_choices(ymask2, a, cm)
             # abort sorts first: memory-action ids exceed it. Each missing
-            # (t, aid2) is interned in availability order, at its row.
-            made_t = made[t]
-            if not made_t.issuperset(acts):
+            # (h, aid2) is interned in availability order, at its row.
+            made_h = made[h]
+            if not made_h.issuperset(acts):
                 for i, aid2 in enumerate(acts):
-                    if aid2 not in made_t:
-                        intern(("act", t, aid2), rows + i)
-                        made_t.add(aid2)
+                    if aid2 not in made_h:
+                        intern(("act", aid2), ymask2, h, rows + i)
+                        made_h.add(aid2)
             if new_obs:
                 targets = edges_cache.get(acts)
                 if targets is None:
@@ -459,9 +458,8 @@ def reduce_pomdp(
 
     return BeliefObsPomdp(
         base=g,
-        state_payloads=state_payloads,
         obs_payloads=obs_payloads,
-        obs_of=obs_of,
+        classes=[tuple(cls) for cls in classes],
         obs_rows=obs_rows,
         memory_edges=memory_edges,
         availability=availability,

@@ -443,7 +443,7 @@ def reduced_pomdp(
     base_pairs = set(base.available_pairs())
 
     def reward(s: int, a: int) -> Fraction:
-        p = bg.state_payloads[s]
+        p = bg.state_payload(s)
         if p[0] == "act":
             return rewards.get(p[1], a) if (p[1], a) in base_pairs else Fraction(0)
         return Fraction(0) if p == SINK else Fraction(1)
@@ -472,14 +472,15 @@ def reference_supports(
     actions included. ``rewards`` are the base model's; they decide which
     base actions lead to the losing sink."""
     g = bg.base
-    ids = {p: s for s, p in enumerate(bg.state_payloads)}
+    ids = {bg.state_payload(s): s for s in range(bg.n_states)}
     reward1 = [0] * g.n_actions
     for s, a in g.available_pairs():
         if rewards.get(s, a) == 1:
             reward1[a] |= 1 << s
     abort = bg.abort_action
     table = []
-    for s, p in enumerate(bg.state_payloads):
+    for s in range(bg.n_states):
+        p = bg.state_payload(s)
         row = []
         for a in bg.avail(bg.obs(s)):
             if p == SINK or a == abort:

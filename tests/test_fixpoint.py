@@ -132,9 +132,8 @@ def with_obs_rows(bg, obs_rows):
     """A copy of the reduction ``bg`` with its observation-level table replaced."""
     return BeliefObsPomdp(
         base=bg.base,
-        state_payloads=bg.state_payloads,
         obs_payloads=bg.obs_payloads,
-        obs_of=bg.obs_of,
+        classes=[bg.obs_states(o) for o in range(bg.n_observations)],
         obs_rows=obs_rows,
         memory_edges=bg.memory_edges,
         availability=bg.availability,

@@ -27,7 +27,7 @@ from asmp.gadgets import (
     two_state_pfa,
     unavoidable_zero_pomdp,
 )
-from asmp.model import belief_obs, belief_successors
+from asmp.model import ObservedModel, belief_obs, belief_successors
 
 from helpers import random_pomdp, reference_is_belief_observation
 
@@ -97,6 +97,21 @@ class TestValidation:
             availability={0: (0,), 1: (0, 1)},
         )
         assert any("unavailable" in p for p in validate(restricted))
+
+    @pytest.mark.parametrize(
+        "classes, bad",
+        [([(0, -1), (1,)], -1), ([(0, 1), (1,)], 1), ([(0, 3), (1,)], 3)],
+        ids=["gap", "duplicate", "out-of-range"],
+    )
+    def test_classes_must_partition_the_states(self, classes, bad):
+        """A slot left empty, a state listed twice and an id past the last
+        state are each rejected, never stored under a wrong state."""
+        with pytest.raises(ValueError) as err:
+            ObservedModel(classes, {})
+        assert str(err.value) == (
+            "the classes do not partition states 0..2:"
+            f" state id {bad} is out of range or listed twice"
+        )
 
     def test_reward_check_reports_gaps_and_range(self):
         g, _ = ring_pomdp()

@@ -39,6 +39,11 @@ def rows_of(bg):
     return [((s, a), bg.support(s, a)) for s, a in bg.available_pairs()]
 
 
+def payloads_of(bg):
+    """The payload of every state of a reduced model, by state id."""
+    return [bg.state_payload(s) for s in range(bg.n_states)]
+
+
 def random_memory(rng, state_universe, action_universe):
     belief = 0
     while not belief:
@@ -170,33 +175,26 @@ class TestReductionStructure:
     def test_start_and_sink_are_pinned(self):
         g, rewards = unavoidable_zero_pomdp()
         bg = reduce_pomdp(g, rewards)
-        assert bg.state_payloads[0] == INIT
-        assert bg.state_payloads[1] == SINK
+        assert bg.state_payload(0) == INIT
+        assert bg.state_payload(1) == SINK
         assert bg.initial == 0 and bg.sink == 1
         for a in range(bg.n_actions):
             assert bg.support(1, a) == (1,)
 
     def test_observation_classes_carry_whole_beliefs(self):
-        g, rewards = unavoidable_zero_pomdp()
-        bg = reduce_pomdp(g, rewards)
-        for o in range(bg.n_observations):
-            payload = bg.obs_payloads[o]
-            if payload in (INIT, SINK):
-                continue
-            members = bg.obs_states(o)
-            if payload[0] == "act":
-                cm = bg.memory(payload[1])
-                base_states = {bg.state_payloads[s][1] for s in members}
-                assert base_states == set(bits(cm.belief))
-            else:
-                _, ymask2, _, _ = payload
-                base_states = {bg.state_payloads[s][1] for s in members}
-                assert base_states == set(bits(ymask2))
+        """On the gadgets, hidden-5..7 and 60 seeded reductions, each with
+        its restriction."""
+        makes = [ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp]
+        makes += [partial(hidden_model, n, 100 + n) for n in (5, 6, 7)]
+        rng = random.Random(47)
+        makes += [partial(random_belief_obs_pomdp, rng)] * 60
+        for make in makes:
+            check_classes(*make())
 
     def test_availability_by_state_kind(self):
         g, rewards = unavoidable_zero_pomdp()
         bg = reduce_pomdp(g, rewards)
-        for s, payload in enumerate(bg.state_payloads):
+        for s, payload in enumerate(payloads_of(bg)):
             acts = bg.avail(bg.obs(s))
             if payload[0] == "act":
                 assert acts == tuple(range(g.n_actions))
@@ -209,7 +207,7 @@ class TestReductionStructure:
         bg = reduce_pomdp(g, rewards)
         _, rp = reduced_pomdp(bg, rewards)
         seen_kinds = set()
-        for s, payload in enumerate(bg.state_payloads):
+        for s, payload in enumerate(payloads_of(bg)):
             for a in bg.avail(bg.obs(s)):
                 r = rp.get(s, a)
                 if payload == SINK:
@@ -250,7 +248,7 @@ class TestReductionStructure:
         bg = reduce_pomdp(g, rewards)
         expected = [
             s
-            for s, p in enumerate(bg.state_payloads)
+            for s, p in enumerate(payloads_of(bg))
             if p[0] == "act"
             and bg.memory(p[2]).fp.win & (1 << p[1])
             and bg.memory(p[2]).fp.rec & (1 << p[1])
@@ -266,7 +264,7 @@ class TestReductionStructure:
             if rewards.get(s, a) == 1:
                 reward1[a] |= 1 << s
         checked_sink = checked_live = 0
-        for s, p in enumerate(bg.state_payloads):
+        for s, p in enumerate(payloads_of(bg)):
             if p[0] != "act":
                 continue
             for a in range(g.n_actions):
@@ -282,7 +280,7 @@ class TestReductionStructure:
         g, rewards = trap_ring_pomdp()
         one = reduce_pomdp(g, rewards)
         two = reduce_pomdp(g, rewards)
-        assert one.state_payloads == two.state_payloads
+        assert payloads_of(one) == payloads_of(two)
         assert one.obs_payloads == two.obs_payloads
         assert rows_of(one) == rows_of(two)
         assert one.availability == two.availability
@@ -367,6 +365,39 @@ class TestReductionStructure:
                     reduce_pomdp(*make(), max_states=cap)
                 assert str(err.value) == f"reduction exceeded the cap of {cap} states"
                 assert err.value.stats == dict(zip(keys, counts))
+
+
+def check_classes(g, rewards):
+    """Each class of the reduction of (g, rewards) and of its restriction
+    lists one state per state of its belief, by hidden state, and the
+    state payloads are pairwise distinct. The restriction keeps every
+    kept state's payload and place."""
+    bg = reduce_pomdp(g, rewards)
+    safety = almost_safe(bg, [s for s in range(bg.n_states) if s != bg.sink])
+    models = [bg]
+    if bg.obs(bg.initial) in safety.y_star:
+        models.append(restrict_safe(bg, safety.y_star, safety.allow_map))
+    for m in models:
+        payloads = payloads_of(m)
+        assert len(set(payloads)) == len(payloads)
+        for o in range(m.n_observations):
+            payload = m.obs_payloads[o]
+            members = m.obs_states(o)
+            if payload in (INIT, SINK):
+                assert [payloads[s] for s in members] == [payload]
+                continue
+            if payload[0] == "act":
+                belief = m.memory(payload[1]).belief
+            else:
+                _, belief, _, _ = payload
+            assert [payloads[s][1] for s in members] == list(bits(belief))
+    if len(models) == 2:
+        kept = sorted(s for o in safety.y_star for s in bg.obs_states(o))
+        restricted = models[1]
+        assert restricted.n_states == len(kept)
+        for s2, s in enumerate(kept):
+            assert restricted.state_payload(s2) == bg.state_payload(s)
+            assert restricted.obs_index[s2] == bg.obs_index[s]
 
 
 def check_derived_rows(g, rewards):
