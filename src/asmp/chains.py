@@ -249,14 +249,18 @@ class MarkovChain:
 
     @cached_property
     def recurrent(self) -> list[list[int]]:
-        """Bottom strongly connected components, sorted by smallest node id."""
-        classes = bottom_classes(self.graph)
-        n = self.n_nodes
-        if len(self.graph) == n:
-            return classes
-        # A hub has an exit, so every bottom class holds nodes; its hubs
-        # sort last and are dropped.
-        return [[i for i in cls if i < n] for cls in classes]
+        """Bottom strongly connected components, sorted by smallest node id:
+        the components of the one Tarjan pass that no edge leaves. A hub
+        has an exit, so every bottom class holds nodes; its hubs sort last
+        and are dropped."""
+        graph, n = self.graph, self.n_nodes
+        comps, comp_of = _sccs(graph)
+        bottoms = [
+            [i for i in comp if i < n]
+            for c, comp in enumerate(comps)
+            if all(comp_of[t] == c for i in comp for t in graph[i])
+        ]
+        return sorted(bottoms, key=lambda comp: comp[0])
 
     @cached_property
     def label_texts(self) -> list[str]:
@@ -459,19 +463,6 @@ def _sccs(succ: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
                     if low[v] < low[u]:
                         low[u] = low[v]
     return out, comp_of
-
-
-def bottom_classes(succ: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Bottom strongly connected components of the graph with successor
-    lists ``succ`` over nodes 0..n-1: each class sorted, the classes
-    ordered by smallest node."""
-    comps, comp_of = _sccs(succ)
-    bottoms = [
-        comp
-        for c, comp in enumerate(comps)
-        if all(comp_of[t] == c for i in comp for t in succ[i])
-    ]
-    return sorted(bottoms, key=lambda comp: comp[0])
 
 
 def recurrent_classes(mc: MarkovChain) -> list[list[int]]:

@@ -35,20 +35,22 @@ place in the observations whose memory groups lead into its own, and the
 observations of one target tuple let theirs join together. Allowed
 actions are updated when observations leave the outer set. Reachability
 results are certified before being returned, on the allowed rows
-themselves: the states the witness reaches from the initial state, with
-the target absorbing, must stay in the winning observations, and every
-bottom class of that graph must meet the target. States with the same
-memory successors reach them through one shared node.
+themselves: every state the witness reaches from the initial state, with
+the target absorbing, must lie in a winning observation and be able to
+reach the target. Both are reachability on one mask of places per
+observation, with one shared mask per tuple of memory targets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, compress
-from typing import Iterable, Sequence
+from operator import or_
+from typing import Iterable
 
+from .bits import bits, mask_of
 from .model import ModelError
-from .chains import bottom_classes
 from .reduction import BeliefObsPomdp
 
 
@@ -182,13 +184,13 @@ class _Groups:
         return emptied
 
     def allow_map(self, obs: Iterable[int]) -> dict[int, tuple[int, ...]]:
-        """The allowed actions of each observation of ``obs``, keyed in
-        order; equal values are one tuple object."""
+        """The allowed actions of each observation of ``obs``, keyed by
+        ascending id; equal values are one tuple object."""
         first, mem_first, allowed = self.first, self.mem_first, self.allowed
         avail = self.g.avail
         shared: dict[tuple[int, ...], tuple[int, ...]] = {}
         out = {}
-        for o in obs:
+        for o in sorted(obs):
             acts = avail(o)
             flags = allowed[first[o] : first[o + 1]]
             n = len(acts) - len(flags)
@@ -219,9 +221,7 @@ def almost_safe(g, safe_states: Iterable[int]) -> SafetyResult:
     while True:
         # An observation can empty after it left, through its own rows.
         level = [o for o in level if o in y]
-        # One by one: a bulk removal can resize y and reorder the allow map.
-        for o in level:
-            y.discard(o)
+        y.difference_update(level)
         level = groups.remove(level)
         iterates.append(frozenset(y))
         if not level:
@@ -258,76 +258,89 @@ def _certify_reach(
     g, targets: frozenset[int], allow_map: dict[int, tuple[int, ...]]
 ) -> None:
     """Certify the uniform play over ``allow_map`` on the copy of ``g``
-    where ``targets`` are absorbing, or raise ModelError.
-
-    Walks the allowed rows from the initial state. Every state reached must
-    lie in an observation of ``allow_map``, and every bottom class of the
-    reached graph must contain a target: then the play stays in those
-    observations and reaches the target with probability one.
+    where ``targets`` are absorbing, or raise ModelError: every state it
+    reaches must lie in an observation of ``allow_map`` and be able to
+    reach a target, which in a finite chain is every bottom class meeting
+    the target. Both are reachability on place masks, forward from the
+    initial state and backward from the targets reached.
     """
-    # By observation: the allowed explicit positions, and the observations
-    # the allowed memory edges lead to.
-    moves: dict[int, tuple[list[int], tuple[int, ...]]] = {}
+    goal: dict[int, int] = {}
+    for s in targets:
+        goal[g.obs_of[s]] = goal.get(g.obs_of[s], 0) | 1 << g.obs_index[s]
     shapes: dict = {}
-    # The states at place i of observations whose allowed memory edges lead
-    # to the same observations share their memory successors, the states at
-    # place i of those classes. The walk routes them through one hub node
-    # per (targets, place), which keeps the graph observation-sized. A hub
-    # is no target, and a path through one is a path between states, so the
-    # bottom classes keep their states and their targets.
-    hub_ids: dict[tuple[tuple[int, ...], int], int] = {}
-    hubs: dict[int, tuple[tuple[int, ...], int]] = {}
-    # index[s]: s's node in the reached graph, -1 until s is reached.
-    index = [-1] * g.n_states
-    index[g.initial] = 0
-    # The state of each node, -1 for a hub.
-    order = [g.initial]
-    succ: list[Sequence[int]] = []
-    # order grows during the walk, so nodes are expanded in discovery order.
-    for v, s in enumerate(order):
-        hub = None
-        if s < 0:
-            moved, place = hubs[v]
-            ts = [g.obs_states(o2)[place] for o2 in moved]
-        else:
-            o = g.obs(s)
-            got = moves.get(o)
-            if got is None:
-                if o not in allow_map:
-                    raise ModelError(
-                        "reachability witness failed certification: its chain"
-                        f" reaches observation {g.obs_name(o)!r} outside the"
-                        " winning set"
-                    )
-                pos, _, moved = _allowed_shape(g, o, allow_map[o], shapes)
-                got = moves[o] = (pos, moved)
-            if s in targets:
-                succ.append((v,))
-                continue
-            pos, moved = got
-            ts = [t for i in pos for t in g.successors(s, i)]
+    # By (place map, target class size): its place masks forward and back.
+    masks: dict = {}
+    # The moves out of and into each node, as (node, masks by place, or
+    # None to keep every place). The nodes -1, -2, ... are the tuples of
+    # allowed memory targets: each target takes the states at a place to
+    # its state at that place, so one node per tuple routes each place once.
+    ahead: dict[int, list] = {}
+    behind: dict[int, list] = {}
+    hubs: dict[tuple[int, ...], int] = {}
+
+    def link(a: int, b: int, m=None) -> None:
+        fwd = bwd = None
+        if m is not None:
+            n = len(g.obs_states(b))
+            if (id(m), n) not in masks:
+                masks[id(m), n] = tuple(map(mask_of, m)), [
+                    mask_of(p for p, qs in enumerate(m) if q in qs) for q in range(n)
+                ]
+            fwd, bwd = masks[id(m), n]
+        ahead.setdefault(a, []).append((b, fwd))
+        behind.setdefault(b, []).append((a, bwd))
+
+    def moves(o: int) -> list:
+        if o not in ahead:
+            if o not in allow_map:
+                raise ModelError(
+                    "reachability witness failed certification: its chain reaches"
+                    f" observation {g.obs_name(o)!r} outside the winning set"
+                )
+            ahead[o] = []
+            pos, _, moved = _allowed_shape(g, o, allow_map[o], shapes)
+            for i in pos:
+                for o2, m in g.obs_rows[o][i]:
+                    link(o, o2, m)
             if moved:
-                hub = (moved, g.obs_index[s])
-        for t in ts:
-            if index[t] < 0:
-                index[t] = len(order)
-                order.append(t)
-        # Repeated successors are harmless to the component search.
-        ts[:] = map(index.__getitem__, ts)
-        if hub is not None:
-            h = hub_ids.get(hub)
-            if h is None:
-                h = hub_ids[hub] = len(order)
-                hubs[h] = hub
-                order.append(-1)
-            ts.append(h)
-        succ.append(ts)
-    for cls in bottom_classes(succ):
-        if not any(order[i] in targets for i in cls):
-            raise ModelError(
-                "reachability witness failed certification: a recurrent"
-                " class of its chain avoids the target"
-            )
+                if moved not in hubs:
+                    hubs[moved] = -1 - len(hubs)
+                    for o2 in moved:
+                        link(hubs[moved], o2)
+                link(o, hubs[moved])
+        return ahead[o]
+
+    reached = {g.obs(g.initial): 1 << g.obs_index[g.initial]}
+    _close(reached, dict(reached), moves, goal)
+    # Backward from the reached targets; unreached places count as marked.
+    marked = {o: ~r | goal.get(o, 0) for o, r in reached.items()}
+    start = {o: r & goal.get(o, 0) for o, r in reached.items()}
+    _close(marked, start, lambda o: behind.get(o, ()), {})
+    if any(r & ~marked[o] for o, r in reached.items()):
+        raise ModelError(
+            "reachability witness failed certification: a recurrent"
+            " class of its chain avoids the target"
+        )
+
+
+def _close(seen: dict[int, int], pending: dict[int, int], moves, stop: dict) -> None:
+    """Add to the place masks ``seen``, which hold ``pending``, every place
+    that ``pending`` leads to, level by level: ``moves(o)`` lists node o's
+    moves, and the places of ``stop`` lead nowhere."""
+    while pending:
+        level, pending = pending, {}
+        for o, new in level.items():
+            out = moves(o)
+            new &= ~stop.get(o, 0)
+            if not new:
+                continue
+            ps = list(bits(new))
+            for o2, to in out:
+                had = seen.get(o2, 0)
+                m = new if to is None else reduce(or_, map(to.__getitem__, ps))
+                if m & ~had:
+                    seen[o2] = had | m
+                    pending[o2] = pending.get(o2, 0) | m & ~had
 
 
 def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
@@ -341,7 +354,8 @@ def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
     target rows never leave, so they are not indexed. Z stabilizes once it
     is exactly the cover of the inner fixpoint. When Z holds the initial
     observation, the uniform play over the allowed actions at Z is
-    certified on its allowed rows before returning (see ``_certify_reach``).
+    certified on its allowed rows before returning, by two reachability
+    passes over place masks (see ``_certify_reach``).
     """
     targets = frozenset(target_states)
     groups = _Groups(g, skip=targets)

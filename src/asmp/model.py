@@ -182,13 +182,6 @@ class ObservedModel:
             for a in self.avail(self.obs(s)):
                 yield s, a
 
-    def successors(self, s: int, i: int) -> list[int]:
-        """The states s reaches under its i-th action, an explicit one, ascending."""
-        p, classes = self.obs_index[s], self._obs_states
-        return sorted(
-            [classes[o2][j] for o2, m in self.obs_rows[self.obs_of[s]][i] for j in m[p]]
-        )
-
 
 def _id_of(names: list[str], name: str, kind: str) -> int:
     try:

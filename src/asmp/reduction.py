@@ -139,17 +139,19 @@ class BeliefObsPomdp(ObservedModel):
         return self.base.n_actions
 
     def support(self, s: int, a: int) -> tuple[int, ...]:
-        """The successors of an explicit action, or the one state a memory
-        edge moves s to."""
-        o = self.obs_of[s]
+        """The successors of an explicit action, ascending, read off its
+        place maps at s's place; or the one state a memory edge moves s to,
+        at s's place in the target's class."""
+        o, p = self.obs_of[s], self.obs_index[s]
         acts = self.availability[o]
         i = bisect_left(acts, a)
         if i < len(acts) and acts[i] == a:
             n = len(self.obs_rows[o])
             if i < n:
-                return tuple(self.successors(s, i))
-            o2 = self.memory_edges[o][i - n]
-            return (self.obs_states(o2)[self.obs_index[s]],)
+                row = self.obs_rows[o][i]
+                ts = [self.obs_states(o2)[j] for o2, m in row for j in m[p]]
+                return tuple(sorted(ts))
+            return (self.obs_states(self.memory_edges[o][i - n])[p],)
         raise ModelError(
             f"no transition row for state {self.state_name(s)!r}"
             f" and action {self.action_name(a)!r}"

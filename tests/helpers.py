@@ -305,7 +305,7 @@ def reference_almost_safe(g, safe_states) -> SafetyResult:
 
     y_star = frozenset(y)
     allow_map = {
-        o: tuple(a for a in g.avail(o) if broken[(o, a)] == 0) for o in y_star
+        o: tuple(a for a in g.avail(o) if broken[(o, a)] == 0) for o in sorted(y_star)
     }
     return SafetyResult(y_star, allow_map, iterates)
 
@@ -323,7 +323,7 @@ def reference_almost_reach(g, target_states) -> ReachResult:
     x_rounds: list[list[int]] = []
     allow_map: dict[int, tuple[int, ...]] = {}
     while True:
-        allow_map = {o: oracle_allow(view, o, z) for o in z}
+        allow_map = {o: oracle_allow(view, o, z) for o in sorted(z)}
         x = {s for s in targets if g.obs(s) in z}
         sizes = [len(x)]
         pending = {s for o in z for s in g.obs_states(o)} - x
