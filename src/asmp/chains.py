@@ -195,11 +195,10 @@ class MarkovChain:
     supports only. ``graph`` is the support graph: ``graph[i]`` for node
     i < n_nodes lists its successors, where a move into an update with
     three or more memories leads to a hub, numbered n_nodes and up, whose
-    own list holds the nodes it routes to. ``successors(i)``, the sorted
-    tuple of node i's successors with the hubs passed through, is derived
-    on demand. ``below_one[i]`` is the smallest action node i plays for
-    reward below 1, or None when it pays 1 on every play. The qualitative
-    questions read only these and the recurrent classes.
+    own list holds the nodes it routes to. ``below_one[i]`` is the smallest
+    action node i plays for reward below 1, or None when it pays 1 on every
+    play. The qualitative questions read only these and the recurrent
+    classes.
 
     The exact weights are derived on first read: ``rows[i]`` is node i's
     successor distribution, ``plays[i]`` maps each action played at node i
@@ -232,16 +231,6 @@ class MarkovChain:
     @property
     def n_nodes(self) -> int:
         return len(self.labels)
-
-    def successors(self, i: int) -> tuple[int, ...]:
-        out = self.graph[i]
-        n = self.n_nodes
-        # A node's list is sorted, so any hubs in it come last.
-        if not out or out[-1] < n:
-            return out
-        return tuple(
-            sorted({j for h in out for j in (self.graph[h] if h >= n else (h,))})
-        )
 
     def reachable(self) -> list[int]:
         """Every node, in id order: the chain holds only reachable nodes."""

@@ -13,7 +13,10 @@ every memory of a belief. The same solver drives both. The restriction to
 the safe core takes the reduced model only: it keeps each observation's
 allowed positions with their place maps, and renames the targets.
 
-Both fixpoints keep their bookkeeping in one store of (observation,
+Sets of states are int masks of places per observation (see `bits`), and
+a place map holds one per source place: it carries a mask forward as it
+is, and backward through its reversal, memoized per map and target class
+size. Both fixpoints keep their bookkeeping in one store of (observation,
 action) groups. Each observation lists the explicit groups that can enter
 it, with their place maps reversed; the observations with one tuple of
 memory-edge targets share its groups and their allowed flags. One rule
@@ -27,17 +30,17 @@ with the textbook synchronous iteration and are kept for tracing.
 Reachability nests a least fixpoint (states that can be forced toward the
 target) inside a greatest one (observations that never lose the ability),
 computed on a copy where the target is absorbing. The inner fixpoint is a
-worklist too: a pass only visits the rows entering the states that joined
-in the previous pass, which gives the same levels as rescanning every
-pending state. A state's explicit predecessors are read off the reversed
-place maps at its place; its memory predecessors are the states at its
-place in the observations whose memory groups lead into its own, and the
-observations of one target tuple let theirs join together. Allowed
-actions are updated when observations leave the outer set. Reachability
-results are certified before being returned, on the allowed rows
-themselves: every state the witness reaches from the initial state, with
-the target absorbing, must lie in a winning observation and be able to
-reach the target. Both are reachability on one mask of places per
+worklist of place masks too: a pass only visits the groups entering the
+places that joined in the previous pass, which gives the same levels as
+rescanning every pending state. The explicit predecessors of some places
+are read off the reversed place maps at them; their memory predecessors
+are the same places in the observations whose memory groups lead into
+their own, and the observations of one target tuple let theirs join
+together. Allowed actions are updated when observations leave the outer
+set. Reachability results are certified before being returned, on the
+allowed rows themselves: every state the witness reaches from the initial
+state, with the target absorbing, must lie in a winning observation and be
+able to reach the target. Both are reachability on one mask of places per
 observation, with one shared mask per tuple of memory targets.
 """
 
@@ -49,7 +52,7 @@ from itertools import accumulate, compress
 from operator import or_
 from typing import Iterable
 
-from .bits import bits, mask_of
+from .bits import bits
 from .model import ModelError
 from .reduction import BeliefObsPomdp
 
@@ -69,68 +72,79 @@ class ReachResult:
     x_rounds: list[list[int]]
 
 
+def _place_masks(g, states: Iterable[int]) -> dict[int, int]:
+    """The places of ``states``, as a mask per observation that holds any."""
+    obs_of, obs_index = g.obs_of, g.obs_index
+    out: dict[int, int] = {}
+    for s in states:
+        o = obs_of[s]
+        out[o] = out.get(o, 0) | 1 << obs_index[s]
+    return out
+
+
+def _reversed(m: tuple[int, ...], n: int, cache: dict) -> tuple[tuple[int, ...], int]:
+    """The place map m into a class of n places, reversed: for each place of
+    that class, the mask of the places of m that reach it; and the mask of
+    the places that reach any. ``cache`` keeps one per (map, class size),
+    keyed by the identity of the map, which its model keeps alive."""
+    key = (id(m), n)
+    got = cache.get(key)
+    if got is None:
+        back = [0] * n
+        for p, t in enumerate(m):
+            for q in bits(t):
+                back[q] |= 1 << p
+        got = cache[key] = (tuple(back), reduce(or_, back, 0))
+    return got
+
+
 class _Groups:
     """The (observation, action) groups of ``g`` with their ``allowed``
     flags, which only ``remove`` clears, indexed by the observations they
-    can enter. The rows of the states in ``skip`` are left out; a table
-    that does not match an observation's explicit actions or class raises
-    ValueError.
+    can enter. The rows at the places of ``skip``, a mask per observation,
+    are left out; a table that does not match an observation's explicit
+    actions or class raises ValueError.
 
     The explicit group of (o, a) is ``first[o] + i`` for the i-th action of
     ``g.avail(o)``. ``pred[o2]`` lists the explicit groups entering o2 as
-    (o, k, rev): group k of observation o, and its place map reversed,
-    which lists for each place of o2 the places of o outside ``skip`` that
-    reach it. The observations with one tuple of memory-edge targets,
-    ``users[u]``, share its entry u: the flag of position j is
-    ``mem_first[o] + j`` for each of them, ``into[o2]`` holds (u, that
-    flag) when the position leads to o2, and ``mem_count[u]`` counts the
-    allowed positions. ``entry[o]`` is 0, an entry without positions, for
-    an observation without memory edges. One whose states are all in
-    ``skip`` has memory flags of its own, which stay set.
+    (o, k, back): group k of observation o, and its place map reversed,
+    which holds for each place of o2 the mask of the places of o that
+    reach it, skipped ones included. A group whose only places reaching o2
+    are skipped is not listed. The observations with one tuple of
+    memory-edge targets, ``users[u]``, share its entry u: the flag of
+    position j is ``mem_first[o] + j`` for each of them, ``into[o2]`` holds
+    (u, that flag) when the position leads to o2, and ``mem_count[u]``
+    counts the allowed positions. ``entry[o]`` is 0, an entry without
+    positions, for an observation without memory edges. One whose places
+    are all in ``skip`` has memory flags of its own, which stay set.
     """
 
-    def __init__(self, g, skip: frozenset[int] = frozenset()):
+    def __init__(self, g, skip: dict[int, int]):
         self.g = g
         n_obs = g.n_observations
-        classes = [g.obs_states(o) for o in range(n_obs)]
+        sizes = [len(g.obs_states(o)) for o in range(n_obs)]
         edges = g.memory_edges
-        # The places of the states in skip, as a mask per observation.
-        skipped: dict[int, int] = {}
-        for s in skip:
-            o = g.obs_of[s]
-            skipped[o] = skipped.get(o, 0) | 1 << g.obs_index[s]
         first = self.first = [
             0,
             *accumulate(len(g.avail(o)) - len(edges.get(o, ())) for o in range(n_obs)),
         ]
         # Observations nothing enters share one empty tuple.
         pred = self.pred = [()] * n_obs
-        # By place map, target class size and skipped places; () when only
-        # skipped places reach the target.
-        reverse: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
+        cache: dict = {}
         for o, table in enumerate(g.obs_rows):
-            n = len(classes[o])
-            gone = skipped.get(o, 0)
+            n = sizes[o]
+            kept = ~skip.get(o, 0)
             for k, entries in zip(range(first[o], first[o + 1]), table, strict=True):
                 for o2, m in entries:
                     if len(m) != n:
                         raise ValueError(
                             f"observation {o}: a place map of {len(m)} for {n} states"
                         )
-                    key = (id(m), len(classes[o2]), gone)
-                    rev = reverse.get(key)
-                    if rev is None:
-                        back = [[] for _ in classes[o2]]
-                        for p, ps in enumerate(m):
-                            if not gone >> p & 1:
-                                for q in ps:
-                                    back[q].append(p)
-                        rev = tuple(map(tuple, back)) if any(back) else ()
-                        reverse[key] = rev
-                    if rev:
+                    back, reaching = _reversed(m, sizes[o2], cache)
+                    if reaching & kept:
                         if not pred[o2]:
                             pred[o2] = []
-                        pred[o2].append((o, k, rev))
+                        pred[o2].append((o, k, back))
         shared: dict[tuple[int, ...], int] = {}
         users = self.users = [[]]
         mem_count = self.mem_count = [0]
@@ -140,7 +154,7 @@ class _Groups:
         mem_first = self.mem_first = [0] * n_obs
         size = first[n_obs]
         for o, targets in edges.items():
-            if skipped.get(o, 0) == (1 << len(classes[o])) - 1:
+            if skip.get(o, 0) == (1 << sizes[o]) - 1:
                 mem_first[o] = size
                 size += len(targets)
                 continue
@@ -212,11 +226,11 @@ def almost_safe(g, safe_states: Iterable[int]) -> SafetyResult:
     leaves. Each level of removals equals one synchronous iteration,
     recorded in ``iterates`` for tracing.
     """
-    safe = frozenset(safe_states)
-    groups = _Groups(g)
+    safe = _place_masks(g, safe_states)
+    groups = _Groups(g, {})
     y = set(range(g.n_observations))
-    obs_of = g.obs_of
-    level = {obs_of[s] for s in set(range(g.n_states)) - safe}
+    # An observation enters the first level when a place of it is unsafe.
+    level = [o for o in y if safe.get(o, 0) != (1 << len(g.obs_states(o))) - 1]
     iterates: list[frozenset[int]] = []
     while True:
         # An observation can empty after it left, through its own rows.
@@ -238,11 +252,12 @@ def _allowed_shape(
     all of them, and the target observations of the memory edges among
     them. Observations with equal actions, memory edges and allowed
     actions share one shape, which ``cache`` keeps."""
-    key = (g.avail(o), g.memory_edges.get(o, ()), tuple(acts))
+    avail, targets = g.avail(o), g.memory_edges.get(o, ())
+    # The model keeps both tuples alive and shares them between observations.
+    key = (id(avail), id(targets), tuple(acts))
     shape = cache.get(key)
     if shape is None:
-        avail, targets, acts = key
-        allowed = set(acts)
+        allowed = set(key[2])
         pos = [i for i, a in enumerate(avail) if a in allowed]
         # The memory edges follow the explicit actions.
         n = len(avail) - len(targets)
@@ -264,12 +279,9 @@ def _certify_reach(
     the target. Both are reachability on place masks, forward from the
     initial state and backward from the targets reached.
     """
-    goal: dict[int, int] = {}
-    for s in targets:
-        goal[g.obs_of[s]] = goal.get(g.obs_of[s], 0) | 1 << g.obs_index[s]
+    goal = _place_masks(g, targets)
     shapes: dict = {}
-    # By (place map, target class size): its place masks forward and back.
-    masks: dict = {}
+    reversals: dict = {}
     # The moves out of and into each node, as (node, masks by place, or
     # None to keep every place). The nodes -1, -2, ... are the tuples of
     # allowed memory targets: each target takes the states at a place to
@@ -279,15 +291,8 @@ def _certify_reach(
     hubs: dict[tuple[int, ...], int] = {}
 
     def link(a: int, b: int, m=None) -> None:
-        fwd = bwd = None
-        if m is not None:
-            n = len(g.obs_states(b))
-            if (id(m), n) not in masks:
-                masks[id(m), n] = tuple(map(mask_of, m)), [
-                    mask_of(p for p, qs in enumerate(m) if q in qs) for q in range(n)
-                ]
-            fwd, bwd = masks[id(m), n]
-        ahead.setdefault(a, []).append((b, fwd))
+        bwd = None if m is None else _reversed(m, len(g.obs_states(b)), reversals)[0]
+        ahead.setdefault(a, []).append((b, m))
         behind.setdefault(b, []).append((a, bwd))
 
     def moves(o: int) -> list:
@@ -349,66 +354,61 @@ def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
 
     The outer iteration shrinks an observation set Z; the inner one grows
     the states that can be forced toward the target while staying in Z,
-    one level per pass. An action is allowed at an observation of Z while
-    every successor of every state of its class stays in Z; the absorbing
-    target rows never leave, so they are not indexed. Z stabilizes once it
-    is exactly the cover of the inner fixpoint. When Z holds the initial
+    as a mask of places per observation, one level per pass. An action is
+    allowed at an observation of Z while every successor of every state of
+    its class stays in Z; the absorbing target rows never leave, so they
+    are not indexed. Z stabilizes once it is exactly the cover of the
+    inner fixpoint. When Z holds the initial
     observation, the uniform play over the allowed actions at Z is
     certified on its allowed rows before returning, by two reachability
     passes over place masks (see ``_certify_reach``).
     """
     targets = frozenset(target_states)
-    groups = _Groups(g, skip=targets)
+    goal = _place_masks(g, targets)
+    groups = _Groups(g, goal)
     pred, into, users, allowed = groups.pred, groups.into, groups.users, groups.allowed
-    obs_of = g.obs_of
-    obs_index = g.obs_index
-    classes = [g.obs_states(o) for o in range(g.n_observations)]
-    z = frozenset(range(g.n_observations))
+    n_obs = g.n_observations
+    z = frozenset(range(n_obs))
     z_iterates = [z]
     x_rounds: list[list[int]] = []
     while True:
-        in_x = bytearray(g.n_states)
-        fired: set[tuple[int, int]] = set()
-        level = [s for s in targets if g.obs(s) in z]
-        for s in level:
-            in_x[s] = 1
-        sizes = [len(level)]
-        # Each pass visits only the rows into the states that joined in the
-        # previous one: a pending state with an allowed row into an older
-        # member would have joined then. Passes thus match the synchronous
-        # rescans, the last one (which adds nothing) included.
+        level = {o: m for o, m in goal.items() if o in z}
+        # X by observation, and the places whose memory predecessors joined
+        # this round, by target tuple.
+        x = [level.get(o, 0) for o in range(n_obs)]
+        fired = [0] * len(users)
+        sizes = [sum(m.bit_count() for m in level.values())]
+        # Each pass visits only the groups into the places that joined in
+        # the previous one: a pending state with an allowed row into an
+        # older member would have joined then. Passes thus match the
+        # synchronous rescans, the last one (which adds nothing) included.
         while True:
-            entered = []
-            for t in level:
-                o2 = obs_of[t]
-                i = obs_index[t]
-                # The states at the places of o whose row in group k enters t.
-                for o, k, rev in pred[o2]:
+            hit: dict[int, int] = {}
+            for o2, new in level.items():
+                ps = list(bits(new))
+                # The places of o whose row in group k enters a new place,
+                # but for the absorbing targets.
+                for o, k, back in pred[o2]:
                     if allowed[k]:
-                        cls = classes[o]
-                        for p in rev[i]:
-                            s = cls[p]
-                            if not in_x[s]:
-                                in_x[s] = 1
-                                entered.append(s)
+                        got = reduce(or_, map(back.__getitem__, ps))
+                        hit[o] = hit.get(o, 0) | got & ~goal.get(o, 0)
                 # The observations of one target tuple share their memory
                 # successors place by place, and the flags of their groups,
-                # so their states at t's place join together, once per round.
+                # so their states at a new place join together, once per round.
                 for u, f in into[o2]:
-                    if (u, i) in fired or not allowed[f]:
-                        continue
-                    fired.add((u, i))
-                    for o in users[u]:
-                        s = classes[o][i]
-                        if not in_x[s]:
-                            in_x[s] = 1
-                            entered.append(s)
-            sizes.append(sizes[-1] + len(entered))
-            if not entered:
+                    fresh = new & ~fired[u]
+                    if fresh and allowed[f]:
+                        fired[u] |= fresh
+                        for o in users[u]:
+                            hit[o] = hit.get(o, 0) | fresh
+            level = {o: m & ~x[o] for o, m in hit.items() if m & ~x[o]}
+            for o, m in level.items():
+                x[o] |= m
+            sizes.append(sizes[-1] + sum(m.bit_count() for m in level.values()))
+            if not level:
                 break
-            level = entered
         x_rounds.append(sizes)
-        new_z = frozenset(o for o in z if all(in_x[s] for s in classes[o]))
+        new_z = frozenset(o for o in z if x[o] == (1 << len(g.obs_states(o))) - 1)
         if new_z == z:
             break
         # Every action that can lead into a leaving observation is lost.

@@ -127,11 +127,12 @@ class ObservedModel:
     observation-level tables. For the i-th action of ``avail(o)``, one of
     the explicit actions, which come first, ``obs_rows[o][i]`` holds a
     (target observation o2, place map) pair per observation it leads to;
-    the map lists, for each place of o, the places of o2 that its state
-    reaches. ``memory_edges[o]`` lists, for the actions of ``avail(o)``
-    after those, the observation each one leads to: under such an action
-    the state at place i of ``obs_states(o)`` moves to the state at place i
-    of the target's class. A plain POMDP has no memory edges.
+    the map holds, for each place of o, the int mask (see `bits`) of the
+    places of o2 that its state reaches. ``memory_edges[o]`` lists, for the
+    actions of ``avail(o)`` after those, the observation each one leads
+    to: under such an action the state at place i of ``obs_states(o)``
+    moves to the state at place i of the target's class. A plain POMDP has
+    no memory edges.
     """
 
     memory_edges: Mapping[int, tuple[int, ...]] = MappingProxyType({})
@@ -263,13 +264,13 @@ class Pomdp(ObservedModel):
             cls = self.obs_states(o)
             per_action = []
             for a in self.avail(o):
-                maps: dict[int, list[list[int]]] = {}
+                maps: dict[int, list[int]] = {}
                 for p, s in enumerate(cls):
                     for t in self.support(s, a):
-                        m = maps.setdefault(self.obs_of[t], [[] for _ in cls])
-                        m[p].append(self.obs_index[t])
+                        m = maps.setdefault(self.obs_of[t], [0] * len(cls))
+                        m[p] |= 1 << self.obs_index[t]
                 per_action.append(
-                    tuple((o2, tuple(map(tuple, m))) for o2, m in sorted(maps.items()))
+                    tuple((o2, tuple(m)) for o2, m in sorted(maps.items()))
                 )
             table.append(tuple(per_action))
         return table

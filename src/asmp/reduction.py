@@ -44,7 +44,8 @@ ordering each class by hidden state pairs the states up. ``obs_rows``
 holds the rest. Under an enabled base action a, ``("act", aid)`` leads to
 one observation ``("mem", Y', a, aid)`` per successor belief Y', through a
 place map that depends on (belief, a, Y') alone and is shared by every
-memory of the belief. Abort, the base actions ``enabled_action`` rules
+memory of the belief: a mask per place of the belief, of the places of Y'
+its state reaches. Abort, the base actions ``enabled_action`` rules
 out and every action of the sink lead to the sink. ``support(s, a)`` finds
 a's position by bisection in the sorted availability tuple and reads
 either table.
@@ -139,9 +140,9 @@ class BeliefObsPomdp(ObservedModel):
         return self.base.n_actions
 
     def support(self, s: int, a: int) -> tuple[int, ...]:
-        """The successors of an explicit action, ascending, read off its
-        place maps at s's place; or the one state a memory edge moves s to,
-        at s's place in the target's class."""
+        """The successors of an explicit action, ascending, read off the
+        masks of its place maps at s's place; or the one state a memory edge
+        moves s to, at s's place in the target's class."""
         o, p = self.obs_of[s], self.obs_index[s]
         acts = self.availability[o]
         i = bisect_left(acts, a)
@@ -149,7 +150,7 @@ class BeliefObsPomdp(ObservedModel):
             n = len(self.obs_rows[o])
             if i < n:
                 row = self.obs_rows[o][i]
-                ts = [self.obs_states(o2)[j] for o2, m in row for j in m[p]]
+                ts = [self.obs_states(o2)[j] for o2, m in row for j in bits(m[p])]
                 return tuple(sorted(ts))
             return (self.obs_states(self.memory_edges[o][i - n])[p],)
         raise ModelError(
@@ -318,7 +319,7 @@ def reduce_pomdp(
                 place = {t: j for j, t in enumerate(bits(ymask2))}
                 belief_of.update(dict.fromkeys(place, ymask2))
                 m = tuple(
-                    tuple([place[t] for t in bits(succ[s] & ymask2)])
+                    mask_of([place[t] for t in bits(succ[s] & ymask2)])
                     for s in bits(ymask)
                 )
                 beliefs.append((ymask2, maps.setdefault(m, m)))
@@ -369,7 +370,7 @@ def reduce_pomdp(
     sinks: dict[int, tuple] = {}
 
     def to_sink(n: int) -> tuple:
-        return sinks.setdefault(n, ((1, ((0,),) * n),))
+        return sinks.setdefault(n, ((1, (1,) * n),))
 
     # plans[o]: per base action of the action-selection observation o, the
     # posts of its belief or None for the sink, and the mask of hidden

@@ -269,7 +269,7 @@ def decide_limavg1(
 
     bg = reduce_pomdp(g, rewards, max_states=max_states)
     lap("reduce_s")
-    safety = almost_safe(bg, [s for s in range(bg.n_states) if s != bg.sink])
+    safety = almost_safe(bg, (s for s in range(bg.n_states) if s != bg.sink))
     lap("safe_s")
     report = SolveReport(
         verdict="NO",

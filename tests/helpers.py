@@ -4,7 +4,8 @@ Everything here re-derives the quantity under test from first principles:
 explicit enumeration, path expansion, graph sweeps. Slower and dumber than
 the library on purpose, so a shared bug would have to be invented twice.
 The references are code the library replaced or never needed at run time:
-the product chain with every edge spelled out (no hubs), the pair-keyed
+the product chain with every edge spelled out (no hubs) and a chain's
+successor lists with its hubs passed through, the pair-keyed
 fixpoints and the product-chain certification, the
 frozenset belief check, the projection of a collapsed strategy onto the
 reduction (the completeness direction of the construction) with the
@@ -45,6 +46,17 @@ from asmp.reduction import INIT, SINK, enabled_action
 
 
 # ---------------------------------------------------------------- graphs
+
+def successors(mc: MarkovChain, i: int) -> tuple[int, ...]:
+    """The sorted successors of node i of ``mc``, with the hubs of
+    ``mc.graph`` passed through."""
+    out = mc.graph[i]
+    n = mc.n_nodes
+    # A node's list is sorted, so any hubs in it come last.
+    if not out or out[-1] < n:
+        return out
+    return tuple(sorted({j for h in out for j in (mc.graph[h] if h >= n else (h,))}))
+
 
 def sccs(succ: dict[int, tuple[int, ...]]) -> list[list[int]]:
     """Kosaraju on a tiny successor map; components in no particular order."""
@@ -115,7 +127,7 @@ def reach_set(succ: dict[int, tuple[int, ...]], start: int) -> set[int]:
 def reference_product_chain(g: Pomdp, rewards: RewardFn, sigma) -> MarkovChain:
     """The product chain with an edge from each node to each of its
     successors, no hubs: nodes in the same discovery order, the same
-    errors, and ``graph[i]`` equal to ``successors(i)``."""
+    errors, and ``graph[i]`` equal to ``successors(mc, i)``."""
     sigma = _playable(g, sigma)
     start = (g.initial, sigma.initial)
     labels = [start]
@@ -635,7 +647,7 @@ def as_finite_memory(sigma: MemorylessStrategy, g: Pomdp) -> FiniteMemoryStrateg
 
 def oracle_node_wins(mc: MarkovChain, i: int) -> bool:
     """Does every recurrent class reachable from node i pay 1 on every play?"""
-    succ = {n: mc.successors(n) for n in range(mc.n_nodes)}
+    succ = {n: successors(mc, n) for n in range(mc.n_nodes)}
     reachable = reach_set(succ, i)
     for cls in bsccs(succ):
         if cls & reachable and any(

@@ -32,6 +32,7 @@ from helpers import (
     random_belief_obs_pomdp,
     random_tagged_strategy,
     reach_set,
+    successors,
 )
 
 # The package exports a function named ``collapse``, which hides the module.
@@ -47,7 +48,7 @@ def oracle_fingerprints(g, rewards, sigma):
         s, m = mc.labels[i]
         if oracle_node_wins(mc, i):
             win[m] |= 1 << s
-    succ = {n: mc.successors(n) for n in range(mc.n_nodes)}
+    succ = {n: successors(mc, n) for n in range(mc.n_nodes)}
     for cls in bsccs(succ):
         for i in cls:
             s, m = mc.labels[i]
@@ -87,7 +88,7 @@ def forked_strategy(rng, g, n_threads=3):
 def feeds_winning_and_losing_classes(mc):
     """Does some transient node reach both a recurrent class that pays 1 on
     every play and one that does not?"""
-    succ = {n: mc.successors(n) for n in range(mc.n_nodes)}
+    succ = {n: successors(mc, n) for n in range(mc.n_nodes)}
     classes = bsccs(succ)
     recurrent = frozenset().union(*classes)
     for i in range(mc.n_nodes):

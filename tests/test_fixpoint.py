@@ -17,8 +17,9 @@ from asmp import (
     reduce_pomdp,
     restrict_safe,
 )
-from asmp.fixpoint import _certify_reach
+from asmp.fixpoint import _certify_reach, _reversed
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp
+from asmp.model import Pomdp
 from asmp.reduction import BeliefObsPomdp
 
 from helpers import (
@@ -63,6 +64,7 @@ class TestAlmostSafe:
             )
             res = almost_safe(g, safe)
             assert res.y_star == oracle_safe_obs(g, safe)
+            assert almost_safe(g, (s for s in safe)) == res
 
     def test_iterates_shrink_to_the_fixpoint(self):
         g, rewards = ring_pomdp()
@@ -128,6 +130,37 @@ class TestSharedAllowTuples:
             values = res.allow_map.values()
             assert len(values) == observations
             assert len({id(v) for v in values}) == len(set(values)) == distinct
+
+
+class TestReversal:
+    @pytest.mark.parametrize(
+        "make",
+        [ring_pomdp, partial(hidden_model, 5, 105)]
+        + [partial(random_pomdp, random.Random(seed)) for seed in range(20)],
+    )
+    def test_matches_the_spelled_out_reversal(self, make):
+        """Each place map reversed into its target class: the places of the
+        map that reach each target place, and those that reach any. One
+        object per (map, class size), on reductions, which share their maps,
+        and on plain POMDPs, which do not."""
+        g = make()
+        models = [g] if isinstance(g, Pomdp) else [reduce_pomdp(*g)]
+        for g in models:
+            cache = {}
+            got = {}
+            for table in g.obs_rows:
+                for entries in table:
+                    for o2, m in entries:
+                        n = len(g.obs_states(o2))
+                        back, reaching = rev = _reversed(m, n, cache)
+                        assert back == tuple(
+                            sum(1 << p for p, t in enumerate(m) if t >> q & 1)
+                            for q in range(n)
+                        )
+                        assert reaching == sum(1 << p for p, t in enumerate(m) if t)
+                        got.setdefault((id(m), n), set()).add(id(rev))
+            assert all(len(ids) == 1 for ids in got.values())
+            assert len({i for ids in got.values() for i in ids}) == len(got) == len(cache)
 
 
 def with_obs_rows(bg, obs_rows):

@@ -160,6 +160,31 @@ class TestBeliefs:
                     assert got == [(o2, mask_of(ts)) for o2, ts in expected.items()]
 
 
+class TestObservationRows:
+    def test_place_masks_match_the_rows(self):
+        """``obs_rows[o][i]`` holds, for the i-th action of o, one place map
+        per target observation, ascending; the mask at each place holds
+        exactly the places of the row's successors in that observation."""
+        rng = random.Random(17)
+        for _ in range(60):
+            g = random_pomdp(rng)
+            assert len(g.obs_rows) == g.n_observations
+            for o, table in enumerate(g.obs_rows):
+                cls = g.obs_states(o)
+                assert len(table) == len(g.avail(o))
+                for a, entries in zip(g.avail(o), table):
+                    targets = [o2 for o2, _ in entries]
+                    assert targets == sorted(set(targets))
+                    for o2, m in entries:
+                        assert len(m) == len(cls)
+                        assert any(m)
+                    for p, s in enumerate(cls):
+                        reached = [
+                            g.obs_states(o2)[q] for o2, m in entries for q in bits(m[p])
+                        ]
+                        assert sorted(reached) == list(g.row(s, a).support())
+
+
 class TestBeliefObservationCheck:
     def test_ring_fixtures_qualify(self):
         for build in (ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp):
