@@ -26,12 +26,12 @@ from .collapse import _quotient, fingerprints, projection_graph
 from .dot import chain_dot, projection_dot
 from .fileformat import (
     emit_model,
-    emit_strategy,
     parse_model,
     parse_pfa,
     parse_rational,
     parse_rewards,
     parse_strategy,
+    strategy_lines,
 )
 from .model import CapacityError, ModelError, is_belief_observation, validate
 from .pfa import reduce_quantitative, reduce_value1
@@ -46,6 +46,13 @@ def _read(path: str) -> str:
 
 def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
+
+
+def _write_strategy(path: str, sigma, g) -> None:
+    """Write ``emit_strategy``'s text line by line, never holding it whole."""
+    with Path(path).open("w", encoding="utf-8") as f:
+        for line in strategy_lines(sigma, g):
+            f.write(line + "\n")
 
 
 def _load_model(args):
@@ -83,7 +90,7 @@ def cmd_solve(args) -> int:
         _write(args.stats, json.dumps(record, indent=2) + "\n")
     if report.witness is not None:
         if args.strategy_out:
-            _write(args.strategy_out, emit_strategy(report.witness, g))
+            _write_strategy(args.strategy_out, report.witness, g)
         if args.dot:
             mc = product_chain(g, rewards, report.witness)
             _write(args.dot, chain_dot(mc, title=g.name))
@@ -135,7 +142,7 @@ def cmd_collapse(args) -> int:
     else:
         print(f"collapsed strategy is not winning: {diagnosis.message}")
     if args.strategy_out:
-        _write(args.strategy_out, emit_strategy(collapsed, g))
+        _write_strategy(args.strategy_out, collapsed, g)
     if args.dot:
         _write(args.dot, projection_dot(pg, g))
     return 0 if ok else 1

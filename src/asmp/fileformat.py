@@ -375,17 +375,19 @@ def strategy_memory_names(sigma: FiniteMemoryStrategy) -> list[str]:
     return names
 
 
-def emit_strategy(sigma: FiniteMemoryStrategy, g: Pomdp) -> str:
+def strategy_lines(sigma: FiniteMemoryStrategy, g: Pomdp):
+    """The lines of ``emit_strategy``'s text, without their newlines, one
+    at a time: a large witness can be written out without its whole text."""
     names = strategy_memory_names(sigma)
-    out = ["memory:"]
-    out += names
-    out.append("init:")
-    out.append(names[sigma.initial])
-    out.append("next:")
+    yield "memory:"
+    yield from names
+    yield "init:"
+    yield names[sigma.initial]
+    yield "next:"
     for m, d in enumerate(sigma.next_action):
         row = " ".join(f"{g.actions[a]}:{p}" for a, p in d.items())
-        out.append(f"{names[m]} -> {row}")
-    out.append("update:")
+        yield f"{names[m]} -> {row}"
+    yield "update:"
     # Each row's text by the row's id: strategies share rows among many
     # triples, and sigma.update keeps every row, so no id is reused here.
     texts: dict[int, str] = {}
@@ -394,8 +396,11 @@ def emit_strategy(sigma: FiniteMemoryStrategy, g: Pomdp) -> str:
         row = texts.get(id(d))
         if row is None:
             row = texts[id(d)] = " ".join(f"{names[m2]}:{p}" for m2, p in d.items())
-        out.append(f"{names[m]} {g.observations[o]} {g.actions[a]} -> {row}")
-    return "\n".join(out) + "\n"
+        yield f"{names[m]} {g.observations[o]} {g.actions[a]} -> {row}"
+
+
+def emit_strategy(sigma: FiniteMemoryStrategy, g: Pomdp) -> str:
+    return "\n".join(strategy_lines(sigma, g)) + "\n"
 
 
 _PFA_SECTIONS = ("states", "alphabet", "final", "init", "trans")

@@ -37,11 +37,7 @@ are read off the reversed place maps at them; their memory predecessors
 are the same places in the observations whose memory groups lead into
 their own, and the observations of one target tuple let theirs join
 together. Allowed actions are updated when observations leave the outer
-set. Reachability results are certified before being returned, on the
-allowed rows themselves: every state the witness reaches from the initial
-state, with the target absorbing, must lie in a winning observation and be
-able to reach the target. Both are reachability on one mask of places per
-observation, with one shared mask per tuple of memory targets.
+set.
 """
 
 from __future__ import annotations
@@ -269,85 +265,6 @@ def _allowed_shape(
     return shape
 
 
-def _certify_reach(
-    g, targets: frozenset[int], allow_map: dict[int, tuple[int, ...]]
-) -> None:
-    """Certify the uniform play over ``allow_map`` on the copy of ``g``
-    where ``targets`` are absorbing, or raise ModelError: every state it
-    reaches must lie in an observation of ``allow_map`` and be able to
-    reach a target, which in a finite chain is every bottom class meeting
-    the target. Both are reachability on place masks, forward from the
-    initial state and backward from the targets reached.
-    """
-    goal = _place_masks(g, targets)
-    shapes: dict = {}
-    reversals: dict = {}
-    # The moves out of and into each node, as (node, masks by place, or
-    # None to keep every place). The nodes -1, -2, ... are the tuples of
-    # allowed memory targets: each target takes the states at a place to
-    # its state at that place, so one node per tuple routes each place once.
-    ahead: dict[int, list] = {}
-    behind: dict[int, list] = {}
-    hubs: dict[tuple[int, ...], int] = {}
-
-    def link(a: int, b: int, m=None) -> None:
-        bwd = None if m is None else _reversed(m, len(g.obs_states(b)), reversals)[0]
-        ahead.setdefault(a, []).append((b, m))
-        behind.setdefault(b, []).append((a, bwd))
-
-    def moves(o: int) -> list:
-        if o not in ahead:
-            if o not in allow_map:
-                raise ModelError(
-                    "reachability witness failed certification: its chain reaches"
-                    f" observation {g.obs_name(o)!r} outside the winning set"
-                )
-            ahead[o] = []
-            pos, _, moved = _allowed_shape(g, o, allow_map[o], shapes)
-            for i in pos:
-                for o2, m in g.obs_rows[o][i]:
-                    link(o, o2, m)
-            if moved:
-                if moved not in hubs:
-                    hubs[moved] = -1 - len(hubs)
-                    for o2 in moved:
-                        link(hubs[moved], o2)
-                link(o, hubs[moved])
-        return ahead[o]
-
-    reached = {g.obs(g.initial): 1 << g.obs_index[g.initial]}
-    _close(reached, dict(reached), moves, goal)
-    # Backward from the reached targets; unreached places count as marked.
-    marked = {o: ~r | goal.get(o, 0) for o, r in reached.items()}
-    start = {o: r & goal.get(o, 0) for o, r in reached.items()}
-    _close(marked, start, lambda o: behind.get(o, ()), {})
-    if any(r & ~marked[o] for o, r in reached.items()):
-        raise ModelError(
-            "reachability witness failed certification: a recurrent"
-            " class of its chain avoids the target"
-        )
-
-
-def _close(seen: dict[int, int], pending: dict[int, int], moves, stop: dict) -> None:
-    """Add to the place masks ``seen``, which hold ``pending``, every place
-    that ``pending`` leads to, level by level: ``moves(o)`` lists node o's
-    moves, and the places of ``stop`` lead nowhere."""
-    while pending:
-        level, pending = pending, {}
-        for o, new in level.items():
-            out = moves(o)
-            new &= ~stop.get(o, 0)
-            if not new:
-                continue
-            ps = list(bits(new))
-            for o2, to in out:
-                had = seen.get(o2, 0)
-                m = new if to is None else reduce(or_, map(to.__getitem__, ps))
-                if m & ~had:
-                    seen[o2] = had | m
-                    pending[o2] = pending.get(o2, 0) | m & ~had
-
-
 def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
     """Largest observation set from which the target is reached almost
     surely, on the copy of ``g`` where the target is absorbing.
@@ -358,13 +275,9 @@ def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
     allowed at an observation of Z while every successor of every state of
     its class stays in Z; the absorbing target rows never leave, so they
     are not indexed. Z stabilizes once it is exactly the cover of the
-    inner fixpoint. When Z holds the initial
-    observation, the uniform play over the allowed actions at Z is
-    certified on its allowed rows before returning, by two reachability
-    passes over place masks (see ``_certify_reach``).
+    inner fixpoint.
     """
-    targets = frozenset(target_states)
-    goal = _place_masks(g, targets)
+    goal = _place_masks(g, target_states)
     groups = _Groups(g, goal)
     pred, into, users, allowed = groups.pred, groups.into, groups.users, groups.allowed
     n_obs = g.n_observations
@@ -418,10 +331,7 @@ def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
         groups.remove(z - new_z)
         z = new_z
         z_iterates.append(z)
-    allow_map = groups.allow_map(z)
-    if g.obs(g.initial) in z:
-        _certify_reach(g, targets, allow_map)
-    return ReachResult(z, allow_map, z_iterates, x_rounds)
+    return ReachResult(z, groups.allow_map(z), z_iterates, x_rounds)
 
 
 def restrict_safe(

@@ -310,10 +310,12 @@ def decide_limavg1(
         report.stats["wall_s"] = time.perf_counter() - t0
         return report
 
-    # Certification has checked that this play never leaves Z*, so the
-    # unfolding reads no observation outside it. Observations with equal
-    # allowed tuples share one distribution, which the unfolding converts
-    # once.
+    # almost_reach disallowed every action that can lead a state outside
+    # the target into an observation that left Z, so this play keeps those
+    # states in Z*. The target's rows were never indexed: if one leads out
+    # of Z*, the unfolding meets an observation without a choice and raises
+    # StrategyError. Observations with equal allowed tuples share one
+    # distribution, which the unfolding converts once.
     uniform = {acts: Distr.uniform(acts) for acts in set(reach.allow_map.values())}
     choice = {o: uniform[acts] for o, acts in reach.allow_map.items()}
     witness = memoryless_to_finite_memory(restricted, MemorylessStrategy(choice))

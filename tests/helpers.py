@@ -6,7 +6,8 @@ the library on purpose, so a shared bug would have to be invented twice.
 The references are code the library replaced or never needed at run time:
 the product chain with every edge spelled out (no hubs) and a chain's
 successor lists with its hubs passed through, the pair-keyed
-fixpoints and the product-chain certification, the
+fixpoints, the product-chain certification of reachability (which the
+library leaves to the witness's validation), the
 frozenset belief check, the projection of a collapsed strategy onto the
 reduction (the completeness direction of the construction) with the
 canonical form of a collapsed memory, the per-state row table of a
@@ -326,8 +327,9 @@ def reference_almost_reach(g, target_states) -> ReachResult:
     """The reachability fixpoint by rescanning: each outer round recomputes
     the allowed actions of every observation, and each inner pass scans
     every pending state. The library's worklist version must give the same
-    Z iterates, X growth, ``allow_map`` (key order included) and
-    certification outcome."""
+    Z iterates, X growth and ``allow_map`` (key order included). Only this
+    reference certifies the play over its ``allow_map``; the library
+    leaves the one check of a YES to the witness's validation."""
     targets = frozenset(target_states)
     view = AbsorbingView(g, targets)
     z = frozenset(range(g.n_observations))

@@ -1,9 +1,7 @@
 """Observation-level fixpoints against enumeration oracles and against the
 plain reference fixpoints of the helpers."""
 
-import ast
 import random
-import re
 from collections import Counter
 from functools import partial
 
@@ -11,13 +9,12 @@ import pytest
 
 from asmp import (
     ModelError,
-    StrategyError,
     almost_reach,
     almost_safe,
     reduce_pomdp,
     restrict_safe,
 )
-from asmp.fixpoint import _certify_reach, _reversed
+from asmp.fixpoint import _reversed
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp
 from asmp.model import Pomdp
 from asmp.reduction import BeliefObsPomdp
@@ -40,8 +37,9 @@ def safety_fields(res):
 
 
 def reach_fields(fixpoint, g, targets):
-    """Every traced field of a reachability result, or the error raised by
-    its certification."""
+    """Every traced field of a reachability result, or the error it raised.
+    Only the reference certifies its play, so a play of the library's
+    fixpoint that fails certification shows as a difference."""
     try:
         res = fixpoint(g, targets)
     except ModelError as err:
@@ -307,101 +305,38 @@ class TestAgainstTheReferenceFixpoints:
                 )
 
 
-def certification(certify, g, targets, allow_map):
-    """None when the play over ``allow_map`` certifies, else the check it
-    fails: "leaves" the observations of ``allow_map`` or "avoids" the
-    target in a recurrent class. A "leaves" text must name an observation
-    outside ``allow_map``."""
-    try:
-        certify(g, targets, allow_map)
-    except StrategyError:
-        return "leaves"
-    except ModelError as err:
-        named = re.fullmatch(
-            "reachability witness failed certification: its chain reaches"
-            " observation (.*) outside the winning set",
-            str(err),
-        )
-        if named:
-            name = ast.literal_eval(named[1])
-            assert name not in {g.obs_name(o) for o in allow_map}
-            return "leaves"
-        assert "avoids the target" in str(err)
-        return "avoids"
-    return None
-
-
 class TestCertification:
-    """The certification on allowed rows against the product chain of the
-    absorbing view."""
+    """The uniform play over the fixpoint's own allowed actions, certified
+    on the product chain of the absorbing view."""
 
-    def test_agrees_with_the_product_chain_reference(self):
+    def test_the_fixpoints_own_play_certifies(self):
+        def certifies(g, targets) -> int:
+            res = almost_reach(g, targets)
+            if g.obs(g.initial) not in res.z_star:
+                return 0
+            reference_certify_reach(g, targets, res.allow_map)
+            return 1
+
+        certified = Counter()
         for seed in range(45, 55):
             rng = random.Random(seed)
-            outcomes = Counter()
             for k in range(400):
                 g = random_belief_obs_pomdp(rng)[0] if k % 2 else random_pomdp(rng)
                 targets = frozenset(
                     s for s in range(g.n_states) if rng.random() < 0.3
                 )
-                res = almost_reach(g, targets)
-                o0 = g.obs(g.initial)
-                if k % 4 == 0 and o0 in res.z_star:
-                    allow_map = res.allow_map
-                else:
-                    # Any observation set holding the initial one, with any
-                    # non-empty action set at each: most of these are broken.
-                    z = {o0} | {
-                        o for o in range(g.n_observations) if rng.random() < 0.6
-                    }
-                    allow_map = random_allow_map(rng, g, z)
-                got = certification(_certify_reach, g, targets, allow_map)
-                assert got == certification(
-                    reference_certify_reach, g, targets, allow_map
-                ), (seed, k)
-                outcomes[got] += 1
-            assert set(outcomes) == {None, "leaves", "avoids"}, seed
-
-    def test_agrees_on_reductions(self):
-        """Where memory edges stand for most rows, and the places of one
-        tuple of memory targets pass through one shared mask."""
+                certified["random"] += certifies(g, targets)
+        # Reductions, where memory edges stand for most rows, and their
+        # restrictions to the safe core.
         for seed in range(46, 52):
             rng = random.Random(seed)
-            outcomes = Counter()
-            for k in range(60):
+            for _ in range(60):
                 bg = reduce_pomdp(*random_belief_obs_pomdp(rng))
                 safe = [s for s in range(bg.n_states) if s != bg.sink]
                 safety = almost_safe(bg, safe)
                 g = bg
                 if bg.obs(bg.initial) in safety.y_star:
                     g = restrict_safe(bg, safety.y_star, safety.allow_map)
-                targets = frozenset(g.wcs_state_ids())
-                res = almost_reach(g, targets)
-                if k % 3 == 0 and g.obs(g.initial) in res.z_star:
-                    allow_map = res.allow_map
-                else:
-                    # Every observation, or most of them, with random actions.
-                    z = {
-                        o
-                        for o in range(g.n_observations)
-                        if k % 3 == 1 or rng.random() < 0.9
-                    }
-                    allow_map = random_allow_map(rng, g, z | {g.obs(g.initial)})
-                got = certification(_certify_reach, g, targets, allow_map)
-                assert got == certification(
-                    reference_certify_reach, g, targets, allow_map
-                ), (seed, k)
-                outcomes[got] += 1
-            assert min(outcomes[got] for got in (None, "leaves", "avoids")) >= 5, (
-                seed,
-                outcomes,
-            )
-
-
-def random_allow_map(rng, g, z):
-    """A non-empty random set of available actions at each observation of z."""
-    allow_map = {}
-    for o in sorted(z):
-        acts = g.avail(o)
-        allow_map[o] = tuple(sorted(rng.sample(acts, rng.randint(1, len(acts)))))
-    return allow_map
+                certified["reduced"] += certifies(g, frozenset(g.wcs_state_ids()))
+        # 2,725 of the 4,000 random cases and 112 of the 360 reduced ones today.
+        assert certified["random"] >= 2500 and certified["reduced"] >= 100, certified

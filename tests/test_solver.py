@@ -7,8 +7,10 @@ A change in any of them means the construction changed, not just an
 internal detail.
 """
 
+import dataclasses
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -28,6 +30,7 @@ from asmp import (
     collapse,
     constant_strategy,
     decide_limavg1,
+    emit_model,
     emit_strategy,
     limavg1_diagnosis,
     memoryless_to_finite_memory,
@@ -37,6 +40,7 @@ from asmp import (
     uniform_strategy,
     validate_strategy,
 )
+from asmp.cli import main
 from asmp.collapse import CollapsedMemory
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp
 
@@ -132,6 +136,48 @@ class TestVerdicts:
         with pytest.raises(ModelError) as e:
             decide_limavg1(g, r)
         assert str(e.value) == "state 's', action 'a': weights sum to 1/2, not 1"
+
+
+def widened_reach(g, target_states):
+    """The reachability fixpoint made wrong: Z holds every observation, and
+    each allows all of its available actions."""
+    res = almost_reach(g, target_states)
+    every = range(g.n_observations)
+    return dataclasses.replace(
+        res, z_star=frozenset(every), allow_map={o: g.avail(o) for o in every}
+    )
+
+
+class TestOneCheckPerYes:
+    """The witness's validation is the one check before a YES: a wrong
+    reachability fixpoint ends in a validated YES or an error, never in an
+    unchecked YES."""
+
+    def test_a_widened_fixpoint_yields_no_unvalidated_yes(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        monkeypatch.setattr("asmp.solver.almost_reach", widened_reach)
+        outcomes = Counter()
+        rejected = None
+        for k in range(200):
+            g, r = random_belief_obs_pomdp(random.Random(k))
+            try:
+                report = decide_limavg1(g, r)
+            except ModelError as err:
+                if str(err).startswith("solver witness failed validation"):
+                    outcomes["rejected"] += 1
+                    rejected = rejected or (g, r)
+                else:
+                    outcomes["error"] += 1
+                continue
+            assert report.verdict == "YES" and report.validated, k
+            outcomes["YES"] += 1
+        # 137 rejected and 63 validated YES today.
+        assert outcomes["rejected"] >= 100 and outcomes["YES"] >= 50, outcomes
+        path = tmp_path / "rejected.txt"
+        path.write_text(emit_model(*rejected), encoding="utf-8")
+        assert main(["solve", str(path)]) == 2
+        assert "input error: solver witness failed validation" in capsys.readouterr().err
 
 
 def solver_output(g, rewards) -> str:
