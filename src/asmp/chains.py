@@ -62,21 +62,19 @@ class FiniteMemoryStrategy:
         self.next_action = list(next_action)
         self.update = dict(update)
         self.initial = initial
-        # Solver witnesses share their update rows, so each row object is
-        # checked once. Distr keys are sorted, so the first and the last
-        # memory id of a row bound the others.
-        rows = {id(row): row.p for row in self.update.values()}.values()
-        if not (
-            all(rows)
-            and min(map(next, map(iter, rows)), default=0) >= 0
-            and max(map(next, map(reversed, rows)), default=0) < n
-        ):
-            for (m, o, a), row in self.update.items():
-                head = f"memory update for memory id {m}, observation id {o}, action id {a}"
-                if not row.p:
-                    raise StrategyError(f"{head} is empty")
-                k = min(row.p) if min(row.p) < 0 else max(row.p)
-                if not 0 <= k < n:
+        # Solver witnesses share their update rows: each row object is checked
+        # once, under the first triple that holds it. Distr keys are sorted,
+        # so the first and the last memory id of a row bound the others.
+        checked: set[int] = set()
+        for (m, o, a), row in self.update.items():
+            if id(row) not in checked:
+                checked.add(id(row))
+                lo, hi = next(iter(row.p), None), next(reversed(row.p), None)
+                if lo is None or not 0 <= lo <= hi < n:
+                    head = f"memory update for memory id {m}, observation id {o}, action id {a}"
+                    if lo is None:
+                        raise StrategyError(f"{head} is empty")
+                    k = lo if lo < 0 else hi
                     raise StrategyError(f"{head} names memory id {k}, out of range")
 
     @property
@@ -326,9 +324,8 @@ def product_chain(
     below_one: list[int | None] = []
     # By id of an update row: its support, the number of that support
     # among those that get hubs or -1, and the row, which keeps the id
-    # taken. moves holds the same by (memory, observation, action).
+    # taken.
     shapes: dict[int, tuple[tuple[int, ...], int, Distr]] = {}
-    moves: dict[tuple[int, int, int], tuple[tuple[int, ...], int, Distr]] = {}
     support_ids: dict[tuple[int, ...], int] = {}
     # Hub k by (state, support number), and the nodes it leads to.
     hub_ids: dict[tuple[int, int], int] = {}
@@ -351,18 +348,14 @@ def product_chain(
             if rewards.get(s, a) != 1 and low is None:
                 low = a
             for t in g.support(s, a):
-                key = (m, g.obs(t), a)
-                shape = moves.get(key)
+                row = sigma.update_row(m, g.obs(t), a)
+                shape = shapes.get(id(row))
                 if shape is None:
-                    row = sigma.update_row(*key)
-                    shape = shapes.get(id(row))
-                    if shape is None:
-                        ms = row.support()
-                        k = -1
-                        if len(ms) > 2:
-                            k = support_ids.setdefault(ms, len(support_ids))
-                        shape = shapes[id(row)] = (ms, k, row)
-                    moves[key] = shape
+                    ms = row.support()
+                    k = -1
+                    if len(ms) > 2:
+                        k = support_ids.setdefault(ms, len(support_ids))
+                    shape = shapes[id(row)] = (ms, k, row)
                 ms, k, _ = shape
                 if k < 0:
                     put = add
@@ -455,10 +448,9 @@ def _sccs(succ: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
 
 
 def recurrent_classes(mc: MarkovChain) -> list[list[int]]:
-    """Bottom strongly connected components, sorted by smallest node id.
-
-    Computed once per chain; the returned list is shared, not copied.
-    """
+    """Bottom strongly connected components, sorted by smallest node id:
+    ``mc.recurrent``, which the package reads directly. Kept for the
+    benchmark and the demos."""
     return mc.recurrent
 
 
@@ -472,7 +464,7 @@ def limavg1_diagnosis(mc: MarkovChain) -> tuple[list[int], tuple[int, int]] | No
     played pair of every recurrent class is exactly almost-sure mean-payoff
     1, so None certifies the property.
     """
-    for cls in recurrent_classes(mc):
+    for cls in mc.recurrent:
         for i in cls:
             if mc.below_one[i] is not None:
                 return cls, (i, mc.below_one[i])
@@ -505,7 +497,7 @@ def bscc_mean_payoff(mc: MarkovChain, cls: Sequence[int]) -> Fraction:
     """
     members = sorted(cls)
     try:
-        c = recurrent_classes(mc).index(members)
+        c = mc.recurrent.index(members)
     except ValueError:
         raise ModelError(f"{members} is not a recurrent class of this chain") from None
     if c in mc._class_means:
@@ -537,5 +529,5 @@ def almost_sure_limavg_gt(mc: MarkovChain, lam: Fraction) -> bool:
     Inside a recurrent class the average is its stationary mean almost
     surely, so the question reduces to every class beating ``lam``.
     """
-    return all(bscc_mean_payoff(mc, cls) > lam for cls in recurrent_classes(mc))
+    return all(bscc_mean_payoff(mc, cls) > lam for cls in mc.recurrent)
 

@@ -20,7 +20,6 @@ from .chains import (
     bscc_mean_payoff,
     limavg1_diagnosis,
     product_chain,
-    recurrent_classes,
 )
 from .collapse import _quotient, fingerprints, projection_graph
 from .dot import chain_dot, projection_dot
@@ -77,10 +76,6 @@ def _need_rewards(args):
     return g, rewards
 
 
-def _load_strategy(args, g):
-    return parse_strategy(_read(args.strategy), g)
-
-
 def cmd_solve(args) -> int:
     g, rewards = _need_rewards(args)
     report = decide_limavg1(g, rewards, max_states=args.max_states)
@@ -110,7 +105,7 @@ def cmd_validate(args) -> int:
         print("valid")
         return 0
     g, rewards = _need_rewards(args)
-    sigma = _load_strategy(args, g)
+    sigma = parse_strategy(_read(args.strategy), g)
     ok, diagnosis = validate_strategy(g, rewards, sigma)
     if ok:
         print("winning: long-run average reward is 1 almost surely")
@@ -121,7 +116,7 @@ def cmd_validate(args) -> int:
 
 def cmd_simulate(args) -> int:
     g, rewards = _need_rewards(args)
-    sigma = _load_strategy(args, g)
+    sigma = parse_strategy(_read(args.strategy), g)
     cfg = SimConfig(
         steps=args.steps, runs=args.runs, seed=args.seed, burn_in=args.burn_in
     )
@@ -132,7 +127,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_collapse(args) -> int:
     g, rewards = _need_rewards(args)
-    sigma = _load_strategy(args, g)
+    sigma = parse_strategy(_read(args.strategy), g)
     pg = projection_graph(g, sigma, fingerprints(g, rewards, sigma))
     collapsed = _quotient(g, pg)
     ok, diagnosis = validate_strategy(g, rewards, collapsed)
@@ -184,10 +179,10 @@ def cmd_analyze_chain(args) -> int:
         if lam is None:
             raise ModelError(f"bad rational {args.threshold!r} (write p/q or p)")
     g, rewards = _need_rewards(args)
-    sigma = _load_strategy(args, g)
+    sigma = parse_strategy(_read(args.strategy), g)
     mc = product_chain(g, rewards, sigma)
     print(f"nodes: {mc.n_nodes}")
-    for k, cls in enumerate(recurrent_classes(mc)):
+    for k, cls in enumerate(mc.recurrent):
         mean = bscc_mean_payoff(mc, cls)
         members = ", ".join(mc.label_texts[i] for i in cls)
         print(f"recurrent class {k + 1}: mean={mean} {{{members}}}")

@@ -11,7 +11,6 @@ procedure a finite memory space to search.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .bits import bits, mask_of
@@ -147,12 +146,8 @@ def projection_graph(
     vertices = [start]
     index = {start: 0}
     edges: list[list[tuple[int, int]]] = []
-    frontier = deque([0])
-    while frontier:
-        v = frontier.popleft()
-        while len(edges) <= v:
-            edges.append([])
-        cm = vertices[v]
+    # vertices grows during the walk, which expands them in discovery order.
+    for cm in vertices:
         avail = g.avail(belief_obs(g, cm.belief))
         out: list[tuple[int, int]] = []
         for a in bits(cm.fp.acts):
@@ -163,12 +158,10 @@ def projection_graph(
                     nxt = CollapsedMemory(y2, fp2)
                     w = index.get(nxt)
                     if w is None:
-                        w = len(vertices)
-                        index[nxt] = w
+                        w = index[nxt] = len(vertices)
                         vertices.append(nxt)
-                        frontier.append(w)
                     out.append((a, w))
-        edges[v] = sorted(set(out))
+        edges.append(sorted(set(out)))
     return ProjectionGraph(vertices=vertices, edges=edges, initial=0)
 
 

@@ -7,7 +7,7 @@ as dashed clusters so lasso shapes are visible at a glance.
 
 from __future__ import annotations
 
-from .chains import MarkovChain, recurrent_classes
+from .chains import MarkovChain
 from .collapse import ProjectionGraph
 from .model import Pomdp
 
@@ -31,9 +31,8 @@ def chain_dot(mc: MarkovChain, title: str = "") -> str:
     if title:
         lines.append(f"  label={_quote(title)};")
         lines.append("  labelloc=t;")
-    classes = recurrent_classes(mc)
     clustered = set()
-    for k, cls in enumerate(classes):
+    for k, cls in enumerate(mc.recurrent):
         lines.append(f"  subgraph cluster_{k} {{")
         lines.append("    style=dashed;")
         lines.append(f"    label={_quote(f'recurrent class {k + 1}')};")

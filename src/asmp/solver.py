@@ -3,9 +3,10 @@
 The pipeline: fold candidate memories into the state space, keep the
 almost-surely safe core (never hit the losing sink), then ask for
 almost-sure reachability of the states whose own win and recurrence bits
-are set. The answer is YES exactly when the initial observation survives
-both fixpoints. Every YES comes with a finite-memory strategy for the
-original model that has been validated on its own chain before being
+are set. The initial observation always survives safety (a memory with an
+empty recurrence map never meets the sink), so safety only prunes and
+reachability decides the verdict. Every YES comes with a finite-memory
+strategy for the original model, validated on its own chain before being
 reported; a failed validation is an internal error, never a report.
 
 Reports render without wall-clock times so equal inputs give byte-equal
@@ -281,14 +282,11 @@ def decide_limavg1(
         y_star_size=len(safety.y_star),
         stats=stats,
     )
-    if bg.obs(bg.initial) not in safety.y_star:
-        report.reason = (
-            "the initial observation is outside the almost-safe set:"
-            " every strategy risks the losing sink"
-        )
-        report.stats["wall_s"] = time.perf_counter() - t0
-        return report
-
+    # Only abort, a base action outside the memory's action set, or one
+    # paying below 1 at a state with both win and recurrence bits set leads
+    # to the sink. A memory with an empty recurrence map has no such state;
+    # the initial choice, like each choice after such a memory, offers one.
+    # So the initial observation is always almost-safe (restrict_safe checks).
     restricted = restrict_safe(bg, safety.y_star, safety.allow_map)
     lap("restrict_s")
     # The report holds what it needs of both; reach and the witness read
@@ -320,6 +318,8 @@ def decide_limavg1(
     choice = {o: uniform[acts] for o, acts in reach.allow_map.items()}
     witness = memoryless_to_finite_memory(restricted, MemorylessStrategy(choice))
     lap("unfold_s")
+    # The witness holds what it needs: free the restriction before the chain.
+    del restricted, reach, wcs, uniform, choice
     ok, diag = validate_strategy(g, rewards, witness)
     lap("validate_s")
     if not ok:

@@ -8,7 +8,9 @@ read the import statements of ``bench/*.py`` and ``demos/*.py`` with
 running the scripts. The source of ``asmp`` is read the same way: it holds
 no ``assert`` statement, since a broken invariant raises an error, and it
 imports nothing outside the standard library and itself, since the package
-has no runtime dependencies.
+has no runtime dependencies. Nor does it call ``recurrent_classes`` or
+``MarkovChain.reachable``: the first returns ``mc.recurrent`` and the second
+every node id, and both stay only for the benchmark and the demos.
 """
 
 import ast
@@ -109,4 +111,19 @@ def test_the_package_imports_only_the_standard_library_and_itself():
             for m in modules
             if m.split(".")[0] not in allowed
         ]
+    assert found == []
+
+
+def test_the_package_calls_no_forwarding_chain_query():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in source_nodes()
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name)
+            and node.func.id == "recurrent_classes"
+            or isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("recurrent_classes", "reachable")
+        )
+    ]
     assert found == []

@@ -11,6 +11,7 @@ from asmp import (
     FiniteMemoryStrategy,
     MarkovChain,
     MemorylessStrategy,
+    ModelError,
     StrategyError,
     almost_sure_limavg_gt,
     alternating_strategy,
@@ -312,6 +313,15 @@ class TestMeanPayoff:
         assert mean == Fraction(1, 2)
         assert almost_sure_limavg_gt(mc, mean - Fraction(1, 100))
         assert not almost_sure_limavg_gt(mc, mean)
+
+    def test_a_node_set_that_is_not_a_recurrent_class_is_refused(self):
+        g, r = unavoidable_zero_pomdp()
+        mc = product_chain(g, r, constant_strategy(g, 0))
+        (cls,) = mc.recurrent
+        assert len(cls) > 1
+        with pytest.raises(ModelError) as e:
+            bscc_mean_payoff(mc, cls[1:])
+        assert str(e.value) == f"{cls[1:]} is not a recurrent class of this chain"
 
 
 class TestDiagnosis:

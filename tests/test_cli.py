@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, report text, artifacts, chaining."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,11 +10,14 @@ from asmp import (
     MemorylessStrategy,
     RewardFn,
     alternating_strategy,
+    chain_dot,
     constant_strategy,
     emit_model,
     emit_pfa,
     emit_strategy,
+    parse_model,
     parse_strategy,
+    product_chain,
     reduce_quantitative,
     validate_strategy,
 )
@@ -403,6 +407,17 @@ class TestAnalyzeChain:
         assert any("mean=1 {X'·b, X·a}" in l for l in lines)
         assert any("mean=1 {Z·b, Z'·a}" in l for l in lines)
         assert lines[-1] == "almost-sure average 1: yes"
+
+    def test_dot_artifact_draws_the_analyzed_chain(self, files, capsys):
+        dot = files["dir"] / "chain.dot"
+        argv = ["analyze-chain", files["ring.txt"], "--strategy", files["sigma4.txt"]]
+        code, _, _ = run(capsys, argv + ["--dot", str(dot)])
+        assert code == 0
+        g, r = parse_model(Path(files["ring.txt"]).read_text(encoding="utf-8"))
+        sigma = parse_strategy(Path(files["sigma4.txt"]).read_text(encoding="utf-8"), g)
+        expected = chain_dot(product_chain(g, r, sigma), title="ring")
+        assert dot.read_text(encoding="utf-8") == expected
+        assert expected.count("subgraph cluster_") == 2
 
     def test_threshold_bracketing_on_the_zero_fixture(self, files, capsys):
         argv = [

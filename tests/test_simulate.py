@@ -197,3 +197,10 @@ class TestConfigAndErrors:
         text = res.render()
         assert "runs=4 steps=120 burn-in=20 seed=11" in text
         assert text.startswith("mean=")
+
+    def test_a_single_run_has_no_standard_error(self):
+        g, r = ring_pomdp()
+        cfg = SimConfig(steps=120, runs=1, seed=11)
+        res = simulate(g, r, alternating_strategy(g, 0, 1), cfg)
+        assert res.stderr == 0.0
+        assert " stderr=0.000000 " in res.render()

@@ -10,6 +10,7 @@ internal detail.
 import dataclasses
 import hashlib
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -48,6 +49,7 @@ from helpers import (
     finite_memory_to_memoryless,
     hidden_model,
     random_belief_obs_pomdp,
+    random_pomdp,
     reduced_pomdp,
 )
 
@@ -178,6 +180,89 @@ class TestOneCheckPerYes:
         path.write_text(emit_model(*rejected), encoding="utf-8")
         assert main(["solve", str(path)]) == 2
         assert "input error: solver witness failed validation" in capsys.readouterr().err
+
+
+def pipeline_cases():
+    """The gadgets, hidden-5..7, 200 seeded belief-observation models and
+    200 seeded plain POMDPs with rewards drawn from {0, 1/2, 1}."""
+    yield from (ring_pomdp(), trap_ring_pomdp(), unavoidable_zero_pomdp())
+    yield from (hidden_model(n, 100 + n) for n in (5, 6, 7))
+    for seed in range(200):
+        yield random_belief_obs_pomdp(random.Random(seed))
+    for seed in range(200):
+        rng = random.Random(seed)
+        g = random_pomdp(rng)
+        table = {pair: Fraction(rng.randint(0, 2), 2) for pair in g.available_pairs()}
+        yield g, RewardFn(table)
+
+
+class TestPipelineInvariants:
+    def test_the_initial_observation_is_always_almost_safe(self):
+        """Besides abort, only a base action outside the memory's action
+        set, or one paying below 1 at a state whose win and recurrence bits
+        are both set, leads to the losing sink. A memory with an empty
+        recurrence map has no such state and always has an enabled action.
+        The initial memory choice offers such memories (r = 0), and so does
+        every memory choice after one (no recurrence bit is forced, so
+        r2 = 0 stays on the list). Always choosing one never meets the sink,
+        so the decision has no safety-NO outcome."""
+        n = 0
+        for g, rewards in pipeline_cases():
+            bg = reduce_pomdp(g, rewards)
+            safety = almost_safe(bg, (s for s in range(bg.n_states) if s != bg.sink))
+            assert bg.obs(bg.initial) in safety.y_star, g.name
+            n += 1
+        assert n == 406
+
+    def test_allowed_actions_keep_every_state_inside_the_reach_set(self):
+        """The unfolding plays every allowed action at Z*, and reads a
+        choice only at observations of Z*. The targets' rows are not
+        indexed by the fixpoint, yet with the solver's own targets every
+        allowed action keeps every state of its observation, target states
+        included, inside Z*."""
+        cases = [hidden_model(5, 105), hidden_model(6, 106)]
+        cases += [random_belief_obs_pomdp(random.Random(seed)) for seed in range(200)]
+        winning = rows = 0
+        for g, rewards in cases:
+            bg = reduce_pomdp(g, rewards)
+            safety = almost_safe(bg, (s for s in range(bg.n_states) if s != bg.sink))
+            restricted = restrict_safe(bg, safety.y_star, safety.allow_map)
+            reach = almost_reach(restricted, restricted.wcs_state_ids())
+            z = reach.z_star
+            if restricted.obs(restricted.initial) not in z:
+                continue
+            winning += 1
+            for o in z:
+                for a in reach.allow_map[o]:
+                    for s in restricted.obs_states(o):
+                        rows += 1
+                        leaving = [
+                            t for t in restricted.support(s, a) if restricted.obs(t) not in z
+                        ]
+                        assert leaving == [], (g.name, o, a, s)
+        # 65 cases with 64,043 rows today.
+        assert winning >= 60 and rows >= 60_000, (winning, rows)
+
+    def test_the_restriction_is_released_before_validation(self, monkeypatch):
+        """Validation builds the product chain, the largest structure of a
+        YES at the frontier; the restricted model is no longer alive then."""
+        refs = []
+        alive = []
+
+        def tracked_restrict(*args):
+            restricted = restrict_safe(*args)
+            refs.append(weakref.ref(restricted))
+            return restricted
+
+        def checked_validate(*args):
+            alive.append(refs[0]() is not None)
+            return validate_strategy(*args)
+
+        monkeypatch.setattr("asmp.solver.restrict_safe", tracked_restrict)
+        monkeypatch.setattr("asmp.solver.validate_strategy", checked_validate)
+        report = decide_limavg1(*ring_pomdp())
+        assert report.verdict == "YES"
+        assert alive == [False]
 
 
 def solver_output(g, rewards) -> str:
