@@ -9,20 +9,17 @@ first actions of ``avail(o)``, and the memory edges ``memory_edges[o]``,
 for the rest, move each state of o to the state at the same place in the
 target observation's class. A plain POMDP has no memory edges; in a
 reduction they stand for nearly all of its rows, and one place map serves
-every memory of a belief. The same solver drives both. The restriction to
-the safe core takes the reduced model only: it keeps each observation's
-allowed positions with their place maps, and renames the targets.
+every memory of a belief. The same solver drives both.
 
 Sets of states are int masks of places per observation (see `bits`), and
 a place map holds one per source place: it carries a mask forward as it
 is, and backward through its reversal, memoized per map and target class
-size. Both fixpoints keep their bookkeeping in one store of (observation,
-action) groups. Each observation lists the explicit groups that can enter
-it, with their place maps reversed; the observations with one tuple of
-memory-edge targets share its groups and their allowed flags. One rule
-serves both fixpoints: when observations leave, every group that can lead
-into one of them is disallowed. The iterates are sets, so the order of the
-groups does not show in any result.
+size. Both fixpoints keep their bookkeeping in a store of (observation,
+action) groups, `_Groups`, with one rule: when observations leave, every
+group that can lead into one of them is disallowed. The iterates are sets,
+so the order of the groups does not show in any result. The decision runs
+both fixpoints on one store: reach starts from the flags safety leaves,
+with Z at the safe core.
 
 Safety is a greatest fixpoint over the allowed-action predicate, computed
 with a worklist that removes observations level by level; the levels agree
@@ -32,12 +29,8 @@ target) inside a greatest one (observations that never lose the ability),
 computed on a copy where the target is absorbing. The inner fixpoint is a
 worklist of place masks too: a pass only visits the groups entering the
 places that joined in the previous pass, which gives the same levels as
-rescanning every pending state. The explicit predecessors of some places
-are read off the reversed place maps at them; their memory predecessors
-are the same places in the observations whose memory groups lead into
-their own, and the observations of one target tuple let theirs join
-together. Allowed actions are updated when observations leave the outer
-set.
+rescanning every pending state. Allowed actions are updated when
+observations leave the outer set.
 """
 
 from __future__ import annotations
@@ -223,10 +216,18 @@ def almost_safe(g, safe_states: Iterable[int]) -> SafetyResult:
     recorded in ``iterates`` for tracing.
     """
     safe = _place_masks(g, safe_states)
-    groups = _Groups(g, {})
-    y = set(range(g.n_observations))
+    whole = [(1 << len(g.obs_states(o))) - 1 for o in range(g.n_observations)]
     # An observation enters the first level when a place of it is unsafe.
-    level = [o for o in y if safe.get(o, 0) != (1 << len(g.obs_states(o))) - 1]
+    level = [o for o, m in enumerate(whole) if safe.get(o, 0) != m]
+    groups = _Groups(g, {})
+    iterates = _safe(groups, level)
+    return SafetyResult(iterates[-1], groups.allow_map(iterates[-1]), iterates)
+
+
+def _safe(groups: _Groups, level: list[int]) -> list[frozenset[int]]:
+    """The iterates of `almost_safe` on the store ``groups``, from the first
+    level ``level``; the store keeps the allowed flags they leave."""
+    y = set(range(groups.g.n_observations))
     iterates: list[frozenset[int]] = []
     while True:
         # An observation can empty after it left, through its own rows.
@@ -235,34 +236,7 @@ def almost_safe(g, safe_states: Iterable[int]) -> SafetyResult:
         level = groups.remove(level)
         iterates.append(frozenset(y))
         if not level:
-            break
-    y_star = frozenset(y)
-    return SafetyResult(y_star, groups.allow_map(y_star), iterates)
-
-
-def _allowed_shape(
-    g, o: int, acts: Iterable[int], cache: dict
-) -> tuple[list[int], tuple[int, ...], tuple[int, ...]]:
-    """The actions of ``acts`` at observation o, in the order of
-    ``g.avail(o)``: the positions of the explicit ones in ``g.obs_rows[o]``,
-    all of them, and the target observations of the memory edges among
-    them. Observations with equal actions, memory edges and allowed
-    actions share one shape, which ``cache`` keeps."""
-    avail, targets = g.avail(o), g.memory_edges.get(o, ())
-    # The model keeps both tuples alive and shares them between observations.
-    key = (id(avail), id(targets), tuple(acts))
-    shape = cache.get(key)
-    if shape is None:
-        allowed = set(key[2])
-        pos = [i for i, a in enumerate(avail) if a in allowed]
-        # The memory edges follow the explicit actions.
-        n = len(avail) - len(targets)
-        shape = cache[key] = (
-            [i for i in pos if i < n],
-            tuple([avail[i] for i in pos]),
-            tuple([targets[i - n] for i in pos if i >= n]),
-        )
-    return shape
+            return iterates
 
 
 def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
@@ -278,10 +252,16 @@ def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
     inner fixpoint.
     """
     goal = _place_masks(g, target_states)
-    groups = _Groups(g, goal)
+    return _reach(_Groups(g, goal), goal, frozenset(range(g.n_observations)))
+
+
+def _reach(groups: _Groups, goal: dict[int, int], z: frozenset[int]) -> ReachResult:
+    """`almost_reach` on the store ``groups``, for the target places ``goal``,
+    with Z starting at ``z``. The store must allow no group outside ``z``, as
+    `_safe` leaves it when only the sink, which enters only itself, is unsafe."""
+    g = groups.g
     pred, into, users, allowed = groups.pred, groups.into, groups.users, groups.allowed
     n_obs = g.n_observations
-    z = frozenset(range(n_obs))
     z_iterates = [z]
     x_rounds: list[list[int]] = []
     while True:
@@ -340,6 +320,8 @@ def restrict_safe(
     """Restrict a reduced model to the observations of ``y_star`` and their
     allowed actions. States keep their relative order and places; ids are re-packed.
 
+    The decision does not use it: reach runs on the reduction itself. It
+    stays as a reference for the tests and the benchmark's traced solve.
     Raises ModelError when the initial observation is not almost-safe, since
     the restriction would not contain the initial state.
     """
@@ -352,26 +334,21 @@ def restrict_safe(
     for i, s in enumerate(sorted(s for o in kept_obs for s in g.obs_states(o))):
         new_id[s] = i
     obs_map = {o: i for i, o in enumerate(kept_obs)}
-    # Observations of one shape share their restricted availability and
-    # memory edges, as observations of the reduction share theirs. Kept
-    # classes are whole, so the place maps stay as they are.
-    shapes: dict = {}
-    renamed: dict[tuple[int, ...], tuple[int, ...]] = {}
+    # Kept classes are whole, so the place maps stay as they are. The
+    # memory edges follow the explicit actions.
     availability = {}
     memory_edges = {}
     obs_rows = []
-    for o in kept_obs:
-        pos, acts, targets = _allowed_shape(g, o, allow_map[o], shapes)
-        availability[obs_map[o]] = acts
-        if targets:
-            kept = renamed.get(targets)
-            if kept is None:
-                kept = renamed[targets] = tuple([obs_map[o2] for o2 in targets])
-            memory_edges[obs_map[o]] = kept
-        table = g.obs_rows[o]
-        obs_rows.append(
-            tuple([tuple([(obs_map[o2], m) for o2, m in table[i]]) for i in pos])
-        )
+    for i, o in enumerate(kept_obs):
+        acts, targets = g.avail(o), g.memory_edges.get(o, ())
+        allowed = set(allow_map[o])
+        availability[i] = tuple([a for a in acts if a in allowed])
+        n = len(acts) - len(targets)
+        edges = tuple([obs_map[t] for a, t in zip(acts[n:], targets) if a in allowed])
+        if edges:
+            memory_edges[i] = edges
+        rows = [row for a, row in zip(acts, g.obs_rows[o]) if a in allowed]
+        obs_rows.append(tuple([tuple([(obs_map[o2], m) for o2, m in r]) for r in rows]))
     return BeliefObsPomdp(
         base=g.base,
         obs_payloads=[g.obs_payloads[o] for o in kept_obs],

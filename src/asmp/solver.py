@@ -1,13 +1,15 @@
 """Decide almost-sure long-run average 1 and produce checked witnesses.
 
 The pipeline: fold candidate memories into the state space, keep the
-almost-surely safe core (never hit the losing sink), then ask for
-almost-sure reachability of the states whose own win and recurrence bits
-are set. The initial observation always survives safety (a memory with an
-empty recurrence map never meets the sink), so safety only prunes and
-reachability decides the verdict. Every YES comes with a finite-memory
-strategy for the original model, validated on its own chain before being
-reported; a failed validation is an internal error, never a report.
+almost-surely safe core (never hit the losing sink), ask for almost-sure
+reachability of the states whose own win and recurrence bits are set, and
+unfold the allowed actions into the witness; all on the one reduction,
+and both fixpoints on one group store. The initial observation always
+survives safety (a memory with an empty recurrence map never meets the
+sink), so safety only prunes and reachability decides the verdict. Every
+YES comes with a finite-memory strategy for the original model, validated
+on its own chain before being reported; a failed validation is an
+internal error, never a report.
 
 Reports render without wall-clock times so equal inputs give byte-equal
 output; timing lives in the stats dict for callers that want it.
@@ -25,7 +27,7 @@ from .chains import (
     limavg1_diagnosis,
     product_chain,
 )
-from .fixpoint import almost_reach, almost_safe, restrict_safe
+from .fixpoint import _Groups, _place_masks, _reach, _safe
 from .model import (
     Distr,
     ModelError,
@@ -270,7 +272,9 @@ def decide_limavg1(
 
     bg = reduce_pomdp(g, rewards, max_states=max_states)
     lap("reduce_s")
-    safety = almost_safe(bg, (s for s in range(bg.n_states) if s != bg.sink))
+    groups = _Groups(bg, {})
+    iterates = _safe(groups, [bg.obs(bg.sink)])
+    y_star = iterates[-1]
     lap("safe_s")
     report = SolveReport(
         verdict="NO",
@@ -278,29 +282,25 @@ def decide_limavg1(
         model_name=g.name,
         reduction_stats=bg.stats(),
         n_observations=bg.n_observations,
-        safety_sizes=[len(y) for y in safety.iterates],
-        y_star_size=len(safety.y_star),
+        safety_sizes=[len(y) for y in iterates],
+        y_star_size=len(y_star),
         stats=stats,
     )
-    # Only abort, a base action outside the memory's action set, or one
-    # paying below 1 at a state with both win and recurrence bits set leads
-    # to the sink. A memory with an empty recurrence map has no such state;
-    # the initial choice, like each choice after such a memory, offers one.
-    # So the initial observation is always almost-safe (restrict_safe checks).
-    restricted = restrict_safe(bg, safety.y_star, safety.allow_map)
-    lap("restrict_s")
-    # The report holds what it needs of both; reach and the witness read
-    # only the restriction.
-    del bg, safety
-    wcs = restricted.wcs_state_ids()
-    reach = almost_reach(restricted, wcs)
+    # Never raised: the module docstring says why.
+    if bg.obs(bg.initial) not in y_star:
+        raise ModelError(
+            "initial observation is not almost-safe; no safe strategy exists"
+        )
+    wcs = [s for s in bg.wcs_state_ids() if bg.obs(s) in y_star]
+    reach = _reach(groups, _place_masks(bg, wcs), y_star)
     lap("reach_s")
+    del iterates, y_star, groups
     report.wcs_size = len(wcs)
     report.z_sizes = [len(z) for z in reach.z_iterates]
     report.z_star_size = len(reach.z_star)
     report.x_rounds = reach.x_rounds
 
-    if restricted.obs(restricted.initial) not in reach.z_star:
+    if bg.obs(bg.initial) not in reach.z_star:
         report.reason = (
             "the initial observation cannot almost-surely reach the"
             " winning-recurrent core"
@@ -308,18 +308,19 @@ def decide_limavg1(
         report.stats["wall_s"] = time.perf_counter() - t0
         return report
 
-    # almost_reach disallowed every action that can lead a state outside
-    # the target into an observation that left Z, so this play keeps those
-    # states in Z*. The target's rows were never indexed: if one leads out
-    # of Z*, the unfolding meets an observation without a choice and raises
-    # StrategyError. Observations with equal allowed tuples share one
-    # distribution, which the unfolding converts once.
+    # Reach disallowed every group that can enter an observation that left
+    # Z, targets' rows included, so this play keeps Z* closed. As if the
+    # targets were absorbing, those rows change nothing: the memory choices
+    # force each successor of a target into the next memory's win and
+    # recurrence maps, and one group enters every place of a memory-selection
+    # observation, so one entered only by target rows leads only to targets
+    # and never leaves Z. Equal allowed tuples share one distribution.
     uniform = {acts: Distr.uniform(acts) for acts in set(reach.allow_map.values())}
     choice = {o: uniform[acts] for o, acts in reach.allow_map.items()}
-    witness = memoryless_to_finite_memory(restricted, MemorylessStrategy(choice))
+    witness = memoryless_to_finite_memory(bg, MemorylessStrategy(choice))
     lap("unfold_s")
-    # The witness holds what it needs: free the restriction before the chain.
-    del restricted, reach, wcs, uniform, choice
+    # The witness holds what it needs: free the reduction before the chain.
+    del bg, reach, wcs, uniform, choice
     ok, diag = validate_strategy(g, rewards, witness)
     lap("validate_s")
     if not ok:

@@ -10,7 +10,10 @@ no ``assert`` statement, since a broken invariant raises an error, and it
 imports nothing outside the standard library and itself, since the package
 has no runtime dependencies. Nor does it call ``recurrent_classes`` or
 ``MarkovChain.reachable``: the first returns ``mc.recurrent`` and the second
-every node id, and both stay only for the benchmark and the demos.
+every node id, and both stay only for the benchmark and the demos. Nor
+does it call ``restrict_safe``: reach runs on the reduction itself, and the
+copy of the safe core stays only for the benchmark's traced solve and the
+tests, which use it as a reference.
 """
 
 import ast
@@ -114,16 +117,25 @@ def test_the_package_imports_only_the_standard_library_and_itself():
     assert found == []
 
 
-def test_the_package_calls_no_forwarding_chain_query():
-    found = [
+def calls_to(functions: set[str], methods: set[str]) -> list[str]:
+    """file:line of each call in the package source to a function named
+    in ``functions``, or to an attribute named in either set."""
+    return [
         f"{name}:{node.lineno}"
         for name, node in source_nodes()
         if isinstance(node, ast.Call)
         and (
             isinstance(node.func, ast.Name)
-            and node.func.id == "recurrent_classes"
+            and node.func.id in functions
             or isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("recurrent_classes", "reachable")
+            and node.func.attr in functions | methods
         )
     ]
-    assert found == []
+
+
+def test_the_package_calls_no_forwarding_chain_query():
+    assert calls_to({"recurrent_classes"}, {"reachable"}) == []
+
+
+def test_the_package_calls_no_restrict_safe():
+    assert calls_to({"restrict_safe"}, set()) == []

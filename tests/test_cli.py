@@ -66,7 +66,7 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-FIXPOINT_PHASES = ["reduce_s", "safe_s", "restrict_s", "reach_s"]
+FIXPOINT_PHASES = ["reduce_s", "safe_s", "reach_s"]
 
 
 class TestSolve:

@@ -43,6 +43,7 @@ from asmp import (
 )
 from asmp.cli import main
 from asmp.collapse import CollapsedMemory
+from asmp.fixpoint import _reach
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp
 
 from helpers import (
@@ -140,14 +141,13 @@ class TestVerdicts:
         assert str(e.value) == "state 's', action 'a': weights sum to 1/2, not 1"
 
 
-def widened_reach(g, target_states):
-    """The reachability fixpoint made wrong: Z holds every observation, and
-    each allows all of its available actions."""
-    res = almost_reach(g, target_states)
-    every = range(g.n_observations)
-    return dataclasses.replace(
-        res, z_star=frozenset(every), allow_map={o: g.avail(o) for o in every}
-    )
+def widened_reach(groups, goal, z):
+    """The reachability fixpoint made wrong: Z* is the Z it starts from, and
+    each of its observations allows every action the store allows there
+    at the start."""
+    allowed = groups.allow_map(z)
+    res = _reach(groups, goal, z)
+    return dataclasses.replace(res, z_star=z, allow_map=allowed)
 
 
 class TestOneCheckPerYes:
@@ -158,7 +158,7 @@ class TestOneCheckPerYes:
     def test_a_widened_fixpoint_yields_no_unvalidated_yes(
         self, monkeypatch, tmp_path, capsys
     ):
-        monkeypatch.setattr("asmp.solver.almost_reach", widened_reach)
+        monkeypatch.setattr("asmp.solver._reach", widened_reach)
         outcomes = Counter()
         rejected = None
         for k in range(200):
@@ -214,51 +214,62 @@ class TestPipelineInvariants:
             n += 1
         assert n == 406
 
-    def test_allowed_actions_keep_every_state_inside_the_reach_set(self):
-        """The unfolding plays every allowed action at Z*, and reads a
-        choice only at observations of Z*. The targets' rows are not
-        indexed by the fixpoint, yet with the solver's own targets every
-        allowed action keeps every state of its observation, target states
-        included, inside Z*."""
-        cases = [hidden_model(5, 105), hidden_model(6, 106)]
-        cases += [random_belief_obs_pomdp(random.Random(seed)) for seed in range(200)]
+    def test_reach_on_the_shared_store_matches_reach_on_the_restriction(self):
+        """``decide_limavg1`` runs reach on the reduction, on the store
+        safety leaves, with Z starting at the safe core. It gives what
+        reach gives on the restriction to that core, with the targets in
+        it: equal Z sizes, inner rounds, Z* and allowed actions, matched by
+        observation payload. Every allowed action at Z* keeps every state
+        of its observation inside Z*, the targets included, which the
+        unfolding needs."""
+        cases = [ring_pomdp(), trap_ring_pomdp(), unavoidable_zero_pomdp()]
+        cases += [hidden_model(n, 100 + n) for n in (5, 6, 7, 8)]
+        cases += [random_belief_obs_pomdp(random.Random(seed)) for seed in range(300)]
+        def named(model, obs):
+            return {model.obs_payloads[o] for o in obs}
+
         winning = rows = 0
         for g, rewards in cases:
-            bg = reduce_pomdp(g, rewards)
+            bg, reach = decide_path_reach(g, rewards)
             safety = almost_safe(bg, (s for s in range(bg.n_states) if s != bg.sink))
             restricted = restrict_safe(bg, safety.y_star, safety.allow_map)
-            reach = almost_reach(restricted, restricted.wcs_state_ids())
+            ref = almost_reach(restricted, restricted.wcs_state_ids())
+            assert [named(bg, z) for z in reach.z_iterates] == [
+                named(restricted, z) for z in ref.z_iterates
+            ], g.name
+            assert reach.x_rounds == ref.x_rounds, g.name
+            assert {bg.obs_payloads[o]: acts for o, acts in reach.allow_map.items()} == {
+                restricted.obs_payloads[o]: acts for o, acts in ref.allow_map.items()
+            }, g.name
             z = reach.z_star
-            if restricted.obs(restricted.initial) not in z:
+            if bg.obs(bg.initial) not in z:
                 continue
             winning += 1
             for o in z:
                 for a in reach.allow_map[o]:
-                    for s in restricted.obs_states(o):
+                    for s in bg.obs_states(o):
                         rows += 1
-                        leaving = [
-                            t for t in restricted.support(s, a) if restricted.obs(t) not in z
-                        ]
+                        leaving = [t for t in bg.support(s, a) if bg.obs(t) not in z]
                         assert leaving == [], (g.name, o, a, s)
-        # 65 cases with 64,043 rows today.
-        assert winning >= 60 and rows >= 60_000, (winning, rows)
+        # 109 winning cases with 2,099,740 rows today.
+        assert winning >= 100 and rows >= 2_000_000, (winning, rows)
 
-    def test_the_restriction_is_released_before_validation(self, monkeypatch):
+    def test_the_reduction_is_released_before_validation(self, monkeypatch):
         """Validation builds the product chain, the largest structure of a
-        YES at the frontier; the restricted model is no longer alive then."""
+        YES at the frontier; the reduction is no longer alive then."""
         refs = []
         alive = []
 
-        def tracked_restrict(*args):
-            restricted = restrict_safe(*args)
-            refs.append(weakref.ref(restricted))
-            return restricted
+        def tracked_reduce(*args, **kwargs):
+            bg = reduce_pomdp(*args, **kwargs)
+            refs.append(weakref.ref(bg))
+            return bg
 
         def checked_validate(*args):
             alive.append(refs[0]() is not None)
             return validate_strategy(*args)
 
-        monkeypatch.setattr("asmp.solver.restrict_safe", tracked_restrict)
+        monkeypatch.setattr("asmp.solver.reduce_pomdp", tracked_reduce)
         monkeypatch.setattr("asmp.solver.validate_strategy", checked_validate)
         report = decide_limavg1(*ring_pomdp())
         assert report.verdict == "YES"
@@ -391,7 +402,7 @@ class TestReportRendering:
         assert "wall" not in text
         assert report.stats["wall_s"] > 0
         assert not any(key in text for key in report.stats)
-        phases = ["reduce_s", "safe_s", "restrict_s", "reach_s", "unfold_s", "validate_s"]
+        phases = ["reduce_s", "safe_s", "reach_s", "unfold_s", "validate_s"]
         assert list(report.stats) == phases + ["wall_s"]
         assert all(report.stats[k] > 0 for k in phases)
         assert sum(report.stats[k] for k in phases) <= report.stats["wall_s"]
@@ -400,9 +411,7 @@ class TestReportRendering:
         g, r = unavoidable_zero_pomdp()
         report = decide_limavg1(g, r)
         assert report.verdict == "NO" and report.z_sizes is not None
-        assert list(report.stats) == [
-            "reduce_s", "safe_s", "restrict_s", "reach_s", "wall_s"
-        ]
+        assert list(report.stats) == ["reduce_s", "safe_s", "reach_s", "wall_s"]
 
     def test_yes_text_carries_the_witness_line(self):
         g, r = ring_pomdp()
@@ -418,13 +427,20 @@ class TestReportRendering:
         assert "trace" not in text
 
 
-def reach_allow_map(g, r):
-    """The restricted reduction and the allowed tuples of its almost-sure
-    reach set, as ``decide_limavg1`` computes them."""
-    bg = reduce_pomdp(g, r)
-    safety = almost_safe(bg, [s for s in range(bg.n_states) if s != bg.sink])
-    restricted = restrict_safe(bg, safety.y_star, safety.allow_map)
-    return restricted, almost_reach(restricted, restricted.wcs_state_ids()).allow_map
+def decide_path_reach(g, r):
+    """The reduction and the reach result of ``decide_limavg1`` on (g, r),
+    taken from the call itself."""
+    seen = []
+
+    def recorded(groups, goal, z):
+        res = _reach(groups, goal, z)
+        seen.append((groups.g, res))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("asmp.solver._reach", recorded)
+        decide_limavg1(g, r)
+    return seen[0]
 
 
 class TestSharedRows:
@@ -449,13 +465,14 @@ class TestSharedRows:
     )
     def test_unshared_rows_unfold_to_the_same_text(self, make):
         g, r = make()
-        restricted, allow_map = reach_allow_map(g, r)
+        bg, reach = decide_path_reach(g, r)
+        allow_map = reach.allow_map
         uniform = {acts: Distr.uniform(acts) for acts in allow_map.values()}
         shared = {o: uniform[acts] for o, acts in allow_map.items()}
         unshared = {o: Distr.uniform(acts) for o, acts in allow_map.items()}
         texts = [
             emit_strategy(
-                memoryless_to_finite_memory(restricted, MemorylessStrategy(choice)), g
+                memoryless_to_finite_memory(bg, MemorylessStrategy(choice)), g
             )
             for choice in (shared, unshared)
         ]
