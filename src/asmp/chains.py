@@ -4,12 +4,15 @@ A finite-memory strategy keeps a memory state, picks actions from the memory
 alone, and updates the memory from (memory, next observation, played action).
 Playing one on a POMDP yields a finite Markov chain over (state, memory)
 pairs; a memoryless strategy is played with the current observation as its
-memory. Every long-run question is answered on that chain. Almost-sure
+memory. Every long-run question is about that chain. Almost-sure
 mean-payoff 1 holds exactly when every reachable recurrent class pays reward
 1 on each pair it plays, which depends on the chain's supports alone, so the
 chain is built over supports and its exact weights are derived only when a
 quantitative question reads them: thresholds come from exact stationary
-distributions of the recurrent classes.
+distributions of the recurrent classes. The solver proves its own YES
+witness without building the chain: ``_wins_on_masks`` walks the same nodes
+and edges as one state mask per memory, and the chain is built only to
+explain a witness that the masks do not prove.
 
 A strategy often repeats one memory update many times, and an update that
 can move to several memories would give every node that plays into it an
@@ -26,8 +29,9 @@ from __future__ import annotations
 
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
+from .bits import bits, mask_of
 from .model import Distr, ModelError, Pomdp, RewardFn, StrategyError
 
 
@@ -469,6 +473,171 @@ def limavg1_diagnosis(mc: MarkovChain) -> tuple[list[int], tuple[int, int]] | No
             if mc.below_one[i] is not None:
                 return cls, (i, mc.below_one[i])
     return None
+
+
+def _mask_chain(
+    g: Pomdp, rewards: RewardFn, sigma: FiniteMemoryStrategy
+) -> tuple[list[int], list[int], Callable[[list[int]], list[int]]] | None:
+    """The chain of ``sigma`` played on ``g`` as one int state mask per
+    memory, for ``_wins_on_masks``.
+
+    Returns (reached, below, back): ``reached[m]`` holds the states s of the
+    chain's nodes (s, m), ``below[m]`` those of them that play an action
+    paying below 1, and ``back(seed)`` the masks of the reached nodes that
+    can reach a node of the masks ``seed``. A move into an update row with
+    three or more memories goes through the hub mask of the row's support,
+    as ``product_chain`` routes it. Returns None when the play is irregular:
+    an unavailable action, or a missing transition row, reward or update
+    row; ``product_chain`` then names the fault.
+    """
+    cls = [mask_of(g.obs_states(o)) for o in range(g.n_observations)]
+    # Per action: the states that may play it, those that pay below 1, and
+    # each such state's successor mask.
+    playable, low = [0] * g.n_actions, [0] * g.n_actions
+    succ: list[dict[int, int]] = [{} for _ in range(g.n_actions)]
+    for s in range(g.n_states):
+        for a in g.avail(g.obs(s)):
+            row, r = g.rows.get((s, a)), rewards.table.get((s, a))
+            if row is not None and r is not None:
+                playable[a] |= 1 << s
+                if r != 1:
+                    low[a] |= 1 << s
+                succ[a][s] = mask_of(row.p)
+    update, plays = sigma.update, [row.support() for row in sigma.next_action]
+    posts: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    pres: dict[tuple[int, int], int] = {}
+
+    def post(a: int, x: int) -> list[tuple[int, int]]:
+        """The successors of the states x under a, by observation."""
+        got = posts.get((a, x))
+        if got is None:
+            t = 0
+            for s in bits(x):
+                t |= succ[a][s]
+            got = posts[(a, x)] = [(o2, t & c) for o2, c in enumerate(cls) if t & c]
+        return got
+
+    def pre(a: int, x: int) -> int:
+        """The states with a successor in x under a."""
+        got = pres.get((a, x))
+        if got is None:
+            got = pres[(a, x)] = mask_of(s for s, t in succ[a].items() if t & x)
+        return got
+
+    n = sigma.n_memories
+    # By id of an update row, which sigma keeps: its support and hub
+    # number, or -1 when its moves are direct edges.
+    shapes: dict[int, tuple[tuple[int, ...], int]] = {}
+    support_ids: dict[tuple[int, ...], int] = {}
+    # Per hub: its support and the states t of its nodes (t, hub). Per
+    # memory: the hubs that lead to it.
+    hub_memories: list[tuple[int, ...]] = []
+    hubs: list[int] = []
+    hubs_of: list[list[int]] = [[] for _ in range(n)]
+    # The moves (m, a, o2) into each memory by a direct edge and into each
+    # hub, recorded each time a level meets them: a repeat only repeats a
+    # pre-image that ``back`` finds cached.
+    direct: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    users: list[list[tuple[int, int, int]]] = []
+
+    def shape(row: Distr) -> tuple[tuple[int, ...], int]:
+        got = shapes.get(id(row))
+        if got is None:
+            ms, k = row.support(), -1
+            if len(ms) > 2:
+                k = support_ids.setdefault(ms, len(hubs))
+                if k == len(hubs):
+                    hub_memories.append(ms)
+                    hubs.append(0)
+                    users.append([])
+                    for m2 in ms:
+                        hubs_of[m2].append(k)
+            got = shapes[id(row)] = (ms, k)
+        return got
+
+    reached = [0] * n
+    level = {sigma.initial: 1 << g.initial}
+    while level:
+        hit: dict[int, int] = {}
+        into: dict[int, int] = {}
+        for m, new in level.items():
+            reached[m] |= new
+            for a in plays[m]:
+                if new & ~playable[a]:
+                    return None
+                for o2, t in post(a, new):
+                    row = update.get((m, o2, a))
+                    if row is None:
+                        return None
+                    ms, k = shape(row)
+                    if k >= 0:
+                        into[k] = into.get(k, 0) | t
+                        users[k].append((m, a, o2))
+                        continue
+                    for m2 in ms:
+                        hit[m2] = hit.get(m2, 0) | t
+                        direct[m2].append((m, a, o2))
+        for k, t in into.items():
+            t &= ~hubs[k]
+            if t:
+                hubs[k] |= t
+                for m2 in hub_memories[k]:
+                    hit[m2] = hit.get(m2, 0) | t
+        level = {m: t & ~reached[m] for m, t in hit.items() if t & ~reached[m]}
+    below = [0] * n
+    for m, x in enumerate(reached):
+        for a in plays[m]:
+            below[m] |= x & low[a]
+
+    def back(seed: list[int]) -> list[int]:
+        can = list(seed)
+        hub_can = [0] * len(hubs)
+        level = {m: x for m, x in enumerate(seed) if x}
+        while level:
+            hit: dict[int, int] = {}
+            into: dict[int, int] = {}
+            for m2, new in level.items():
+                for m, a, o2 in direct[m2]:
+                    if new & cls[o2]:
+                        hit[m] = hit.get(m, 0) | pre(a, new & cls[o2])
+                for k in hubs_of[m2]:
+                    into[k] = into.get(k, 0) | new
+            for k, t in into.items():
+                t &= hubs[k] & ~hub_can[k]
+                if t:
+                    hub_can[k] |= t
+                    for m, a, o2 in users[k]:
+                        if t & cls[o2]:
+                            hit[m] = hit.get(m, 0) | pre(a, t & cls[o2])
+            level = {}
+            for m, x in hit.items():
+                x &= reached[m] & ~can[m]
+                if x:
+                    can[m] |= x
+                    level[m] = x
+        return can
+
+    return reached, below, back
+
+
+def _wins_on_masks(g: Pomdp, rewards: RewardFn, sigma: FiniteMemoryStrategy) -> bool:
+    """Prove that ``sigma`` wins almost-sure limit-average 1 on ``g``, on
+    the nodes and edges of its product chain kept as state masks (see
+    ``_mask_chain``), with no chain and no component search.
+
+    W is the set of reached nodes that cannot reach a play paying below 1.
+    Every node reaches a bottom class, a bottom class without such a play
+    lies in W, and one with such a play holds no node of W; so the strategy
+    wins exactly when every reached node can reach W. False means not
+    proved: the play is irregular or loses, and ``validate_strategy`` says
+    which.
+    """
+    walk = _mask_chain(g, rewards, sigma)
+    if walk is None:
+        return False
+    reached, below, back = walk
+    w = [x & ~y for x, y in zip(reached, back(below))]
+    return back(w) == reached
 
 
 def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:

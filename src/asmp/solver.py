@@ -7,9 +7,10 @@ unfold the allowed actions into the witness; all on the one reduction,
 and both fixpoints on one group store. The initial observation always
 survives safety (a memory with an empty recurrence map never meets the
 sink), so safety only prunes and reachability decides the verdict. Every
-YES comes with a finite-memory strategy for the original model, validated
-on its own chain before being reported; a failed validation is an
-internal error, never a report.
+YES comes with a finite-memory strategy for the original model, proved
+winning before being reported, on state masks over the nodes and edges of
+its own product chain. The chain itself is built only to explain a proof
+that fails: a failed validation is an internal error, never a report.
 
 Reports render without wall-clock times so equal inputs give byte-equal
 output; timing lives in the stats dict for callers that want it.
@@ -24,6 +25,7 @@ from fractions import Fraction
 from .chains import (
     FiniteMemoryStrategy,
     MemorylessStrategy,
+    _wins_on_masks,
     limavg1_diagnosis,
     product_chain,
 )
@@ -255,7 +257,13 @@ def decide_limavg1(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> SolveReport:
     """Decide whether some finite-memory strategy achieves long-run average
-    reward 1 almost surely, and construct one when the answer is YES."""
+    reward 1 almost surely, and construct one when the answer is YES.
+
+    A YES witness is proved winning on state masks over its product chain's
+    own nodes (``chains._wins_on_masks``). Only when that proof fails is the
+    chain built, by ``validate_strategy``, and a diagnosis it finds is
+    raised as a ModelError.
+    """
     problems = validate(g, require_unique_initial_obs=False) or rewards.check(g)
     if problems:
         raise ModelError("; ".join(problems))
@@ -319,14 +327,15 @@ def decide_limavg1(
     choice = {o: uniform[acts] for o, acts in reach.allow_map.items()}
     witness = memoryless_to_finite_memory(bg, MemorylessStrategy(choice))
     lap("unfold_s")
-    # The witness holds what it needs: free the reduction before the chain.
+    # The witness holds what it needs: free the reduction before the check.
     del bg, reach, wcs, uniform, choice
-    ok, diag = validate_strategy(g, rewards, witness)
+    if not _wins_on_masks(g, rewards, witness):
+        ok, diag = validate_strategy(g, rewards, witness)
+        if not ok:
+            raise ModelError(
+                f"solver witness failed validation: {diag.message}"
+            )
     lap("validate_s")
-    if not ok:
-        raise ModelError(
-            f"solver witness failed validation: {diag.message}"
-        )
     report.verdict = "YES"
     report.reason = "the initial observation is almost-sure winning"
     report.witness = witness

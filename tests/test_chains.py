@@ -26,7 +26,13 @@ from asmp import (
     validate_strategy,
 )
 from asmp import chains
-from asmp.gadgets import ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp
+from asmp.bits import bits
+from asmp.gadgets import (
+    ring_pomdp,
+    ring_pomdp_with_orphan,
+    trap_ring_pomdp,
+    unavoidable_zero_pomdp,
+)
 
 from helpers import (
     as_finite_memory,
@@ -275,6 +281,47 @@ class TestSupportChain:
             direct, _ = validate_strategy(g, r, ml)
             lifted, _ = validate_strategy(g, r, as_finite_memory(ml, g))
             assert direct == lifted
+
+
+@pytest.fixture(scope="module")
+def mask_corpus():
+    """(model, rewards, strategy, product chain): the solver's witnesses for
+    the three ring gadgets and hidden-5..8, then seeded random strategies,
+    winning and losing, some with updates to three or four memories."""
+    models = [ring_pomdp(), ring_pomdp_with_orphan(), trap_ring_pomdp()]
+    models += [hidden_model(n, 100 + n) for n in range(5, 9)]
+    cases = [(g, r, decide_limavg1(g, r).witness) for g, r in models]
+    rng = random.Random(4848)
+    for k in range(300):
+        g, r = random_belief_obs_pomdp(rng)
+        sigma = random_tagged_strategy(rng, g, randomized=k % 2 == 1, max_tags=1 + k % 4)
+        cases.append((g, r, sigma))
+    return [(g, r, sigma, product_chain(g, r, sigma)) for g, r, sigma in cases]
+
+
+class TestMaskCheck:
+    """The solver's witness check on state masks against the product chain
+    it stands in for."""
+
+    def test_the_verdict_is_the_chain_diagnosis(self, mask_corpus):
+        verdicts = []
+        for g, r, sigma, mc in mask_corpus:
+            wins = chains._wins_on_masks(g, r, sigma)
+            assert wins == (limavg1_diagnosis(mc) is None)
+            verdicts.append(wins)
+        assert all(verdicts[:7])
+        # 58 of the 300 random strategies win today.
+        assert 40 <= sum(verdicts[7:]) <= 260, sum(verdicts[7:])
+
+    def test_the_reached_pairs_are_the_chain_nodes(self, mask_corpus):
+        hubbed = 0
+        for g, r, sigma, mc in mask_corpus:
+            reached, _, _ = chains._mask_chain(g, r, sigma)
+            pairs = {(s, m) for m, x in enumerate(reached) for s in bits(x)}
+            assert pairs == set(mc.labels)
+            hubbed += len(mc.graph) > mc.n_nodes
+        # 45 of the chains route some move through a hub today.
+        assert hubbed >= 30, hubbed
 
 
 class TestMeanPayoff:

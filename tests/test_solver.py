@@ -41,6 +41,7 @@ from asmp import (
     uniform_strategy,
     validate_strategy,
 )
+from asmp.chains import _wins_on_masks
 from asmp.cli import main
 from asmp.collapse import CollapsedMemory
 from asmp.fixpoint import _reach
@@ -255,8 +256,8 @@ class TestPipelineInvariants:
         assert winning >= 100 and rows >= 2_000_000, (winning, rows)
 
     def test_the_reduction_is_released_before_validation(self, monkeypatch):
-        """Validation builds the product chain, the largest structure of a
-        YES at the frontier; the reduction is no longer alive then."""
+        """The witness is checked after the reduction is freed, so the two
+        never sit in memory together at the frontier."""
         refs = []
         alive = []
 
@@ -267,13 +268,78 @@ class TestPipelineInvariants:
 
         def checked_validate(*args):
             alive.append(refs[0]() is not None)
-            return validate_strategy(*args)
+            return _wins_on_masks(*args)
 
         monkeypatch.setattr("asmp.solver.reduce_pomdp", tracked_reduce)
-        monkeypatch.setattr("asmp.solver.validate_strategy", checked_validate)
+        monkeypatch.setattr("asmp.solver._wins_on_masks", checked_validate)
         report = decide_limavg1(*ring_pomdp())
         assert report.verdict == "YES"
         assert alive == [False]
+
+
+class TestWitnessCheck:
+    """A YES is proved on state masks over the witness's chain nodes; the
+    product chain is built only when that proof fails, to explain it."""
+
+    @pytest.mark.parametrize(
+        "make", [ring_pomdp, trap_ring_pomdp, partial(hidden_model, 5, 105)]
+    )
+    def test_a_yes_builds_no_product_chain(self, make, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a YES built the product chain")
+
+        for module in ("asmp.solver", "asmp.chains"):
+            monkeypatch.setattr(f"{module}.product_chain", refuse)
+            monkeypatch.setattr(f"{module}.limavg1_diagnosis", refuse)
+        report = decide_limavg1(*make())
+        assert report.verdict == "YES" and report.validated
+
+    def failure(self, monkeypatch, g, r, sigma) -> str:
+        """The error of a decision whose unfolding returns ``sigma``."""
+        monkeypatch.setattr(
+            "asmp.solver.memoryless_to_finite_memory", lambda bg, ml: sigma
+        )
+        with pytest.raises(ModelError) as err:
+            decide_limavg1(g, r)
+        return str(err.value)
+
+    def test_a_losing_witness_fails_with_the_chain_diagnosis(self, monkeypatch):
+        g, r = ring_pomdp()
+        sigma = constant_strategy(g, 0)
+        ok, diag = validate_strategy(g, r, sigma)
+        assert not ok and diag.kind == "recurrent-class"
+        text = self.failure(monkeypatch, g, r, sigma)
+        assert text == f"solver witness failed validation: {diag.message}"
+
+    def test_a_missing_update_row_fails_with_the_play_diagnosis(self, monkeypatch):
+        g, r = ring_pomdp()
+        sigma = FiniteMemoryStrategy(["only"], [Distr.dirac(0)], {}, 0)
+        ok, diag = validate_strategy(g, r, sigma)
+        assert not ok and diag.kind == "play"
+        assert diag.message == (
+            "no memory update for memory 'only', observation id 1, action id 0"
+        )
+        text = self.failure(monkeypatch, g, r, sigma)
+        assert text == f"solver witness failed validation: {diag.message}"
+
+    def test_an_unavailable_action_fails_with_the_play_diagnosis(self, monkeypatch):
+        g, _ = ring_pomdp()
+        # The ring with only 'a' at the start, which keeps it a YES.
+        rows = {k: row for k, row in g.rows.items() if k != (g.initial, 1)}
+        g = Pomdp(
+            g.states, g.actions, g.observations, g.obs_of, rows, g.initial,
+            availability={g.obs(g.initial): (0,)}, name="ring-a-first",
+        )
+        r = RewardFn.from_state_rewards(g, {s: 1 for s in (0, 1, 2, 5, 6)})
+        assert decide_limavg1(g, r).verdict == "YES"
+        sigma = constant_strategy(g, 1)
+        ok, diag = validate_strategy(g, r, sigma)
+        assert not ok and diag.kind == "play"
+        assert diag.message == (
+            "strategy plays 'b' at state 's0', unavailable at observation 'start'"
+        )
+        text = self.failure(monkeypatch, g, r, sigma)
+        assert text == f"solver witness failed validation: {diag.message}"
 
 
 def solver_output(g, rewards) -> str:
