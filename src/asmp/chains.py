@@ -11,8 +11,8 @@ chain is built over supports and its exact weights are derived only when a
 quantitative question reads them: thresholds come from exact stationary
 distributions of the recurrent classes. The solver proves its own YES
 witness without building the chain: ``_wins_on_masks`` walks the same nodes
-and edges as one state mask per memory, and the chain is built only to
-explain a witness that the masks do not prove.
+and edges as one state mask per memory and observation, and the chain is
+built only to explain a witness that the masks do not prove.
 
 A strategy often repeats one memory update many times, and an update that
 can move to several memories would give every node that plays into it an
@@ -31,7 +31,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .bits import bits, mask_of
+from .bits import bits
 from .model import Distr, ModelError, Pomdp, RewardFn, StrategyError
 
 
@@ -475,155 +475,262 @@ def limavg1_diagnosis(mc: MarkovChain) -> tuple[list[int], tuple[int, int]] | No
     return None
 
 
-def _mask_chain(
+def _mask_walk(
     g: Pomdp, rewards: RewardFn, sigma: FiniteMemoryStrategy
-) -> tuple[list[int], list[int], Callable[[list[int]], list[int]]] | None:
+) -> tuple[list, list[int], list[int], Callable[[list[int]], list[int]]] | None:
     """The chain of ``sigma`` played on ``g`` as one int state mask per
-    memory, for ``_wins_on_masks``.
+    group, for ``_wins_on_masks``: a group is a memory m with an
+    observation o, and bit i of its mask is the state ``base + i``, where
+    the base is the lowest state of o. So a mask spans one observation's
+    states, however many states the model has.
 
-    Returns (reached, below, back): ``reached[m]`` holds the states s of the
-    chain's nodes (s, m), ``below[m]`` those of them that play an action
-    paying below 1, and ``back(seed)`` the masks of the reached nodes that
-    can reach a node of the masks ``seed``. A move into an update row with
-    three or more memories goes through the hub mask of the row's support,
-    as ``product_chain`` routes it. Returns None when the play is irregular:
+    Returns (groups, reached, below, back): ``groups[i]`` is the memory and
+    the base of group i, ``reached[i]`` its states s of the chain's nodes
+    (s, m), ``below[i]`` those of them that play an action paying below 1,
+    and ``back(seed)`` the masks of the reached nodes that can reach a node
+    of the group masks ``seed``. A move into an update row with three or
+    more memories goes through the hub mask of the row's support, as
+    ``product_chain`` routes it. Returns None when the play is irregular:
     an unavailable action, or a missing transition row, reward or update
     row; ``product_chain`` then names the fault.
     """
-    cls = [mask_of(g.obs_states(o)) for o in range(g.n_observations)]
-    # Per action: the states that may play it, those that pay below 1, and
-    # each such state's successor mask.
-    playable, low = [0] * g.n_actions, [0] * g.n_actions
-    succ: list[dict[int, int]] = [{} for _ in range(g.n_actions)]
+    n_obs, n_act, obs = g.n_observations, g.n_actions, g.obs
+    lo = [min(g.obs_states(o), default=0) for o in range(n_obs)]
+    # Per action: the states of each observation that may play it and those
+    # that pay below 1; each such state's successors, and each state's
+    # predecessors, as a mask per observation.
+    playable = [[0] * n_obs for _ in range(n_act)]
+    low = [[0] * n_obs for _ in range(n_act)]
+    succ: list[dict[int, dict[int, int]]] = [{} for _ in range(n_act)]
+    preds: list[dict[int, dict[int, int]]] = [{} for _ in range(n_act)]
     for s in range(g.n_states):
-        for a in g.avail(g.obs(s)):
+        o = obs(s)
+        bit = 1 << s - lo[o]
+        for a in g.avail(o):
             row, r = g.rows.get((s, a)), rewards.table.get((s, a))
             if row is not None and r is not None:
-                playable[a] |= 1 << s
+                playable[a][o] |= bit
                 if r != 1:
-                    low[a] |= 1 << s
-                succ[a][s] = mask_of(row.p)
+                    low[a][o] |= bit
+                split = succ[a][s] = {}
+                for t in row.p:
+                    o2 = obs(t)
+                    split[o2] = split.get(o2, 0) | 1 << t - lo[o2]
+                    into_t = preds[a].setdefault(t, {})
+                    into_t[o] = into_t.get(o, 0) | bit
     update, plays = sigma.update, [row.support() for row in sigma.next_action]
-    posts: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    pres: dict[tuple[int, int], int] = {}
+    # The images of ``post`` and ``pre``, cached by mask in one dict per
+    # action a and observation o, at a * n_obs + o.
+    posts: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(n_act * n_obs)]
+    pres: list[dict[int, dict[int, int]]] = [{} for _ in range(n_act * n_obs)]
 
-    def post(a: int, x: int) -> list[tuple[int, int]]:
-        """The successors of the states x under a, by observation."""
-        got = posts.get((a, x))
+    def post(a: int, o: int, x: int) -> list[tuple[int, int]]:
+        """The successors of the states x of o under a, by observation."""
+        cache = posts[a * n_obs + o]
+        got = cache.get(x)
         if got is None:
-            t = 0
-            for s in bits(x):
-                t |= succ[a][s]
-            got = posts[(a, x)] = [(o2, t & c) for o2, c in enumerate(cls) if t & c]
+            split: dict[int, int] = {}
+            for i in bits(x):
+                for o2, t in succ[a][lo[o] + i].items():
+                    split[o2] = split.get(o2, 0) | t
+            got = cache[x] = sorted(split.items())
         return got
 
-    def pre(a: int, x: int) -> int:
-        """The states with a successor in x under a."""
-        got = pres.get((a, x))
+    def pre(a: int, o2: int, x: int) -> dict[int, int]:
+        """The states with a successor among the states x of o2 under a, by
+        observation."""
+        cache = pres[a * n_obs + o2]
+        got = cache.get(x)
         if got is None:
-            got = pres[(a, x)] = mask_of(s for s, t in succ[a].items() if t & x)
+            got = cache[x] = {}
+            for i in bits(x):
+                for o, p in preds[a].get(lo[o2] + i, {}).items():
+                    got[o] = got.get(o, 0) | p
         return got
 
+    # Memory groups: the memory, the observation (-1 until met) and the
+    # reached mask of each; the moves into each by a direct edge, as
+    # ``src * n_act + a`` for the source group src and the action a; and
+    # the hub groups that lead to each. Lists of moves or hubs are one
+    # shared empty tuple until there is one. Group m is memory m at the
+    # first observation it is met at, the others follow.
     n = sigma.n_memories
-    # By id of an update row, which sigma keeps: its support and hub
-    # number, or -1 when its moves are direct edges.
-    shapes: dict[int, tuple[tuple[int, ...], int]] = {}
-    support_ids: dict[tuple[int, ...], int] = {}
-    # Per hub: its support and the states t of its nodes (t, hub). Per
-    # memory: the hubs that lead to it.
-    hub_memories: list[tuple[int, ...]] = []
+    group_ids: dict[tuple[int, int], int] = {}
+    group_mem = list(range(n))
+    group_obs = [-1] * n
+    reached = [0] * n
+    direct: list = [()] * n
+    hubs_into: list = [()] * n
+    # Hub groups: the observation, the states t of the nodes (t, hub), and
+    # the memory groups led to; and at ``k * n_act + a``, the source groups
+    # of the moves into hub group k under action a. Moves are recorded each
+    # time a level meets them: a repeat only repeats a pre-image that
+    # ``back`` finds cached.
+    hub_ids: dict[tuple[tuple[int, ...], int], int] = {}
+    hub_obs: list[int] = []
     hubs: list[int] = []
-    hubs_of: list[list[int]] = [[] for _ in range(n)]
-    # The moves (m, a, o2) into each memory by a direct edge and into each
-    # hub, recorded each time a level meets them: a repeat only repeats a
-    # pre-image that ``back`` finds cached.
-    direct: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    users: list[list[tuple[int, int, int]]] = []
+    hub_targets: list[tuple[int, ...]] = []
+    users: list = []
 
-    def shape(row: Distr) -> tuple[tuple[int, ...], int]:
-        got = shapes.get(id(row))
+    def groups_at(ms: tuple[int, ...], o: int) -> tuple[int, ...]:
+        """The groups of the memories ``ms`` at observation o."""
+        out = []
+        for m in ms:
+            if group_obs[m] != o:
+                if group_obs[m] < 0:
+                    group_obs[m] = o
+                else:
+                    got = group_ids.get((m, o))
+                    if got is None:
+                        got = group_ids[(m, o)] = len(group_mem)
+                        group_mem.append(m)
+                        group_obs.append(o)
+                        reached.append(0)
+                        direct.append(())
+                        hubs_into.append(())
+                    m = got
+            out.append(m)
+        return ms if out == list(ms) else tuple(out)
+
+    # By id of an update row, which sigma keeps, times n_obs plus the
+    # observation: the hub group it moves to, or the memory groups it moves
+    # to by direct edges.
+    moves: dict[int, int | tuple[int, ...]] = {}
+
+    def targets(row: Distr, o2: int) -> int | tuple[int, ...]:
+        key = id(row) * n_obs + o2
+        got = moves.get(key)
         if got is None:
-            ms, k = row.support(), -1
+            ms = row.support()
             if len(ms) > 2:
-                k = support_ids.setdefault(ms, len(hubs))
-                if k == len(hubs):
-                    hub_memories.append(ms)
+                got = hub_ids.get((ms, o2))
+                if got is None:
+                    got = hub_ids[(ms, o2)] = len(hubs)
+                    hub_obs.append(o2)
                     hubs.append(0)
-                    users.append([])
-                    for m2 in ms:
-                        hubs_of[m2].append(k)
-            got = shapes[id(row)] = (ms, k)
+                    hub_targets.append(groups_at(ms, o2))
+                    users.extend([()] * n_act)
+                    for g2 in hub_targets[got]:
+                        if not hubs_into[g2]:
+                            hubs_into[g2] = []
+                        hubs_into[g2].append(got)
+            else:
+                got = groups_at(ms, o2)
+            moves[key] = got
         return got
 
-    reached = [0] * n
-    level = {sigma.initial: 1 << g.initial}
+    o0 = obs(g.initial)
+    level = {groups_at((sigma.initial,), o0)[0]: 1 << g.initial - lo[o0]}
     while level:
         hit: dict[int, int] = {}
         into: dict[int, int] = {}
-        for m, new in level.items():
-            reached[m] |= new
+        for src, new in level.items():
+            reached[src] |= new
+            m, o = group_mem[src], group_obs[src]
             for a in plays[m]:
-                if new & ~playable[a]:
+                if new & ~playable[a][o]:
                     return None
-                for o2, t in post(a, new):
+                move = src * n_act + a
+                for o2, t in post(a, o, new):
                     row = update.get((m, o2, a))
                     if row is None:
                         return None
-                    ms, k = shape(row)
-                    if k >= 0:
+                    k = targets(row, o2)
+                    if isinstance(k, int):
                         into[k] = into.get(k, 0) | t
-                        users[k].append((m, a, o2))
+                        if not users[k * n_act + a]:
+                            users[k * n_act + a] = []
+                        users[k * n_act + a].append(src)
                         continue
-                    for m2 in ms:
-                        hit[m2] = hit.get(m2, 0) | t
-                        direct[m2].append((m, a, o2))
+                    for g2 in k:
+                        hit[g2] = hit.get(g2, 0) | t
+                        if not direct[g2]:
+                            direct[g2] = []
+                        direct[g2].append(move)
         for k, t in into.items():
             t &= ~hubs[k]
             if t:
                 hubs[k] |= t
-                for m2 in hub_memories[k]:
-                    hit[m2] = hit.get(m2, 0) | t
-        level = {m: t & ~reached[m] for m, t in hit.items() if t & ~reached[m]}
-    below = [0] * n
-    for m, x in enumerate(reached):
-        for a in plays[m]:
-            below[m] |= x & low[a]
+                for g2 in hub_targets[k]:
+                    hit[g2] = hit.get(g2, 0) | t
+        level = {g2: t & ~reached[g2] for g2, t in hit.items() if t & ~reached[g2]}
+
+    below = [0] * len(reached)
+    for src, x in enumerate(reached):
+        for a in plays[group_mem[src]]:
+            below[src] |= x & low[a][group_obs[src]]
 
     def back(seed: list[int]) -> list[int]:
         can = list(seed)
         hub_can = [0] * len(hubs)
-        level = {m: x for m, x in enumerate(seed) if x}
+        level = {g2: x for g2, x in enumerate(can) if x}
         while level:
             hit: dict[int, int] = {}
             into: dict[int, int] = {}
-            for m2, new in level.items():
-                for m, a, o2 in direct[m2]:
-                    if new & cls[o2]:
-                        hit[m] = hit.get(m, 0) | pre(a, new & cls[o2])
-                for k in hubs_of[m2]:
+            for g2, new in level.items():
+                o2 = group_obs[g2]
+                for move in direct[g2]:
+                    src, a = divmod(move, n_act)
+                    p = pre(a, o2, new).get(group_obs[src], 0)
+                    hit[src] = hit.get(src, 0) | p
+                for k in hubs_into[g2]:
                     into[k] = into.get(k, 0) | new
             for k, t in into.items():
                 t &= hubs[k] & ~hub_can[k]
                 if t:
                     hub_can[k] |= t
-                    for m, a, o2 in users[k]:
-                        if t & cls[o2]:
-                            hit[m] = hit.get(m, 0) | pre(a, t & cls[o2])
+                    for a in range(n_act):
+                        srcs = users[k * n_act + a]
+                        if srcs:
+                            into_o = pre(a, hub_obs[k], t)
+                            for src in srcs:
+                                p = into_o.get(group_obs[src], 0)
+                                hit[src] = hit.get(src, 0) | p
             level = {}
-            for m, x in hit.items():
-                x &= reached[m] & ~can[m]
+            for src, x in hit.items():
+                x &= reached[src] & ~can[src]
                 if x:
-                    can[m] |= x
-                    level[m] = x
+                    can[src] |= x
+                    level[src] = x
         return can
 
-    return reached, below, back
+    groups = [(m, lo[o] if o >= 0 else 0) for m, o in zip(group_mem, group_obs)]
+    return groups, reached, below, back
+
+
+def _mask_chain(
+    g: Pomdp, rewards: RewardFn, sigma: FiniteMemoryStrategy
+) -> tuple[list[int], list[int], Callable[[list[int]], list[int]]] | None:
+    """The walk of ``_mask_walk`` as one int state mask per memory: the
+    view the tests compare with the product chain's nodes.
+
+    Returns (reached, below, back): ``reached[m]`` holds the states s of the
+    chain's nodes (s, m), ``below[m]`` those of them that play an action
+    paying below 1, and ``back(seed)`` the masks of the reached nodes that
+    can reach a node of the masks ``seed``; or None when the play is
+    irregular.
+    """
+    walk = _mask_walk(g, rewards, sigma)
+    if walk is None:
+        return None
+    groups, reached, below, back = walk
+
+    def spread(masks: list[int]) -> list[int]:
+        out = [0] * sigma.n_memories
+        for (m, base), x in zip(groups, masks):
+            out[m] |= x << base
+        return out
+
+    def gather(seed: list[int]) -> list[int]:
+        return [seed[m] >> base & x for (m, base), x in zip(groups, reached)]
+
+    return spread(reached), spread(below), lambda seed: spread(back(gather(seed)))
 
 
 def _wins_on_masks(g: Pomdp, rewards: RewardFn, sigma: FiniteMemoryStrategy) -> bool:
     """Prove that ``sigma`` wins almost-sure limit-average 1 on ``g``, on
     the nodes and edges of its product chain kept as state masks (see
-    ``_mask_chain``), with no chain and no component search.
+    ``_mask_walk``), with no chain and no component search.
 
     W is the set of reached nodes that cannot reach a play paying below 1.
     Every node reaches a bottom class, a bottom class without such a play
@@ -632,10 +739,10 @@ def _wins_on_masks(g: Pomdp, rewards: RewardFn, sigma: FiniteMemoryStrategy) -> 
     proved: the play is irregular or loses, and ``validate_strategy`` says
     which.
     """
-    walk = _mask_chain(g, rewards, sigma)
+    walk = _mask_walk(g, rewards, sigma)
     if walk is None:
         return False
-    reached, below, back = walk
+    _, reached, below, back = walk
     w = [x & ~y for x, y in zip(reached, back(below))]
     return back(w) == reached
 

@@ -362,7 +362,7 @@ def validate(g: Pomdp, require_unique_initial_obs: bool = True) -> list[str]:
 
 def belief_obs(g: Pomdp, mask: int) -> int:
     """Observation shared by the states of a non-empty belief mask."""
-    return g.obs(next(bits(mask)))
+    return g.obs((mask & -mask).bit_length() - 1)
 
 
 def belief_successors(g: Pomdp, mask: int, a: int) -> list[tuple[int, int]]:

@@ -24,13 +24,14 @@ integers. Memories appear by memory-action id:
 * the initial state and the losing sink, ``INIT`` and ``SINK``, which are
   also their own observations.
 
-An observation's payload, its lookup key, is its states' payload without
-the hidden state, and the only one stored: a state is its observation and
-its place, the rank of its hidden state in the belief, where the walk
-puts it. The CollapsedMemory objects live only in ``memory_actions``,
-interned by their (belief, win, rec, acts) masks;
-``BeliefObsPomdp.memory(aid)`` reads them back. The breadth-first walk
-fixes the order in which payloads are first met, and with it every id.
+An observation's payload is its states' payload without the hidden state,
+and the only one stored: a state is its observation and its place, the
+rank of its hidden state in the belief, where the walk puts it. The
+payloads name observations for the reader; the walk and the solver find
+an observation by id, never by payload. The CollapsedMemory objects live
+only in ``memory_actions``, interned by their (belief, win, rec, acts)
+masks; ``BeliefObsPomdp.memory(aid)`` reads them back. The breadth-first
+walk fixes the order in which payloads are first met, and with it every id.
 
 Successors come in the two observation-level tables of
 ``model.ObservedModel``; no state has a row of its own. A memory-selection
@@ -54,7 +55,7 @@ either table.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import islice
+from itertools import accumulate, islice
 
 from .bits import bits, mask_of, submasks, supermasks_within
 from .collapse import CollapsedMemory, MemoryFingerprint
@@ -201,16 +202,32 @@ class BeliefObsPomdp(ObservedModel):
             f"|{self.memory(aid).pretty(self.base)}]"
         )
 
-    def wcs_state_ids(self) -> list[int]:
-        """Action-selection states whose own win and recurrence bits are set:
-        the reachability target of the top-level decision procedure."""
-        out = []
+    def wcs_place_masks(self) -> dict[int, int]:
+        """The reachability target of the top-level decision procedure, the
+        action-selection states whose own win and recurrence bits are set,
+        as the mask of their places per observation that holds any."""
+        places: dict[tuple[int, int], int] = {}
+        out = {}
         for o, p in enumerate(self.obs_payloads):
             if p[0] == "act":
                 cm = self.memory(p[1])
-                both, cls = cm.fp.win & cm.fp.rec, self.obs_states(o)
-                out += [cls[i] for i, t in enumerate(bits(cm.belief)) if both >> t & 1]
-        return sorted(out)
+                key = (cm.belief, cm.fp.win & cm.fp.rec)
+                m = places.get(key)
+                if m is None:
+                    m = places[key] = mask_of(
+                        i for i, t in enumerate(bits(cm.belief)) if key[1] >> t & 1
+                    )
+                if m:
+                    out[o] = m
+        return out
+
+    def wcs_state_ids(self) -> list[int]:
+        """The states of `wcs_place_masks`, ascending."""
+        return sorted(
+            self.obs_states(o)[i]
+            for o, m in self.wcs_place_masks().items()
+            for i in bits(m)
+        )
 
     def stats(self) -> dict[str, int]:
         return {
@@ -235,11 +252,15 @@ def reduce_pomdp(
     Enumeration order is fixed (lexicographic on bit patterns), so state
     numbering is reproducible.
 
-    Lookups use integer keys only: a memory action by its four masks, an
-    observation by its payload, and an action-selection state (t, aid) by
-    whether aid is in ``made[t]``. The memory-selection states made from
-    an action-selection observation under each base action are a mask of
-    hidden states.
+    Lookups use integer keys only, and no payload is hashed: a memory
+    action by its four masks; the observation ``("act", aid)`` in a list by
+    memory-action id; a memory-selection observation in the plan of the
+    action-selection observation it follows, which keeps one id slot per
+    successor belief of each base action; and an action-selection state
+    (t, aid) by whether aid is in ``made[t]``. The memory-selection states
+    made from an action-selection observation under each base action are a
+    mask of hidden states. A memory-selection state whose availability and
+    hidden state were met together before has nothing left to make.
     """
     if max_states < 1:
         raise ModelError(f"max_states must be at least 1, not {max_states}")
@@ -268,7 +289,8 @@ def reduce_pomdp(
     # made[t]: abort and each memory action aid such that the
     # action-selection state ("act", t, aid) exists.
     made: list[set[int]] = [{abort} for _ in range(g.n_states)]
-    obs_ids: dict[ObsPayload, int] = {}
+    # act_obs[aid - abort - 1]: the observation ("act", aid), -1 until met.
+    act_obs: list[int] = []
 
     def intern_memory_action(belief: int, win: int, rec: int, acts: int) -> int:
         key = (belief, win, rec, acts)
@@ -278,18 +300,26 @@ def reduce_pomdp(
             memory_actions.append(
                 CollapsedMemory(belief, MemoryFingerprint(win, rec, acts))
             )
+            act_obs.append(-1)
         return got
 
-    def intern(obs_payload: ObsPayload, belief: int, t: int, rows: int) -> None:
+    def new_obs(obs_payload: ObsPayload, belief: int) -> int:
+        """Add an observation with an empty class of ``belief``; its id."""
+        obs_payloads.append(obs_payload)
+        obs_rows.append(())
+        classes.append([-1] * belief.bit_count())
+        return len(obs_payloads) - 1
+
+    def act_obs_of(aid: int, belief: int) -> int:
+        o = act_obs[aid - abort - 1]
+        if o < 0:
+            o = act_obs[aid - abort - 1] = new_obs(("act", aid), belief)
+        return o
+
+    def intern(o: int, belief: int, t: int, rows: int) -> None:
         """Add the state of hidden state t, which its caller did not find, at
-        its place in the observation's class of ``belief``, with the class when
-        new. ``rows`` counts the rows built so far, for the CapacityError."""
-        o = obs_ids.get(obs_payload)
-        if o is None:
-            o = obs_ids[obs_payload] = len(obs_payloads)
-            obs_payloads.append(obs_payload)
-            obs_rows.append(())
-            classes.append([-1] * belief.bit_count())
+        its place in the class of observation o, whose belief is ``belief``.
+        ``rows`` counts the rows built so far, for the CapacityError."""
         if len(hidden) >= max_states:
             raise CapacityError(
                 f"reduction exceeded the cap of {max_states} states",
@@ -305,8 +335,9 @@ def reduce_pomdp(
         obs_of.append(o)
 
     # Per (belief, base action): each state's successors as a mask, the
-    # successor belief holding each state they reach, and each successor
-    # belief with its place map. Equal place maps share one object.
+    # position of the successor belief holding each state they reach, and
+    # each successor belief with its place map. Equal place maps share one
+    # object.
     maps: dict[tuple, tuple] = {}
     post_cache: dict[tuple[int, int], tuple[dict, dict, list]] = {}
 
@@ -317,7 +348,7 @@ def reduce_pomdp(
             belief_of, beliefs = {}, []
             for _, ymask2 in belief_successors(g, ymask, a):
                 place = {t: j for j, t in enumerate(bits(ymask2))}
-                belief_of.update(dict.fromkeys(place, ymask2))
+                belief_of.update(dict.fromkeys(place, len(beliefs)))
                 m = tuple(
                     mask_of([place[t] for t in bits(succ[s] & ymask2)])
                     for s in bits(ymask)
@@ -370,13 +401,26 @@ def reduce_pomdp(
     sinks: dict[int, tuple] = {}
 
     def to_sink(n: int) -> tuple:
-        return sinks.setdefault(n, ((1, (1,) * n),))
+        got = sinks.get(n)
+        if got is None:
+            got = sinks[n] = ((1, (1,) * n),)
+        return got
 
-    # plans[o]: per base action of the action-selection observation o, the
-    # posts of its belief or None for the sink, and the mask of hidden
-    # states t whose memory-selection state after the action exists.
-    plans: dict[int, tuple[list, list[int]]] = {}
+    # Per (belief, enabled base actions) of an action-selection observation:
+    # per base action, the posts of the belief or None for the sink; and per
+    # base action, where its slots start in the observation's plan.
+    layouts: dict[tuple, tuple[tuple, tuple[int, ...]]] = {}
+    # plans[o]: the layout of the action-selection observation o and one
+    # list holding, per base action, the mask of hidden states t whose
+    # memory-selection state after the action exists, and then per base
+    # action one slot per successor belief, for the id of its observation,
+    # -1 until met.
+    plans: dict[int, tuple[tuple, list[int]]] = {}
     base_actions = tuple(range(n_base))
+    # The (availability, hidden state) pairs of the memory-selection states
+    # expanded so far, the availability by identity: a pair met again has
+    # made every action-selection state its availability names.
+    expanded: set[tuple[int, int]] = set()
 
     y0 = 1 << g.initial
     init_actions: list[int] = []
@@ -387,13 +431,13 @@ def reduce_pomdp(
         if acts
     ):
         aid = intern_memory_action(y0, y0, r, acts)
-        intern(("act", aid), y0, g.initial, len(init_actions) + n_base + 1)
+        intern(act_obs_of(aid, y0), y0, g.initial, len(init_actions) + n_base + 1)
         init_actions.append(aid)
     made[g.initial].update(init_actions)
     # The initial memory actions are the first interned, so their ids
     # ascend and all exceed abort's.
     availability[0] = (abort, *init_actions)
-    memory_edges[0] = tuple(obs_ids[("act", aid)] for aid in init_actions)
+    memory_edges[0] = tuple(act_obs[aid - abort - 1] for aid in init_actions)
     obs_rows[0] = (to_sink(1),)
 
     # Rows of the states expanded so far, the sink's base and abort rows
@@ -408,52 +452,68 @@ def reduce_pomdp(
             if plan is None:
                 cm = memory_actions[aid - abort - 1]
                 availability[o] = base_actions
-                enabled = [enabled_action(cm, a, reward1[a]) for a in base_actions]
-                plan = plans[o] = (
-                    [posts(cm.belief, a) if enabled[a] else None for a in base_actions],
-                    [0] * n_base,
-                )
-            made_mem = plan[1]
-            for a, post in enumerate(plan[0]):
+                enabled = tuple(enabled_action(cm, a, reward1[a]) for a in base_actions)
+                layout = layouts.get((cm.belief, enabled))
+                if layout is None:
+                    post_of = tuple(
+                        posts(cm.belief, a) if on else None
+                        for a, on in zip(base_actions, enabled)
+                    )
+                    sizes = (len(post[2]) if post else 0 for post in post_of)
+                    starts = tuple(accumulate(sizes, initial=n_base))
+                    layout = layouts[(cm.belief, enabled)] = (post_of, starts)
+                n_slots = layout[1][-1] - n_base
+                plan = plans[o] = (layout, [0] * n_base + [-1] * n_slots)
+            (post_of, starts), slots = plan
+            for a, post in enumerate(post_of):
                 if post is not None:
-                    new = post[0][h] & ~made_mem[a]
-                    made_mem[a] |= new
+                    new = post[0][h] & ~slots[a]
+                    slots[a] |= new
                     for t in bits(new):
-                        intern(("mem", post[1][t], a, aid), post[1][t], t, rows + a)
+                        j = post[1][t]
+                        ymask2 = post[2][j][0]
+                        o2 = slots[starts[a] + j]
+                        if o2 < 0:
+                            o2 = slots[starts[a] + j] = new_obs(
+                                ("mem", ymask2, a, aid), ymask2
+                            )
+                        intern(o2, ymask2, t, rows + a)
         else:
             _, ymask2, a, aid = payload
             acts = availability.get(o)
-            new_obs = acts is None
-            if new_obs:
+            first_met = acts is None
+            if first_met:
                 cm = memory_actions[aid - abort - 1]
                 acts = availability[o] = memory_choices(ymask2, a, cm)
             # abort sorts first: memory-action ids exceed it. Each missing
             # (h, aid2) is interned in availability order, at its row.
-            made_h = made[h]
-            if not made_h.issuperset(acts):
-                for i, aid2 in enumerate(acts):
-                    if aid2 not in made_h:
-                        intern(("act", aid2), ymask2, h, rows + i)
-                        made_h.add(aid2)
-            if new_obs:
+            pair = (id(acts), h)
+            if pair not in expanded:
+                expanded.add(pair)
+                made_h = made[h]
+                if not made_h.issuperset(acts):
+                    for i, aid2 in enumerate(acts):
+                        if aid2 not in made_h:
+                            intern(act_obs_of(aid2, ymask2), ymask2, h, rows + i)
+                            made_h.add(aid2)
+            if first_met:
                 targets = edges_cache.get(acts)
                 if targets is None:
                     targets = edges_cache[acts] = tuple(
-                        obs_ids[("act", aid2)] for aid2 in acts[1:]
+                        act_obs[aid2 - abort - 1] for aid2 in acts[1:]
                     )
                 memory_edges[o] = targets
                 obs_rows[o] = (to_sink(ymask2.bit_count()),)
         rows += len(availability[o])
 
     # Every target of an action-selection observation has been met by now.
-    for o, (plan, _) in plans.items():
-        aid = obs_payloads[o][1]
-        n = memory_actions[aid - abort - 1].belief.bit_count()
+    for o, ((post_of, starts), slots) in plans.items():
+        n = len(classes[o])
         obs_rows[o] = tuple(
             to_sink(n)
             if post is None
-            else tuple([(obs_ids[("mem", y2, a, aid)], m) for y2, m in post[2]])
-            for a, post in enumerate(plan)
+            else tuple([(slots[starts[a] + j], m) for j, (_, m) in enumerate(post[2])])
+            for a, post in enumerate(post_of)
         )
     all_actions = tuple(range(n_base + 1 + len(memory_actions)))
     availability[1] = all_actions

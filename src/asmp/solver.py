@@ -19,6 +19,7 @@ output; timing lives in the stats dict for callers that want it.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,17 +30,17 @@ from .chains import (
     limavg1_diagnosis,
     product_chain,
 )
-from .fixpoint import _Groups, _place_masks, _reach, _safe
+from .fixpoint import _Groups, _reach, _safe
 from .model import (
     Distr,
     ModelError,
     Pomdp,
     RewardFn,
     StrategyError,
-    belief_successors,
+    belief_obs,
     validate,
 )
-from .reduction import DEFAULT_MAX_STATES, INIT, BeliefObsPomdp, reduce_pomdp
+from .reduction import DEFAULT_MAX_STATES, BeliefObsPomdp, reduce_pomdp
 
 INIT_MEMORY = "init"
 
@@ -157,35 +158,68 @@ def memoryless_to_finite_memory(
     into the first update: the joint law of (memory, first action) is
     preserved by conditioning the memory on the action actually played.
     Memories are tracked by memory-action id and labelled with their
-    CollapsedMemory. Raises StrategyError when the strategy leaves the
-    reduction: a base action into the losing sink, or no memory action
-    where the next memory is chosen.
+    CollapsedMemory. Every step is read off the reduction's own tables by
+    observation id: the observation a memory action enters is its memory
+    edge, and the memory-selection observations a base action leads to are
+    its row, found by bisection in the availability as ``support`` does,
+    one per successor belief in the order of ``belief_successors``. So any
+    memoryless strategy on a reduction unfolds, a restricted one included.
+    Raises StrategyError when the strategy leaves the reduction: a base
+    action into the losing sink or without a row, a memory action that is
+    not available, or no memory action where the next memory is chosen.
     """
     g = bg.base
     abort = bg.abort_action
-    obs_id = {p: i for i, p in enumerate(bg.obs_payloads)}
 
-    def act_choice(aid: int) -> Distr:
-        return sigma.action_distr(obs_id[("act", aid)])
+    def entered(o: int, aid: int) -> int:
+        """The observation that memory action ``aid`` enters from o."""
+        acts = bg.avail(o)
+        i = bisect_left(acts, aid)
+        if i == len(acts) or acts[i] != aid:
+            raise StrategyError(
+                f"reduction strategy plays {bg.action_name(aid)!r} at observation"
+                f" {bg.obs_name(o)!r}, where it is not available"
+            )
+        edges = bg.memory_edges[o]
+        return edges[i - len(acts) + len(edges)]
 
-    first = sigma.action_distr(obs_id[INIT]).items()
+    def successors(o: int, a: int) -> tuple:
+        """The (memory-selection observation, place map) pairs that base
+        action ``a`` leads to from the action-selection observation o."""
+        acts, rows = bg.avail(o), bg.obs_rows[o]
+        i = bisect_left(acts, a)
+        if i < len(rows) and acts[i] == a and rows[i][0][0] != bg.sink:
+            return rows[i]
+        raise StrategyError(
+            f"reduction strategy plays {bg.action_name(a)!r} at observation"
+            f" {bg.obs_name(o)!r} into the losing sink"
+        )
+
+    def base_obs(o: int) -> int:
+        """The base observation of the memory-selection observation o."""
+        return belief_obs(g, bg.obs_payloads[o][1])
+
+    init = bg.obs(bg.initial)
+    first = sigma.action_distr(init).items()
     if any(aid <= abort for aid, _ in first):
         raise StrategyError("reduction strategy must open with a memory action")
 
     memories: list[object] = [INIT_MEMORY]
-    # Memory m > 0 stands for memory action aids[m - 1].
-    aids: list[int] = []
+    # Memory m > 0 stands for the memory action whose action-selection
+    # observation is act_obs[m - 1].
+    act_obs: list[int] = []
     index: dict[int, int] = {}
     next_action: list[Distr | None] = [None]
     update: dict[tuple[int, int, int], Distr] = {}
 
-    def intern(aid: int) -> int:
+    def intern(aid: int, o: int) -> int:
+        """The memory of memory action ``aid``, played at observation o."""
         got = index.get(aid)
         if got is None:
             got = index[aid] = len(memories)
             memories.append(bg.memory(aid))
-            aids.append(aid)
-            next_action.append(act_choice(aid))
+            act_obs.append(entered(o, aid))
+            next_action.append(sigma.action_distr(act_obs[-1]))
         return got
 
     # Each row of sigma converted once, by the row's id: rows are often
@@ -193,13 +227,8 @@ def memoryless_to_finite_memory(
     # every weight, and sigma keeps every row, so no id is reused here.
     converted: dict[int, Distr] = {}
 
-    def mem_choice(aid: int, ymask2: int, a: int) -> Distr:
-        o = obs_id.get(("mem", ymask2, a, aid))
-        if o is None:
-            raise StrategyError(
-                f"reduction strategy plays {bg.action_name(a)!r} at observation"
-                f" {bg.obs_name(obs_id[('act', aid)])!r} into the losing sink"
-            )
+    def mem_choice(o: int) -> Distr:
+        """The next memory chosen at the memory-selection observation o."""
         row = sigma.action_distr(o)
         got = converted.get(id(row))
         if got is None:
@@ -212,36 +241,41 @@ def memoryless_to_finite_memory(
             # Memory actions and their memories correspond one to one, so
             # no two weights of the row fall on the same memory; interning
             # them here, where the row is first met, keeps the memory order.
-            got = converted[id(row)] = Distr({intern(aid2): p for aid2, p in items})
+            got = converted[id(row)] = Distr(
+                {intern(aid2, o): p for aid2, p in items}
+            )
         return got
 
     # Start memory: mix the first action over the initial memory choices,
     # then update by the posterior of that choice given the action.
+    opening = [(p0, entered(init, aid)) for aid, p0 in first]
+    plays = [sigma.action_distr(o) for _, o in opening]
     mixed: dict[int, Fraction] = {}
-    for aid, p0 in first:
-        for a, pa in act_choice(aid).items():
+    for (p0, _), play in zip(opening, plays):
+        for a, pa in play.items():
             mixed[a] = mixed.get(a, 0) + p0 * pa
     next_action[0] = Distr(mixed)
     for a in next_action[0].support():
-        posterior = {
-            aid: p0 * act_choice(aid)[a]
-            for aid, p0 in first
-            if act_choice(aid)[a] > 0
-        }
-        total = sum(posterior.values())
-        for o2, ymask2 in belief_successors(g, 1 << g.initial, a):
+        posterior = [
+            (p0 * play[a], o) for (p0, o), play in zip(opening, plays) if play[a] > 0
+        ]
+        total = sum(w for w, _ in posterior)
+        # Every initial memory has the initial belief, and so the same
+        # successor beliefs under a, in the same order.
+        for j in range(len(successors(posterior[0][1], a))):
             blended: dict[int, Fraction] = {}
-            for aid, w in posterior.items():
-                for m2, p in mem_choice(aid, ymask2, a).items():
+            for w, o in posterior:
+                o2 = successors(o, a)[j][0]
+                for m2, p in mem_choice(o2).items():
                     blended[m2] = blended.get(m2, 0) + (w / total) * p
-            update[(0, o2, a)] = Distr(blended)
+            update[(0, base_obs(o2), a)] = Distr(blended)
 
-    # aids grows during the walk, so memories are expanded in the order
+    # act_obs grows during the walk, so memories are expanded in the order
     # they were first met.
-    for m, aid in enumerate(aids, 1):
+    for m, o in enumerate(act_obs, 1):
         for a in next_action[m].support():
-            for o2, ymask2 in belief_successors(g, memories[m].belief, a):
-                update[(m, o2, a)] = mem_choice(aid, ymask2, a)
+            for o2, _ in successors(o, a):
+                update[(m, base_obs(o2), a)] = mem_choice(o2)
 
     return FiniteMemoryStrategy(
         memories=memories,
@@ -299,11 +333,11 @@ def decide_limavg1(
         raise ModelError(
             "initial observation is not almost-safe; no safe strategy exists"
         )
-    wcs = [s for s in bg.wcs_state_ids() if bg.obs(s) in y_star]
-    reach = _reach(groups, _place_masks(bg, wcs), y_star)
+    goal = {o: m for o, m in bg.wcs_place_masks().items() if o in y_star}
+    reach = _reach(groups, goal, y_star)
     lap("reach_s")
-    del iterates, y_star, groups
-    report.wcs_size = len(wcs)
+    report.wcs_size = sum(m.bit_count() for m in goal.values())
+    del iterates, y_star, groups, goal
     report.z_sizes = [len(z) for z in reach.z_iterates]
     report.z_star_size = len(reach.z_star)
     report.x_rounds = reach.x_rounds
@@ -328,7 +362,7 @@ def decide_limavg1(
     witness = memoryless_to_finite_memory(bg, MemorylessStrategy(choice))
     lap("unfold_s")
     # The witness holds what it needs: free the reduction before the check.
-    del bg, reach, wcs, uniform, choice
+    del bg, reach, uniform, choice
     if not _wins_on_masks(g, rewards, witness):
         ok, diag = validate_strategy(g, rewards, witness)
         if not ok:

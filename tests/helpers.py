@@ -782,6 +782,37 @@ def hidden_model(n: int, seed: int) -> tuple[Pomdp, RewardFn]:
     return g, RewardFn(table)
 
 
+def wide_model(n_obs: int, size: int, seed: int) -> tuple[Pomdp, RewardFn]:
+    """The wide family: many observations, small beliefs. The initial
+    state sits alone in its observation, then come ``n_obs`` observations of
+    ``size`` states each. Under each of 2 actions a state moves uniformly to
+    2 states of its own or a neighbouring observation, rarely (probability
+    0.002 per state) anywhere else, and pays 1 with probability 0.9."""
+    rng = random.Random(seed)
+    n = 1 + n_obs * size
+    obs_of = [0] + [1 + (s - 1) // size for s in range(1, n)]
+    rows, table = {}, {}
+    for s in range(n):
+        for a in range(2):
+            cand = [
+                t
+                for t in range(1, n)
+                if abs(obs_of[t] - obs_of[s]) <= 1 or rng.random() < 0.002
+            ]
+            rows[(s, a)] = Distr.uniform(rng.sample(cand, 2))
+            table[(s, a)] = 1 if rng.random() < 0.9 else 0
+    g = Pomdp(
+        states=[f"s{i}" for i in range(n)],
+        actions=["a", "b"],
+        observations=[f"o{i}" for i in range(n_obs + 1)],
+        obs_of=obs_of,
+        rows=rows,
+        initial=0,
+        name=f"wide-{n_obs}x{size}",
+    )
+    return g, RewardFn(table)
+
+
 def random_pomdp(rng: random.Random) -> Pomdp:
     """Unconstrained small instance for exercising the set primitives."""
     n_states = rng.randint(2, 6)

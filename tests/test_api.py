@@ -13,7 +13,10 @@ has no runtime dependencies. Nor does it call ``recurrent_classes`` or
 every node id, and both stay only for the benchmark and the demos. Nor
 does it call ``restrict_safe``: reach runs on the reduction itself, and the
 copy of the safe core stays only for the benchmark's traced solve and the
-tests, which use it as a reference.
+tests, which use it as a reference. And ``solver.py`` neither imports
+``belief_successors`` nor builds a dict keyed by observation payload: the
+unfolding reads the reduction's own tables by observation id, so it reads
+``obs_payloads`` only by subscript.
 """
 
 import ast
@@ -139,3 +142,28 @@ def test_the_package_calls_no_forwarding_chain_query():
 
 def test_the_package_calls_no_restrict_safe():
     assert calls_to({"restrict_safe"}, set()) == []
+
+
+def test_the_solver_finds_observations_by_id():
+    tree = ast.parse((ROOT / "src/asmp/solver.py").read_text(encoding="utf-8"))
+    imported = [
+        f"solver.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and "belief_successors" in {alias.name for alias in node.names}
+    ]
+    # An id subscript reads one payload; any other use, such as a dict
+    # comprehension over ``enumerate(bg.obs_payloads)``, walks them all.
+    subscripted = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+    }
+    walked = [
+        f"solver.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "obs_payloads"
+        and id(node) not in subscripted
+    ]
+    assert imported == [] and walked == []

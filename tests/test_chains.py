@@ -44,6 +44,7 @@ from helpers import (
     reach_set,
     reference_product_chain,
     successors,
+    wide_model,
 )
 
 # The package exports a function named ``collapse``, which hides the module.
@@ -322,6 +323,48 @@ class TestMaskCheck:
             hubbed += len(mc.graph) > mc.n_nodes
         # 45 of the chains route some move through a hub today.
         assert hubbed >= 30, hubbed
+
+
+@pytest.fixture(scope="module")
+def wide_corpus():
+    """(model, rewards, strategy, product chain) on seeded wide models, with
+    many observations and small beliefs: the solver's witness of each, then
+    random strategies, winning and losing, some with updates to three
+    memories."""
+    shapes = [(5, 3), (10, 3), (20, 3), (40, 3), (8, 4)]
+    models = [wide_model(n_obs, size, seed) for seed, (n_obs, size) in enumerate(shapes)]
+    cases = [(g, r, decide_limavg1(g, r).witness) for g, r in models]
+    rng = random.Random(2626)
+    for k in range(40):
+        g, r = models[k % len(models)]
+        sigma = random_tagged_strategy(rng, g, randomized=k % 2 == 1, max_tags=1 + k % 3)
+        cases.append((g, r, sigma))
+    return [(g, r, sigma, product_chain(g, r, sigma)) for g, r, sigma in cases]
+
+
+class TestMaskCheckOnWideModels:
+    """The mask check against the product chain where the base model has
+    many observations, so that each image splits over many of them."""
+
+    def test_the_verdict_is_the_chain_diagnosis(self, wide_corpus):
+        verdicts = []
+        for g, r, sigma, mc in wide_corpus:
+            wins = chains._wins_on_masks(g, r, sigma)
+            assert wins == (limavg1_diagnosis(mc) is None), g.name
+            verdicts.append(wins)
+        assert all(verdicts[:5])
+        # 7 of the 40 random strategies win today.
+        assert 4 <= sum(verdicts[5:]) <= 36, sum(verdicts[5:])
+
+    def test_the_reached_pairs_are_the_chain_nodes(self, wide_corpus):
+        hubbed = 0
+        for g, r, sigma, mc in wide_corpus:
+            reached, _, _ = chains._mask_chain(g, r, sigma)
+            pairs = {(s, m) for m, x in enumerate(reached) for s in bits(x)}
+            assert pairs == set(mc.labels), g.name
+            hubbed += len(mc.graph) > mc.n_nodes
+        # 11 of the chains route some move through a hub today.
+        assert hubbed >= 5, hubbed
 
 
 class TestMeanPayoff:

@@ -41,9 +41,11 @@ from asmp import (
     uniform_strategy,
     validate_strategy,
 )
+from asmp.bits import bits
 from asmp.chains import _wins_on_masks
 from asmp.cli import main
 from asmp.collapse import CollapsedMemory
+from asmp.fileformat import strategy_lines
 from asmp.fixpoint import _reach
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp
 
@@ -544,6 +546,144 @@ class TestSharedRows:
         ]
         assert texts[0] == texts[1]
         assert texts[0] == emit_strategy(decide_limavg1(g, r).witness, g)
+
+
+def moved_to(restricted, bg, sigma):
+    """``sigma`` on ``bg`` as a strategy on ``restricted``, matched by
+    observation payload."""
+    new_id = {p: o for o, p in enumerate(restricted.obs_payloads)}
+    return MemorylessStrategy(
+        {new_id[bg.obs_payloads[o]]: row for o, row in sigma.choice.items()}
+    )
+
+
+class TestUnfoldFromTheTables:
+    """The unfolding reads the observations a strategy steps through off
+    the reduction's own tables by position: the memory edges for a memory
+    action, the row of a base action found by bisection in the
+    availability. A restriction keeps fewer actions, so the positions
+    differ, and the text must not."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            ring_pomdp,
+            trap_ring_pomdp,
+            pytest.param(partial(hidden_model, 5, 105), id="hidden-5"),
+            pytest.param(partial(hidden_model, 6, 106), id="hidden-6"),
+        ],
+    )
+    def test_a_restriction_unfolds_to_the_same_text(self, make):
+        g, r = make()
+        bg, reach = decide_path_reach(g, r)
+        # The solver's choice: uniform over the allowed actions.
+        sigma = MemorylessStrategy(
+            {o: Distr.uniform(acts) for o, acts in reach.allow_map.items()}
+        )
+        text = list(strategy_lines(memoryless_to_finite_memory(bg, sigma), g))
+        assert text == list(strategy_lines(decide_limavg1(g, r).witness, g))
+        safety = almost_safe(bg, (s for s in range(bg.n_states) if s != bg.sink))
+        restrictions = [
+            restrict_safe(bg, safety.y_star, safety.allow_map),
+            restrict_safe(bg, reach.z_star, reach.allow_map),
+        ]
+        # The restriction to Z* drops base actions at some action-selection
+        # observation, so its rows sit at other positions.
+        assert any(
+            len(restrictions[1].avail(o)) < len(bg.avail(o2))
+            for o, p in enumerate(restrictions[1].obs_payloads)
+            for o2 in [bg.obs_payloads.index(p)]
+            if p[0] == "act"
+        )
+        for restricted in restrictions:
+            unfolded = memoryless_to_finite_memory(
+                restricted, moved_to(restricted, bg, sigma)
+            )
+            assert list(strategy_lines(unfolded, g)) == text
+
+    def test_a_base_action_without_a_row_is_one_into_the_sink(self):
+        g, r = ring_pomdp()
+        bg, reach = decide_path_reach(g, r)
+        restricted = restrict_safe(bg, reach.z_star, reach.allow_map)
+        init = restricted.obs(restricted.initial)
+        # The restriction drops abort: the memory actions are all there is.
+        edges = restricted.memory_edges[init]
+        assert len(restricted.avail(init)) == len(edges)
+        for aid, o in zip(restricted.avail(init), edges):
+            missing = sorted(set(range(g.n_actions)) - set(restricted.avail(o)))
+            if missing:
+                break
+        else:
+            raise AssertionError("every opening keeps every base action")
+        a = missing[0]
+        sigma = MemorylessStrategy({init: Distr.dirac(aid), o: Distr.dirac(a)})
+        expected = (
+            f"plays {restricted.action_name(a)!r} at observation"
+            f" {restricted.obs_name(o)!r} into the losing sink"
+        )
+        with pytest.raises(StrategyError) as err:
+            memoryless_to_finite_memory(restricted, sigma)
+        assert expected in str(err.value)
+
+    def test_an_unavailable_memory_action_is_rejected(self):
+        g, r = ring_pomdp()
+        bg = reduce_pomdp(g, r)
+        init = bg.obs(bg.initial)
+        absent = max(bg.avail(init)) + 1
+        sigma = MemorylessStrategy({init: Distr.dirac(absent)})
+        with pytest.raises(
+            StrategyError,
+            match=f"plays 'mem{absent - bg.abort_action - 1}' at observation"
+            " 'init', where it is not available",
+        ):
+            memoryless_to_finite_memory(bg, sigma)
+        aid, o, a = TestStrategyBridges.opening(bg, live=True)
+        choice = {init: Distr.dirac(aid), o: Distr.dirac(a)}
+        for o2, p in enumerate(bg.obs_payloads):
+            if p[0] == "mem":
+                choice[o2] = Distr.dirac(
+                    min(set(range(bg.abort_action + 1, bg.n_actions)) - set(bg.avail(o2)))
+                )
+        with pytest.raises(
+            StrategyError, match=r"at observation .upd\[.*, where it is not available"
+        ):
+            memoryless_to_finite_memory(bg, MemorylessStrategy(choice))
+
+
+class TestTargetMasks:
+    def test_the_target_masks_name_the_winning_recurrent_states(self):
+        """The reach target of a decision is, per action-selection
+        observation, the places of the states whose own win and recurrence
+        bits are set, and ``wcs_size`` counts those in the safe core."""
+        counted = 0
+        for g, rewards in pipeline_cases():
+            seen = []
+
+            def recorded(groups, goal, z):
+                seen.append((groups.g, goal, z))
+                return _reach(groups, goal, z)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr("asmp.solver._reach", recorded)
+                report = decide_limavg1(g, rewards)
+            ((bg, goal, y_star),) = seen
+            expected = []
+            for s in range(bg.n_states):
+                p = bg.state_payload(s)
+                if p[0] == "act":
+                    fp = bg.memory(p[2]).fp
+                    if (fp.win & fp.rec) >> p[1] & 1:
+                        expected.append(s)
+            masks = bg.wcs_place_masks()
+            assert all(masks.values()), g.name
+            named = sorted(bg.obs_states(o)[i] for o, m in masks.items() for i in bits(m))
+            assert named == expected == bg.wcs_state_ids(), g.name
+            assert goal == {o: m for o, m in masks.items() if o in y_star}, g.name
+            kept = [s for s in expected if bg.obs(s) in y_star]
+            assert report.wcs_size == len(kept), g.name
+            counted += len(kept)
+        # The sum of wcs_size over the 406 cases, as the state lists gave it.
+        assert counted == 3829, counted
 
 
 class TestStrategyBridges:
