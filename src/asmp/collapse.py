@@ -26,7 +26,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class MemoryFingerprint:
     """Behavioral summary of one memory element, as state/action bitmasks.
 
@@ -41,7 +41,7 @@ class MemoryFingerprint:
     acts: int
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class CollapsedMemory:
     """A quotient memory: belief support paired with a fingerprint."""
 

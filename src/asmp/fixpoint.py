@@ -35,11 +35,12 @@ observations leave the outer set.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, compress
-from operator import or_
-from typing import Iterable
+from itertools import accumulate, chain, compress
+from operator import or_, sub
+from typing import AbstractSet, Iterable, Iterator
 
 from .bits import bits
 from .model import ModelError
@@ -71,20 +72,14 @@ def _place_masks(g, states: Iterable[int]) -> dict[int, int]:
     return out
 
 
-def _reversed(m: tuple[int, ...], n: int, cache: dict) -> tuple[tuple[int, ...], int]:
+def _reversed(m: tuple[int, ...], n: int) -> tuple[int, ...]:
     """The place map m into a class of n places, reversed: for each place of
-    that class, the mask of the places of m that reach it; and the mask of
-    the places that reach any. ``cache`` keeps one per (map, class size),
-    keyed by the identity of the map, which its model keeps alive."""
-    key = (id(m), n)
-    got = cache.get(key)
-    if got is None:
-        back = [0] * n
-        for p, t in enumerate(m):
-            for q in bits(t):
-                back[q] |= 1 << p
-        got = cache[key] = (tuple(back), reduce(or_, back, 0))
-    return got
+    that class, the mask of the places of m that reach it."""
+    back = [0] * n
+    for p, t in enumerate(m):
+        for q in bits(t):
+            back[q] |= 1 << p
+    return tuple(back)
 
 
 class _Groups:
@@ -96,30 +91,38 @@ class _Groups:
 
     The explicit group of (o, a) is ``first[o] + i`` for the i-th action of
     ``g.avail(o)``. ``pred[o2]`` lists the explicit groups entering o2 as
-    (o, k, back): group k of observation o, and its place map reversed,
-    which holds for each place of o2 the mask of the places of o that
-    reach it, skipped ones included. A group whose only places reaching o2
-    are skipped is not listed. The observations with one tuple of
-    memory-edge targets, ``users[u]``, share its entry u: the flag of
+    flat (o, k, b) triples: group k of observation o, and its place map
+    reversed, ``backs[b]``, which holds for each place of o2 the mask of
+    the places of o that reach it, skipped ones included. There is one
+    reversal per (place map, target class size). A group whose only places
+    reaching o2 are skipped is not listed. The observations with one tuple
+    of memory-edge targets, ``users[u]``, share its entry u: the flag of
     position j is ``mem_first[o] + j`` for each of them, ``into[o2]`` holds
-    (u, that flag) when the position leads to o2, and ``mem_count[u]``
-    counts the allowed positions. ``entry[o]`` is 0, an entry without
-    positions, for an observation without memory edges. One whose places
-    are all in ``skip`` has memory flags of its own, which stay set.
+    the flat pair (u, that flag) when the position leads to o2, and
+    ``mem_count[u]`` counts the allowed positions. ``entry[o]`` is 0, an
+    entry without positions, for an observation without memory edges. One
+    whose places are all in ``skip`` has memory flags of its own, which
+    stay set. ``sizes[o]`` is the size of o's class.
     """
 
     def __init__(self, g, skip: dict[int, int]):
         self.g = g
         n_obs = g.n_observations
-        sizes = [len(g.obs_states(o)) for o in range(n_obs)]
+        sizes = self.sizes = g.obs_sizes()
         edges = g.memory_edges
-        first = self.first = [
-            0,
-            *accumulate(len(g.avail(o)) - len(edges.get(o, ())) for o in range(n_obs)),
-        ]
+        first = self.first = array(
+            "I",
+            accumulate(
+                (len(g.avail(o)) - len(edges.get(o, ())) for o in range(n_obs)),
+                initial=0,
+            ),
+        )
         # Observations nothing enters share one empty tuple.
         pred = self.pred = [()] * n_obs
-        cache: dict = {}
+        backs = self.backs = []
+        # Per reversal, the places of its map that reach any place.
+        reaching = []
+        back_ids: dict[tuple[int, int], int] = {}
         for o, table in enumerate(g.obs_rows):
             n = sizes[o]
             kept = ~skip.get(o, 0)
@@ -129,18 +132,26 @@ class _Groups:
                         raise ValueError(
                             f"observation {o}: a place map of {len(m)} for {n} states"
                         )
-                    back, reaching = _reversed(m, sizes[o2], cache)
-                    if reaching & kept:
-                        if not pred[o2]:
-                            pred[o2] = []
-                        pred[o2].append((o, k, back))
+                    # Keyed by the identity of the map, which g keeps alive.
+                    key = (id(m), sizes[o2])
+                    b = back_ids.get(key)
+                    if b is None:
+                        b = back_ids[key] = len(backs)
+                        back = _reversed(m, key[1])
+                        backs.append(back)
+                        reaching.append(reduce(or_, back, 0))
+                    if reaching[b] & kept:
+                        if pred[o2]:
+                            pred[o2] += (o, k, b)
+                        else:
+                            pred[o2] = [o, k, b]
         shared: dict[tuple[int, ...], int] = {}
         users = self.users = [[]]
         mem_count = self.mem_count = [0]
         starts = [0]
         into = self.into = [()] * n_obs
-        entry = self.entry = [0] * n_obs
-        mem_first = self.mem_first = [0] * n_obs
+        entry = self.entry = array("I", [0]) * n_obs
+        mem_first = self.mem_first = array("I", entry)
         size = first[n_obs]
         for o, targets in edges.items():
             if skip.get(o, 0) == (1 << sizes[o]) - 1:
@@ -153,16 +164,17 @@ class _Groups:
                 users.append([])
                 mem_count.append(len(targets))
                 starts.append(size)
-                for j, o2 in enumerate(targets):
-                    if not into[o2]:
-                        into[o2] = []
-                    into[o2].append((u, size + j))
+                for f, o2 in enumerate(targets, size):
+                    if into[o2]:
+                        into[o2] += (u, f)
+                    else:
+                        into[o2] = [u, f]
                 size += len(targets)
             users[u].append(o)
             entry[o] = u
             mem_first[o] = starts[u]
         self.allowed = bytearray(b"\x01") * size
-        self.count = [first[o + 1] - first[o] for o in range(n_obs)]
+        self.count = array("I", map(sub, first[1:], first))
 
     def remove(self, leaving: Iterable[int]) -> list[int]:
         """Disallow every group that can lead into an observation of ``leaving``;
@@ -171,19 +183,24 @@ class _Groups:
         into, users = self.into, self.users
         entry, mem_count = self.entry, self.mem_count
         emptied = []
-        for o in leaving:
-            for o1, k, _ in pred[o]:
-                if allowed[k]:
-                    allowed[k] = 0
-                    count[o1] -= 1
-                    if not count[o1] and not mem_count[entry[o1]]:
-                        emptied.append(o1)
-            for u, f in into[o]:
-                if allowed[f]:
-                    allowed[f] = 0
-                    mem_count[u] -= 1
-                    if not mem_count[u]:
-                        emptied += [o1 for o1 in users[u] if not count[o1]]
+        # The entries of every leaving observation in one stream: the flags
+        # they clear, and so the observations that empty, do not depend on
+        # the order.
+        leaving = list(leaving)
+        it = chain.from_iterable(map(pred.__getitem__, leaving))
+        for o1, k, _ in zip(it, it, it):
+            if allowed[k]:
+                allowed[k] = 0
+                count[o1] -= 1
+                if not count[o1] and not mem_count[entry[o1]]:
+                    emptied.append(o1)
+        it = chain.from_iterable(map(into.__getitem__, leaving))
+        for u, f in zip(it, it):
+            if allowed[f]:
+                allowed[f] = 0
+                mem_count[u] -= 1
+                if not mem_count[u]:
+                    emptied += [o1 for o1 in users[u] if not count[o1]]
         return emptied
 
     def allow_map(self, obs: Iterable[int]) -> dict[int, tuple[int, ...]]:
@@ -216,27 +233,29 @@ def almost_safe(g, safe_states: Iterable[int]) -> SafetyResult:
     recorded in ``iterates`` for tracing.
     """
     safe = _place_masks(g, safe_states)
-    whole = [(1 << len(g.obs_states(o))) - 1 for o in range(g.n_observations)]
-    # An observation enters the first level when a place of it is unsafe.
-    level = [o for o, m in enumerate(whole) if safe.get(o, 0) != m]
     groups = _Groups(g, {})
-    iterates = _safe(groups, level)
+    # An observation enters the first level when a place of it is unsafe.
+    level = [
+        o for o, n in enumerate(groups.sizes) if safe.get(o, 0) != (1 << n) - 1
+    ]
+    iterates = [frozenset(y) for y in _safe(groups, level)]
     return SafetyResult(iterates[-1], groups.allow_map(iterates[-1]), iterates)
 
 
-def _safe(groups: _Groups, level: list[int]) -> list[frozenset[int]]:
-    """The iterates of `almost_safe` on the store ``groups``, from the first
-    level ``level``; the store keeps the allowed flags they leave."""
+def _safe(groups: _Groups, level: list[int]) -> Iterator[set[int]]:
+    """Run `almost_safe` on the store ``groups`` from the first level
+    ``level``, yielding each iterate: one set, shrunk in place after each
+    yield, so the last one yielded is the fixpoint. The store keeps the
+    allowed flags they leave."""
     y = set(range(groups.g.n_observations))
-    iterates: list[frozenset[int]] = []
     while True:
         # An observation can empty after it left, through its own rows.
         level = [o for o in level if o in y]
         y.difference_update(level)
         level = groups.remove(level)
-        iterates.append(frozenset(y))
+        yield y
         if not level:
-            return iterates
+            return
 
 
 def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
@@ -255,13 +274,13 @@ def almost_reach(g, target_states: Iterable[int]) -> ReachResult:
     return _reach(_Groups(g, goal), goal, frozenset(range(g.n_observations)))
 
 
-def _reach(groups: _Groups, goal: dict[int, int], z: frozenset[int]) -> ReachResult:
+def _reach(groups: _Groups, goal: dict[int, int], z: AbstractSet[int]) -> ReachResult:
     """`almost_reach` on the store ``groups``, for the target places ``goal``,
     with Z starting at ``z``. The store must allow no group outside ``z``, as
     `_safe` leaves it when only the sink, which enters only itself, is unsafe."""
-    g = groups.g
     pred, into, users, allowed = groups.pred, groups.into, groups.users, groups.allowed
-    n_obs = g.n_observations
+    backs, class_size = groups.backs, groups.sizes
+    n_obs = groups.g.n_observations
     z_iterates = [z]
     x_rounds: list[list[int]] = []
     while True:
@@ -278,22 +297,26 @@ def _reach(groups: _Groups, goal: dict[int, int], z: frozenset[int]) -> ReachRes
         while True:
             hit: dict[int, int] = {}
             for o2, new in level.items():
-                ps = list(bits(new))
                 # The places of o whose row in group k enters a new place,
                 # but for the absorbing targets.
-                for o, k, back in pred[o2]:
-                    if allowed[k]:
-                        got = reduce(or_, map(back.__getitem__, ps))
-                        hit[o] = hit.get(o, 0) | got & ~goal.get(o, 0)
+                if pred[o2]:
+                    ps = list(bits(new))
+                    it = iter(pred[o2])
+                    for o, k, b in zip(it, it, it):
+                        if allowed[k]:
+                            got = reduce(or_, map(backs[b].__getitem__, ps))
+                            hit[o] = hit.get(o, 0) | got & ~goal.get(o, 0)
                 # The observations of one target tuple share their memory
                 # successors place by place, and the flags of their groups,
                 # so their states at a new place join together, once per round.
-                for u, f in into[o2]:
-                    fresh = new & ~fired[u]
-                    if fresh and allowed[f]:
-                        fired[u] |= fresh
-                        for o in users[u]:
-                            hit[o] = hit.get(o, 0) | fresh
+                if into[o2]:
+                    it = iter(into[o2])
+                    for u, f in zip(it, it):
+                        fresh = new & ~fired[u]
+                        if fresh and allowed[f]:
+                            fired[u] |= fresh
+                            for o in users[u]:
+                                hit[o] = hit.get(o, 0) | fresh
             level = {o: m & ~x[o] for o, m in hit.items() if m & ~x[o]}
             for o, m in level.items():
                 x[o] |= m
@@ -301,7 +324,7 @@ def _reach(groups: _Groups, goal: dict[int, int], z: frozenset[int]) -> ReachRes
             if not level:
                 break
         x_rounds.append(sizes)
-        new_z = frozenset(o for o in z if x[o] == (1 << len(g.obs_states(o))) - 1)
+        new_z = frozenset(o for o in z if x[o] == (1 << class_size[o]) - 1)
         if new_z == z:
             break
         # Every action that can lead into a leaving observation is lost.

@@ -14,11 +14,14 @@ therefore determines.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, chain
+from operator import sub
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .bits import bits, mask_of
 
@@ -119,9 +122,13 @@ class ObservedModel:
 
     `Pomdp` and the reduction's `BeliefObsPomdp` both derive from it. A
     subclass sets whatever its ``state_name`` reads, then calls ``__init__``
-    with its classes, ``classes[o]`` listing the states of observation o;
-    they must list each state id 0..n-1 once. ``obs_of[s]`` and
-    ``obs_index[s]``, the place of s in ``obs_states(obs(s))``, derive from them.
+    with its classes, which must list each state id 0..n-1 once. They come
+    either as a list whose entry o lists the states of observation o, or
+    flat, as the int arrays ``(members, offsets, obs_of, obs_index)``: the
+    states of o are ``members[offsets[o]:offsets[o + 1]]``, and
+    ``obs_of[s]`` and ``obs_index[s]`` are the observation of s and its
+    place in ``obs_states(obs(s))``. The model keeps them flat either way,
+    deriving the last two from a list.
 
     A subclass also provides the successor sets the fixpoints read, in two
     observation-level tables. For the i-th action of ``avail(o)``, one of
@@ -139,23 +146,15 @@ class ObservedModel:
 
     def __init__(
         self,
-        classes: list[tuple[int, ...]],
+        classes: list[Sequence[int]] | tuple[array, array, array, array],
         availability: Mapping[int, tuple[int, ...]],
     ):
-        self._obs_states = classes
+        if isinstance(classes, list):
+            classes = _flatten(classes)
+        else:
+            _check_partition(classes[0])
+        self._members, self._offsets, self.obs_of, self.obs_index = classes
         self.availability = availability
-        n = sum(map(len, classes))
-        self.obs_of = obs_of = [-1] * n
-        self.obs_index = obs_index = [0] * n
-        for o, cls in enumerate(classes):
-            for i, s in enumerate(cls):
-                if not 0 <= s < n or obs_of[s] >= 0:
-                    raise ValueError(
-                        f"the classes do not partition states 0..{n - 1}:"
-                        f" state id {s} is out of range or listed twice"
-                    )
-                obs_of[s] = o
-                obs_index[s] = i
 
     def state_name(self, s: int) -> str:
         raise NotImplementedError
@@ -166,13 +165,18 @@ class ObservedModel:
 
     @property
     def n_observations(self) -> int:
-        return len(self._obs_states)
+        return len(self._offsets) - 1
 
     def obs(self, s: int) -> int:
         return self.obs_of[s]
 
     def obs_states(self, o: int) -> tuple[int, ...]:
-        return self._obs_states[o]
+        return tuple(self._members[self._offsets[o] : self._offsets[o + 1]])
+
+    def obs_sizes(self) -> list[int]:
+        """The number of states of each observation, by id."""
+        offsets = self._offsets
+        return list(map(sub, offsets[1:], offsets))
 
     def avail(self, o: int) -> tuple[int, ...]:
         return self.availability[o]
@@ -182,6 +186,42 @@ class ObservedModel:
         for s in range(self.n_states):
             for a in self.avail(self.obs(s)):
                 yield s, a
+
+
+def _not_a_partition(n: int, s: int) -> ValueError:
+    return ValueError(
+        f"the classes do not partition states 0..{n - 1}:"
+        f" state id {s} is out of range or listed twice"
+    )
+
+
+def _flatten(classes: list[Sequence[int]]) -> tuple[array, array, array, array]:
+    """The flat form of ``ObservedModel`` of classes given as a list."""
+    n = sum(map(len, classes))
+    obs_of = [-1] * n
+    obs_index = [0] * n
+    for o, cls in enumerate(classes):
+        for i, s in enumerate(cls):
+            if not 0 <= s < n or obs_of[s] >= 0:
+                raise _not_a_partition(n, s)
+            obs_of[s] = o
+            obs_index[s] = i
+    return (
+        array("I", chain.from_iterable(classes)),
+        array("I", accumulate(map(len, classes), initial=0)),
+        array("I", obs_of),
+        array("I", obs_index),
+    )
+
+
+def _check_partition(members: array) -> None:
+    """Raise unless ``members`` lists each state id 0..n-1 once."""
+    n = len(members)
+    seen = bytearray(n)
+    for s in members:
+        if not 0 <= s < n or seen[s]:
+            raise _not_a_partition(n, s)
+        seen[s] = 1
 
 
 def _id_of(names: list[str], name: str, kind: str) -> int:
@@ -236,7 +276,7 @@ class Pomdp(ObservedModel):
                     f"state {self.state_name(s)!r} has observation id {o} out of range"
                 )
             by_obs[o].append(s)
-        super().__init__([tuple(ss) for ss in by_obs], avail)
+        super().__init__(by_obs, avail)
 
     @property
     def n_actions(self) -> int:

@@ -26,7 +26,12 @@ integers. Memories appear by memory-action id:
 
 An observation's payload is its states' payload without the hidden state,
 and the only one stored: a state is its observation and its place, the
-rank of its hidden state in the belief, where the walk puts it. The
+rank of its hidden state in the belief, where the walk puts it. Per-state
+data is kept in flat int arrays, never in a Python object per state: the
+classes are one array of state ids with an offset per observation, which
+the walk fills in place, and each state's observation and place are
+recorded as it is made. The walk alone keeps each state's hidden state,
+and per hidden state a bytearray of flags by memory-action id. The
 payloads name observations for the reader; the walk and the solver find
 an observation by id, never by payload. The CollapsedMemory objects live
 only in ``memory_actions``, interned by their (belief, win, rec, acts)
@@ -54,8 +59,10 @@ either table.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from itertools import accumulate, islice
+from typing import Sequence
 
 from .bits import bits, mask_of, submasks, supermasks_within
 from .collapse import CollapsedMemory, MemoryFingerprint
@@ -76,6 +83,15 @@ INIT = ("init",)
 SINK = ("sink",)
 # Reduced states built before the reduction gives up, unless told otherwise.
 DEFAULT_MAX_STATES = 250_000
+
+
+class _WalkOutOfMemory(MemoryError):
+    """`reduce_pomdp` ran out of memory in its walk; ``stats`` holds the
+    counters it had reached, as its CapacityError would."""
+
+    def __init__(self, stats: dict[str, int]):
+        super().__init__("the reduction ran out of memory")
+        self.stats = stats
 
 
 def enabled_action(cm: CollapsedMemory, a: int, reward1_mask: int) -> bool:
@@ -105,18 +121,20 @@ class BeliefObsPomdp(ObservedModel):
     state 1 the losing sink. Base actions keep their ids from the source
     POMDP, then comes the abort action, then the interned memory actions.
 
-    ``classes[o]`` holds one state per state of o's belief, by hidden state,
-    so a state is named by its observation and place. ``obs_payloads`` holds
-    the integer payloads of the module docstring, which name memories by
-    memory-action id; ``memory(aid)`` is the CollapsedMemory behind such an
-    id. ``state_payload`` derives a state's payload from its observation's.
+    The class of o, ``obs_states(o)``, holds one state per state of o's
+    belief, by hidden state, so a state is named by its observation and
+    place. The reduction hands the classes over in the flat form of
+    ``ObservedModel``. ``obs_payloads`` holds the integer payloads of the
+    module docstring, which name memories by memory-action id;
+    ``memory(aid)`` is the CollapsedMemory behind such an id.
+    ``state_payload`` derives a state's payload from its observation's.
     """
 
     def __init__(
         self,
         base: Pomdp,
         obs_payloads: list[ObsPayload],
-        classes: list[tuple[int, ...]],
+        classes: list[Sequence[int]] | tuple[array, array, array, array],
         obs_rows: list[tuple],
         memory_edges: dict[int, tuple[int, ...]],
         availability: dict[int, tuple[int, ...]],
@@ -150,8 +168,10 @@ class BeliefObsPomdp(ObservedModel):
         if i < len(acts) and acts[i] == a:
             n = len(self.obs_rows[o])
             if i < n:
-                row = self.obs_rows[o][i]
-                ts = [self.obs_states(o2)[j] for o2, m in row for j in bits(m[p])]
+                ts = []
+                for o2, m in self.obs_rows[o][i]:
+                    cls = self.obs_states(o2)
+                    ts += [cls[j] for j in bits(m[p])]
                 return tuple(sorted(ts))
             return (self.obs_states(self.memory_edges[o][i - n])[p],)
         raise ModelError(
@@ -223,19 +243,18 @@ class BeliefObsPomdp(ObservedModel):
 
     def wcs_state_ids(self) -> list[int]:
         """The states of `wcs_place_masks`, ascending."""
-        return sorted(
-            self.obs_states(o)[i]
-            for o, m in self.wcs_place_masks().items()
-            for i in bits(m)
-        )
+        out = []
+        for o, m in self.wcs_place_masks().items():
+            cls = self.obs_states(o)
+            out += [cls[i] for i in bits(m)]
+        return sorted(out)
 
     def stats(self) -> dict[str, int]:
         return {
             "states": self.n_states,
             "observations": self.n_observations,
             "rows": sum(
-                len(self.avail(o)) * len(self.obs_states(o))
-                for o in range(self.n_observations)
+                len(self.avail(o)) * n for o, n in enumerate(self.obs_sizes())
             ),
             "memory_actions": len(self.memory_actions),
         }
@@ -248,7 +267,8 @@ def reduce_pomdp(
 
     Breadth-first from the initial state; exceeding ``max_states`` raises
     CapacityError with the partial counters, never a truncated model, and a
-    cap below 1 is a ModelError.
+    cap below 1 is a ModelError. Running out of memory in the walk raises a
+    MemoryError whose ``stats`` hold the same counters.
     Enumeration order is fixed (lexicographic on bit patterns), so state
     numbering is reproducible.
 
@@ -257,10 +277,11 @@ def reduce_pomdp(
     memory-action id; a memory-selection observation in the plan of the
     action-selection observation it follows, which keeps one id slot per
     successor belief of each base action; and an action-selection state
-    (t, aid) by whether aid is in ``made[t]``. The memory-selection states
-    made from an action-selection observation under each base action are a
-    mask of hidden states. A memory-selection state whose availability and
-    hidden state were met together before has nothing left to make.
+    (t, aid) by the flag of aid in the bytearray ``made[t]``. The
+    memory-selection states made from an action-selection observation under
+    each base action are a mask of hidden states. A memory-selection state
+    has nothing left to make once the action-selection state of the least
+    memory of its availability exists at its hidden state.
     """
     if max_states < 1:
         raise ModelError(f"max_states must be at least 1, not {max_states}")
@@ -275,10 +296,15 @@ def reduce_pomdp(
     }
 
     obs_payloads: list[ObsPayload] = [INIT, SINK]
-    # A slot per state of each class's belief, -1 until filled; and for the
-    # walk only, each state's hidden state (none for INIT, SINK) and observation.
-    classes: list[list[int]] = [[0], [1]]
-    hidden, obs_of = [-1, -1], [0, 1]
+    # The classes in the flat form of ObservedModel: observation o has the
+    # slots members[offsets[o]:offsets[o + 1]], one per state of its
+    # belief, filled as the walk makes them; each state's observation and
+    # place. For the walk only, each state's hidden state (none for INIT,
+    # SINK, which hold 0). Unsigned arrays take an int fastest.
+    members, offsets = array("I", [0, 1]), array("I", [0, 1, 2])
+    obs_of, obs_index = array("I", [0, 1]), array("I", [0, 0])
+    hidden = array("I", [0, 0])
+    blank = [array("I", [0]) * k for k in range(g.n_states + 1)]
     # Filled once per observation: the initial and memory-selection ones
     # when met, the action-selection ones and the sink's after the walk.
     obs_rows: list[tuple] = [(), ()]
@@ -286,9 +312,9 @@ def reduce_pomdp(
     memory_edges: dict[int, tuple[int, ...]] = {}
     memory_actions: list[CollapsedMemory] = []
     mid_by_masks: dict[tuple[int, int, int, int], int] = {}
-    # made[t]: abort and each memory action aid such that the
-    # action-selection state ("act", t, aid) exists.
-    made: list[set[int]] = [{abort} for _ in range(g.n_states)]
+    # made[t][aid] is set for abort and each memory action aid such that
+    # the action-selection state ("act", t, aid) exists; it grows on demand.
+    made = [bytearray(abort) + b"\x01" for _ in range(g.n_states)]
     # act_obs[aid - abort - 1]: the observation ("act", aid), -1 until met.
     act_obs: list[int] = []
 
@@ -307,7 +333,8 @@ def reduce_pomdp(
         """Add an observation with an empty class of ``belief``; its id."""
         obs_payloads.append(obs_payload)
         obs_rows.append(())
-        classes.append([-1] * belief.bit_count())
+        members.extend(blank[belief.bit_count()])
+        offsets.append(len(members))
         return len(obs_payloads) - 1
 
     def act_obs_of(aid: int, belief: int) -> int:
@@ -316,28 +343,33 @@ def reduce_pomdp(
             o = act_obs[aid - abort - 1] = new_obs(("act", aid), belief)
         return o
 
-    def intern(o: int, belief: int, t: int, rows: int) -> None:
+    def progress(rows: int) -> dict[str, int]:
+        """The counters reached, for a CapacityError; ``rows`` counts the
+        rows built so far."""
+        return {
+            "states": len(hidden),
+            "observations": len(obs_payloads),
+            "rows": rows,
+            "memory_actions": len(memory_actions),
+        }
+
+    def intern(o: int, p: int, t: int, rows: int) -> None:
         """Add the state of hidden state t, which its caller did not find, at
-        its place in the class of observation o, whose belief is ``belief``.
-        ``rows`` counts the rows built so far, for the CapacityError."""
+        its place p in the class of observation o. ``rows`` counts the rows
+        built so far, for the CapacityError."""
         if len(hidden) >= max_states:
             raise CapacityError(
-                f"reduction exceeded the cap of {max_states} states",
-                {
-                    "states": len(hidden),
-                    "observations": len(obs_payloads),
-                    "rows": rows,
-                    "memory_actions": len(memory_actions),
-                },
+                f"reduction exceeded the cap of {max_states} states", progress(rows)
             )
-        classes[o][(belief & ((1 << t) - 1)).bit_count()] = len(hidden)
+        members[offsets[o] + p] = len(hidden)
         hidden.append(t)
         obs_of.append(o)
+        obs_index.append(p)
 
-    # Per (belief, base action): each state's successors as a mask, the
-    # position of the successor belief holding each state they reach, and
-    # each successor belief with its place map. Equal place maps share one
-    # object.
+    # Per (belief, base action): each state's successors as a mask; for
+    # each state they reach, the position of the successor belief holding
+    # it and its place there; and each successor belief with its place
+    # map. Equal place maps share one object.
     maps: dict[tuple, tuple] = {}
     post_cache: dict[tuple[int, int], tuple[dict, dict, list]] = {}
 
@@ -345,21 +377,28 @@ def reduce_pomdp(
         got = post_cache.get((ymask, a))
         if got is None:
             succ = {s: mask_of(g.support(s, a)) for s in bits(ymask)}
-            belief_of, beliefs = {}, []
+            at, beliefs = {}, []
             for _, ymask2 in belief_successors(g, ymask, a):
                 place = {t: j for j, t in enumerate(bits(ymask2))}
-                belief_of.update(dict.fromkeys(place, len(beliefs)))
+                at.update((t, (len(beliefs), j)) for t, j in place.items())
                 m = tuple(
                     mask_of([place[t] for t in bits(succ[s] & ymask2)])
                     for s in bits(ymask)
                 )
                 beliefs.append((ymask2, maps.setdefault(m, m)))
-            got = post_cache[(ymask, a)] = (succ, belief_of, beliefs)
+            got = post_cache[(ymask, a)] = (succ, at, beliefs)
         return got
 
     # Many memory-selection observations force the same win and recurrence
     # bits on the same belief, and so share their availability.
     choices_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
+    # Per availability, by identity: its least memory action in
+    # CollapsedMemory order, whose win and recurrence masks are just the
+    # forced ones. An availability offering it forces no more on the same
+    # belief, so it offers every memory action of this one: once the
+    # action-selection state (t, least) exists, so does (t, aid) for every
+    # memory action aid of the availability.
+    least: dict[int, int] = {}
 
     def memory_choices(ymask2: int, a: int, cm: CollapsedMemory) -> tuple[int, ...]:
         """Availability after ``a`` led ``cm`` to ``ymask2``: abort, then
@@ -385,12 +424,9 @@ def reduce_pomdp(
                 for a2 in submasks(acts2)
                 if a2
             )
-            got = choices_cache[key] = tuple(
-                sorted(
-                    [abort]
-                    + [intern_memory_action(ymask2, w2, r2, a2) for w2, r2, a2 in found]
-                )
-            )
+            aids = [intern_memory_action(ymask2, w2, r2, a2) for w2, r2, a2 in found]
+            got = choices_cache[key] = tuple(sorted([abort] + aids))
+            least[id(got)] = aids[0]
         return got
 
     # Target observations by availability: those of ("act", aid2) for each
@@ -417,10 +453,6 @@ def reduce_pomdp(
     # -1 until met.
     plans: dict[int, tuple[tuple, list[int]]] = {}
     base_actions = tuple(range(n_base))
-    # The (availability, hidden state) pairs of the memory-selection states
-    # expanded so far, the availability by identity: a pair met again has
-    # made every action-selection state its availability names.
-    expanded: set[tuple[int, int]] = set()
 
     y0 = 1 << g.initial
     init_actions: list[int] = []
@@ -431,9 +463,12 @@ def reduce_pomdp(
         if acts
     ):
         aid = intern_memory_action(y0, y0, r, acts)
-        intern(act_obs_of(aid, y0), y0, g.initial, len(init_actions) + n_base + 1)
+        intern(act_obs_of(aid, y0), 0, g.initial, len(init_actions) + n_base + 1)
         init_actions.append(aid)
-    made[g.initial].update(init_actions)
+    made_0 = made[g.initial]
+    made_0 += bytes(init_actions[-1] + 1 - len(made_0))
+    for aid in init_actions:
+        made_0[aid] = 1
     # The initial memory actions are the first interned, so their ids
     # ascend and all exceed abort's.
     availability[0] = (abort, *init_actions)
@@ -443,88 +478,104 @@ def reduce_pomdp(
     # Rows of the states expanded so far, the sink's base and abort rows
     # included: the CapacityError counts them as if every row were stored.
     rows = len(availability[0]) + n_base + 1
-    # States are expanded in id order, h their hidden state; both lists grow.
-    for h, o in islice(zip(hidden, obs_of), 2, None):
-        payload = obs_payloads[o]
-        if payload[0] == "act":
-            aid = payload[1]
-            plan = plans.get(o)
-            if plan is None:
-                cm = memory_actions[aid - abort - 1]
-                availability[o] = base_actions
-                enabled = tuple(enabled_action(cm, a, reward1[a]) for a in base_actions)
-                layout = layouts.get((cm.belief, enabled))
-                if layout is None:
-                    post_of = tuple(
-                        posts(cm.belief, a) if on else None
-                        for a, on in zip(base_actions, enabled)
+    try:
+        # States are expanded in id order, h their hidden state; both arrays
+        # grow.
+        for h, o in islice(zip(hidden, obs_of), 2, None):
+            payload = obs_payloads[o]
+            if payload[0] == "act":
+                aid = payload[1]
+                plan = plans.get(o)
+                if plan is None:
+                    cm = memory_actions[aid - abort - 1]
+                    availability[o] = base_actions
+                    enabled = tuple(
+                        enabled_action(cm, a, reward1[a]) for a in base_actions
                     )
-                    sizes = (len(post[2]) if post else 0 for post in post_of)
-                    starts = tuple(accumulate(sizes, initial=n_base))
-                    layout = layouts[(cm.belief, enabled)] = (post_of, starts)
-                n_slots = layout[1][-1] - n_base
-                plan = plans[o] = (layout, [0] * n_base + [-1] * n_slots)
-            (post_of, starts), slots = plan
-            for a, post in enumerate(post_of):
-                if post is not None:
-                    new = post[0][h] & ~slots[a]
-                    slots[a] |= new
-                    for t in bits(new):
-                        j = post[1][t]
-                        ymask2 = post[2][j][0]
-                        o2 = slots[starts[a] + j]
-                        if o2 < 0:
-                            o2 = slots[starts[a] + j] = new_obs(
-                                ("mem", ymask2, a, aid), ymask2
-                            )
-                        intern(o2, ymask2, t, rows + a)
-        else:
-            _, ymask2, a, aid = payload
-            acts = availability.get(o)
-            first_met = acts is None
-            if first_met:
-                cm = memory_actions[aid - abort - 1]
-                acts = availability[o] = memory_choices(ymask2, a, cm)
-            # abort sorts first: memory-action ids exceed it. Each missing
-            # (h, aid2) is interned in availability order, at its row.
-            pair = (id(acts), h)
-            if pair not in expanded:
-                expanded.add(pair)
+                    layout = layouts.get((cm.belief, enabled))
+                    if layout is None:
+                        post_of = tuple(
+                            posts(cm.belief, a) if on else None
+                            for a, on in zip(base_actions, enabled)
+                        )
+                        sizes = (len(post[2]) if post else 0 for post in post_of)
+                        starts = tuple(accumulate(sizes, initial=n_base))
+                        layout = layouts[(cm.belief, enabled)] = (post_of, starts)
+                    n_slots = layout[1][-1] - n_base
+                    plan = plans[o] = (layout, [0] * n_base + [-1] * n_slots)
+                (post_of, starts), slots = plan
+                for a, post in enumerate(post_of):
+                    if post is not None:
+                        new = post[0][h] & ~slots[a]
+                        slots[a] |= new
+                        for t in bits(new):
+                            j, p = post[1][t]
+                            ymask2 = post[2][j][0]
+                            o2 = slots[starts[a] + j]
+                            if o2 < 0:
+                                o2 = slots[starts[a] + j] = new_obs(
+                                    ("mem", ymask2, a, aid), ymask2
+                                )
+                            intern(o2, p, t, rows + a)
+            else:
+                _, ymask2, a, aid = payload
+                acts = availability.get(o)
+                first_met = acts is None
+                if first_met:
+                    cm = memory_actions[aid - abort - 1]
+                    acts = availability[o] = memory_choices(ymask2, a, cm)
+                # abort sorts first: memory-action ids exceed it. Each missing
+                # (h, aid2) is interned in availability order, at its row; none
+                # is missing once (h, least) exists.
                 made_h = made[h]
-                if not made_h.issuperset(acts):
+                low = least[id(acts)]
+                if low >= len(made_h) or not made_h[low]:
+                    if len(made_h) <= acts[-1]:
+                        made_h += bytes(acts[-1] + 1 - len(made_h))
+                    p = (ymask2 & ((1 << h) - 1)).bit_count()
                     for i, aid2 in enumerate(acts):
-                        if aid2 not in made_h:
-                            intern(act_obs_of(aid2, ymask2), ymask2, h, rows + i)
-                            made_h.add(aid2)
-            if first_met:
-                targets = edges_cache.get(acts)
-                if targets is None:
-                    targets = edges_cache[acts] = tuple(
-                        act_obs[aid2 - abort - 1] for aid2 in acts[1:]
-                    )
-                memory_edges[o] = targets
-                obs_rows[o] = (to_sink(ymask2.bit_count()),)
-        rows += len(availability[o])
+                        if not made_h[aid2]:
+                            intern(act_obs_of(aid2, ymask2), p, h, rows + i)
+                            made_h[aid2] = 1
+                if first_met:
+                    targets = edges_cache.get(acts)
+                    if targets is None:
+                        targets = edges_cache[acts] = tuple(
+                            act_obs[aid2 - abort - 1] for aid2 in acts[1:]
+                        )
+                    memory_edges[o] = targets
+                    obs_rows[o] = (to_sink(ymask2.bit_count()),)
+            rows += len(availability[o])
 
-    # Every target of an action-selection observation has been met by now.
-    for o, ((post_of, starts), slots) in plans.items():
-        n = len(classes[o])
-        obs_rows[o] = tuple(
-            to_sink(n)
-            if post is None
-            else tuple([(slots[starts[a] + j], m) for j, (_, m) in enumerate(post[2])])
-            for a, post in enumerate(post_of)
+        # Every target of an action-selection observation has been met by now.
+        for o, ((post_of, starts), slots) in plans.items():
+            n = offsets[o + 1] - offsets[o]
+            obs_rows[o] = tuple(
+                to_sink(n)
+                if post is None
+                else tuple(
+                    [(slots[starts[a] + j], m) for j, (_, m) in enumerate(post[2])]
+                )
+                for a, post in enumerate(post_of)
+            )
+        all_actions = tuple(range(n_base + 1 + len(memory_actions)))
+        availability[1] = all_actions
+        obs_rows[1] = (to_sink(1),) * len(all_actions)
+    except MemoryError:
+        # The counters leave on an error of the walk's own, raised once this
+        # handler has let go of the frames of the failed call. An attribute
+        # set on the interpreter's MemoryError instead hung CPython 3.11 in
+        # about half of the runs that failed this way.
+        pass
+    else:
+        del hidden, made, plans
+        return BeliefObsPomdp(
+            base=g,
+            obs_payloads=obs_payloads,
+            classes=(members, offsets, obs_of, obs_index),
+            obs_rows=obs_rows,
+            memory_edges=memory_edges,
+            availability=availability,
+            memory_actions=memory_actions,
         )
-    all_actions = tuple(range(n_base + 1 + len(memory_actions)))
-    availability[1] = all_actions
-    obs_rows[1] = (to_sink(1),) * len(all_actions)
-
-    return BeliefObsPomdp(
-        base=g,
-        obs_payloads=obs_payloads,
-        classes=[tuple(cls) for cls in classes],
-        obs_rows=obs_rows,
-        memory_edges=memory_edges,
-        availability=availability,
-        memory_actions=memory_actions,
-    )
+    raise _WalkOutOfMemory(progress(rows))

@@ -32,6 +32,7 @@ from .chains import (
 )
 from .fixpoint import _Groups, _reach, _safe
 from .model import (
+    CapacityError,
     Distr,
     ModelError,
     Pomdp,
@@ -43,6 +44,8 @@ from .model import (
 from .reduction import DEFAULT_MAX_STATES, BeliefObsPomdp, reduce_pomdp
 
 INIT_MEMORY = "init"
+# The phases of decide_limavg1, in order, as its stats name them.
+PHASES = ("reduce", "safe", "reach", "unfold", "validate")
 
 
 @dataclass(frozen=True)
@@ -297,13 +300,37 @@ def decide_limavg1(
     own nodes (``chains._wins_on_masks``). Only when that proof fails is the
     chain built, by ``validate_strategy``, and a diagnosis it finds is
     raised as a ModelError.
+
+    Running out of memory raises CapacityError, naming the phase it stopped
+    in, with the counters of the reduction: in reduce those the walk had
+    reached, as for its state cap, and after it the reduction's own.
     """
     problems = validate(g, require_unique_initial_obs=False) or rewards.check(g)
     if problems:
         raise ModelError("; ".join(problems))
 
-    # Wall time of each phase that runs, then of the whole decision.
+    # Wall time of each phase that has run, and the reduction's counters.
     stats: dict[str, float] = {}
+    reached: dict[str, int] = {}
+    try:
+        return _decide(g, rewards, max_states, stats, reached)
+    except MemoryError as err:
+        # The walk's own MemoryError carries the counters it had reached.
+        reached = getattr(err, "stats", reached)
+    # Raised once the handler has freed the frames that hold the reduction.
+    phase = PHASES[min(len(stats), len(PHASES) - 1)]
+    raise CapacityError(f"out of memory in phase {phase}", reached)
+
+
+def _decide(
+    g: Pomdp,
+    rewards: RewardFn,
+    max_states: int,
+    stats: dict[str, float],
+    reached: dict[str, int],
+) -> SolveReport:
+    """The phases of `decide_limavg1`, timed into ``stats``; ``reached``
+    gets the reduction's counters once it is built."""
     t0 = last = time.perf_counter()
 
     def lap(phase: str) -> None:
@@ -314,17 +341,19 @@ def decide_limavg1(
 
     bg = reduce_pomdp(g, rewards, max_states=max_states)
     lap("reduce_s")
+    reached.update(bg.stats())
     groups = _Groups(bg, {})
-    iterates = _safe(groups, [bg.obs(bg.sink)])
-    y_star = iterates[-1]
+    safety_sizes = []
+    for y_star in _safe(groups, [bg.obs(bg.sink)]):
+        safety_sizes.append(len(y_star))
     lap("safe_s")
     report = SolveReport(
         verdict="NO",
         reason="",
         model_name=g.name,
-        reduction_stats=bg.stats(),
+        reduction_stats=dict(reached),
         n_observations=bg.n_observations,
-        safety_sizes=[len(y) for y in iterates],
+        safety_sizes=safety_sizes,
         y_star_size=len(y_star),
         stats=stats,
     )
@@ -337,7 +366,7 @@ def decide_limavg1(
     reach = _reach(groups, goal, y_star)
     lap("reach_s")
     report.wcs_size = sum(m.bit_count() for m in goal.values())
-    del iterates, y_star, groups, goal
+    del y_star, groups, goal
     report.z_sizes = [len(z) for z in reach.z_iterates]
     report.z_star_size = len(reach.z_star)
     report.x_rounds = reach.x_rounds

@@ -441,6 +441,27 @@ def reference_is_belief_observation(g) -> tuple[bool, list[str] | None]:
 
 # ---------------------------------------------------- reduction references
 
+def reference_state_index(
+    classes: list[tuple[int, ...]],
+) -> tuple[list[int], list[int]]:
+    """Each state's observation and place in its class, derived from the
+    classes in lists as ``ObservedModel`` did before it kept them flat, with
+    the same ValueError for classes that do not partition the states."""
+    n = sum(map(len, classes))
+    obs_of = [-1] * n
+    obs_index = [0] * n
+    for o, cls in enumerate(classes):
+        for i, s in enumerate(cls):
+            if not 0 <= s < n or obs_of[s] >= 0:
+                raise ValueError(
+                    f"the classes do not partition states 0..{n - 1}:"
+                    f" state id {s} is out of range or listed twice"
+                )
+            obs_of[s] = o
+            obs_index[s] = i
+    return obs_of, obs_index
+
+
 def reduced_pomdp(
     bg: BeliefObsPomdp, rewards: RewardFn, name: str = ""
 ) -> tuple[Pomdp, RewardFn]:

@@ -1,10 +1,14 @@
 """Command-line behavior: exit codes, report text, artifacts, chaining."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import asmp
 from asmp import (
     Distr,
     MemorylessStrategy,
@@ -29,7 +33,7 @@ from asmp.gadgets import (
     unavoidable_zero_pomdp,
 )
 
-from helpers import as_finite_memory
+from helpers import as_finite_memory, hidden_model
 from test_simulate import restricted_pomdp
 
 
@@ -159,6 +163,41 @@ class TestSolve:
         assert code == 3
         assert out == ""
         assert err.startswith("capacity: ")
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm"
+    )
+    def test_running_out_of_memory_exits_three(self, tmp_path):
+        """A solve that outgrows its address space ends with exit 3 and the
+        phase it stopped in, not a traceback. The child process limits only
+        itself, to 32 MiB above what it has mapped once asmp is imported.
+        Measured that way on CPython 3.11, hidden-10 stops in reduce with 8
+        to 48 MiB, in safe with 64 MiB, and solves with 96 MiB."""
+        g, r = hidden_model(10, 110)
+        model = tmp_path / "hidden-10.txt"
+        model.write_text(emit_model(g, r), encoding="utf-8")
+        child = (
+            "import resource, sys\n"
+            "from asmp.cli import main\n"
+            "with open('/proc/self/statm') as f:\n"
+            "    mapped = int(f.read().split()[0]) * resource.getpagesize()\n"
+            "limit = mapped + 32 * 2**20\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "sys.exit(main(['solve', sys.argv[1], '--max-states', '8000000']))\n"
+        )
+        src = str(Path(asmp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", child, str(model)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.splitlines()[0] == "capacity: out of memory in phase reduce"
+        assert "Traceback" not in done.stderr
 
     @pytest.mark.parametrize("cap", ["-5", "0"])
     def test_cap_below_one_is_invalid_input(self, files, capsys, cap):

@@ -13,7 +13,7 @@ from asmp import (
     reduce_pomdp,
     restrict_safe,
 )
-from asmp.fixpoint import _reversed
+from asmp.fixpoint import _Groups, _reversed
 from asmp.gadgets import ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp
 from asmp.model import Pomdp
 from asmp.reduction import BeliefObsPomdp
@@ -137,27 +137,34 @@ class TestReversal:
     )
     def test_matches_the_spelled_out_reversal(self, make):
         """Each place map reversed into its target class: the places of the
-        map that reach each target place, and those that reach any. One
-        object per (map, class size), on reductions, which share their maps,
-        and on plain POMDPs, which do not."""
+        map that reach each target place. The group store lists each group
+        under its targets with the reversal of its map, and keeps one
+        reversal per (map, class size), on reductions, which share their
+        maps, and on plain POMDPs, which do not."""
         g = make()
         models = [g] if isinstance(g, Pomdp) else [reduce_pomdp(*g)]
         for g in models:
-            cache = {}
-            got = {}
-            for table in g.obs_rows:
-                for entries in table:
+            groups = _Groups(g, {})
+            ids = {}
+            for o, table in enumerate(g.obs_rows):
+                for k, entries in enumerate(table, groups.first[o]):
                     for o2, m in entries:
                         n = len(g.obs_states(o2))
-                        back, reaching = rev = _reversed(m, n, cache)
-                        assert back == tuple(
+                        want = tuple(
                             sum(1 << p for p, t in enumerate(m) if t >> q & 1)
                             for q in range(n)
                         )
-                        assert reaching == sum(1 << p for p, t in enumerate(m) if t)
-                        got.setdefault((id(m), n), set()).add(id(rev))
-            assert all(len(ids) == 1 for ids in got.values())
-            assert len({i for ids in got.values() for i in ids}) == len(got) == len(cache)
+                        assert _reversed(m, n) == want
+                        it = iter(groups.pred[o2])
+                        listed = [
+                            b for o1, k1, b in zip(it, it, it) if (o1, k1) == (o, k)
+                        ]
+                        assert len(listed) == (1 if any(m) else 0)
+                        for b in listed:
+                            assert groups.backs[b] == want
+                            ids.setdefault((id(m), n), set()).add(b)
+            assert all(len(b) == 1 for b in ids.values())
+            assert len({b for bs in ids.values() for b in bs}) == len(ids)
 
 
 def with_obs_rows(bg, obs_rows):

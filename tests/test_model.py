@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -29,7 +30,13 @@ from asmp.gadgets import (
 )
 from asmp.model import ObservedModel, belief_obs, belief_successors
 
-from helpers import random_pomdp, reference_is_belief_observation
+from helpers import (
+    hidden_model,
+    random_belief_obs_pomdp,
+    random_pomdp,
+    reference_is_belief_observation,
+    reference_state_index,
+)
 
 
 class TestDistr:
@@ -219,6 +226,64 @@ class TestBeliefObservationCheck:
             models += [bg, restrict_safe(bg, safety.y_star, safety.allow_map)]
         for g in models:
             assert is_belief_observation(g) == reference_is_belief_observation(g)
+
+
+def flat_classes(classes):
+    """The flat constructor input of ``ObservedModel`` holding ``classes``,
+    with every state's observation and place left at 0."""
+    members = array("I", itertools.chain.from_iterable(classes))
+    offsets = array("I", itertools.accumulate(map(len, classes), initial=0))
+    blank = array("I", [0]) * len(members)
+    return members, offsets, blank, array("I", blank)
+
+
+def models_for_the_class_oracle():
+    """The gadgets, hidden-5..7 and seeded random POMDPs, with the
+    reductions of all but the last and of 60 seeded belief-observation
+    models, and the safe restrictions of those reductions."""
+    bases = [make() for make in (ring_pomdp, trap_ring_pomdp, unavoidable_zero_pomdp)]
+    bases += [hidden_model(n, 100 + n) for n in (5, 6, 7)]
+    rng = random.Random(47)
+    bases += [random_belief_obs_pomdp(rng) for _ in range(60)]
+    rng = random.Random(71)
+    models = [g for g, _ in bases] + [random_pomdp(rng) for _ in range(40)]
+    for g, rewards in bases:
+        bg = reduce_pomdp(g, rewards)
+        safety = almost_safe(bg, [s for s in range(bg.n_states) if s != bg.sink])
+        models += [bg, restrict_safe(bg, safety.y_star, safety.allow_map)]
+    return models
+
+
+class TestClassStorage:
+    """Classes kept flat against the list-based derivation they replaced."""
+
+    def test_classes_and_index_match_the_list_reference(self):
+        """Every model's classes are tuples, and each state's observation and
+        place equal the reference derived from them; the same classes given
+        as a list build the same model."""
+        for m in models_for_the_class_oracle():
+            classes = [m.obs_states(o) for o in range(m.n_observations)]
+            assert all(type(cls) is tuple for cls in classes)
+            want = reference_state_index(classes)
+            assert (list(m.obs_of), list(m.obs_index)) == want
+            assert m.n_states == len(want[0])
+            assert m.obs_sizes() == [len(cls) for cls in classes]
+            twin = ObservedModel(classes, m.availability)
+            assert (list(twin.obs_of), list(twin.obs_index)) == want
+            assert [twin.obs_states(o) for o in range(m.n_observations)] == classes
+
+    @pytest.mark.parametrize(
+        "classes",
+        [[(0, 1), (1,)], [(2, 0), (0,)], [(0, 3), (1,)], [(0,), (1, 7, 2)]],
+        ids=["duplicate", "duplicate-first", "out-of-range", "out-of-range-late"],
+    )
+    @pytest.mark.parametrize("flat", [False, True], ids=["list", "flat"])
+    def test_partition_errors_match_the_reference(self, classes, flat):
+        with pytest.raises(ValueError) as want:
+            reference_state_index(classes)
+        with pytest.raises(ValueError) as got:
+            ObservedModel(flat_classes(classes) if flat else classes, {})
+        assert str(got.value) == str(want.value)
 
 
 class TestRewardFn:

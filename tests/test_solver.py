@@ -18,6 +18,7 @@ from functools import partial
 import pytest
 
 from asmp import (
+    CapacityError,
     Distr,
     FiniteMemoryStrategy,
     MemorylessStrategy,
@@ -277,6 +278,66 @@ class TestPipelineInvariants:
         report = decide_limavg1(*ring_pomdp())
         assert report.verdict == "YES"
         assert alive == [False]
+
+
+class TestOutOfMemory:
+    """A MemoryError in a phase of the decision ends in a CapacityError that
+    names the phase and carries the reduction's counters, raised after the
+    frames that held the reduction are gone."""
+
+    def test_in_the_walk_it_carries_the_counters_reached(self, monkeypatch):
+        """The seventh memory action fails to allocate. The counters are
+        those the walk had reached then, in the form of the cap error's,
+        frozen from the first run."""
+        made = []
+
+        def failing_memory(*args):
+            if len(made) == 6:
+                raise MemoryError
+            made.append(CollapsedMemory(*args))
+            return made[-1]
+
+        monkeypatch.setattr("asmp.reduction.CollapsedMemory", failing_memory)
+        with pytest.raises(CapacityError) as err:
+            decide_limavg1(*ring_pomdp())
+        assert str(err.value) == "out of memory in phase reduce"
+        assert err.value.stats == {
+            "states": 56,
+            "observations": 16,
+            "rows": 22,
+            "memory_actions": 6,
+        }
+        assert err.value.__context__ is None
+
+    @pytest.mark.parametrize(
+        "phase, name",
+        [
+            ("safe", "_safe"),
+            ("reach", "_reach"),
+            ("unfold", "memoryless_to_finite_memory"),
+            ("validate", "_wins_on_masks"),
+        ],
+    )
+    def test_after_the_walk_it_names_the_phase(self, monkeypatch, phase, name):
+        refs = []
+
+        def tracked_reduce(*args, **kwargs):
+            bg = reduce_pomdp(*args, **kwargs)
+            refs.append(weakref.ref(bg))
+            return bg
+
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("asmp.solver.reduce_pomdp", tracked_reduce)
+        monkeypatch.setattr(f"asmp.solver.{name}", out_of_memory)
+        g, rewards = ring_pomdp()
+        with pytest.raises(CapacityError) as err:
+            decide_limavg1(g, rewards)
+        assert str(err.value) == f"out of memory in phase {phase}"
+        assert err.value.stats == reduce_pomdp(g, rewards).stats()
+        assert err.value.__context__ is None
+        assert refs[0]() is None
 
 
 class TestWitnessCheck:
